@@ -26,6 +26,7 @@ from .dynamics import (
     initial_tangent,
     magnetic_rhs,
     integrate,
+    integrate_many,
     speed_drift,
     angle_drift,
 )
@@ -60,6 +61,7 @@ __all__ = [
     "covariant_acceleration", "nabla_phi_check",
     "MagneticSetup", "IntegratorConfig", "Trajectory",
     "lorentz_force", "initial_tangent", "magnetic_rhs", "integrate",
+    "integrate_many",
     "speed_drift", "angle_drift",
     "FrenetSeries", "frenet_apparatus", "osculating_order",
     "CaseAParams", "CaseBParams", "lambda_", "sample_case_a", "sample_case_b",

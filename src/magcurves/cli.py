@@ -281,7 +281,7 @@ def _cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    rows = run_sweep(spec, jobs=args.jobs)
+    rows = run_sweep(spec)
     write_sweep_csv(rows, args.out)
     bad = sum(
         1 for r in rows
@@ -291,7 +291,7 @@ def _cmd_sweep(args) -> int:
                      or abs(r["kappa2_meas"] - r["kappa2_pred"]) <= spec.tol))
     )
     print(json.dumps({"out": str(args.out), "rows": len(rows), "cells_out_of_tol": bad}))
-    return EXIT_OK
+    return EXIT_VERIFY_FAIL if bad else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="deterministic grid sweep to CSV")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted and ignored: one process steps each (n, s) group as a batch")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

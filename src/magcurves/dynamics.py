@@ -10,13 +10,17 @@ which in coordinates becomes the first-order system on states
     coords' = v
     v'^k    = -Gamma^k_{ij} v^i v^j - q (phi v)^k
 
-integrated here with classical fixed-step fourth-order Runge-Kutta.  The
+integrated here with classical fixed-step fourth-order Runge-Kutta, one
+trajectory at a time (``integrate``) or as a batch of one signature stepped
+together (``integrate_many``), with the same bits either way.  The
 integrator never renormalizes the velocity: drift in the speed and in the
 contact angles eta^a(T) (both first integrals of the exact flow) is the
 accuracy diagnostic reported to callers.
 """
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,7 @@ __all__ = [
     "initial_tangent",
     "magnetic_rhs",
     "integrate",
+    "integrate_many",
     "speed_drift",
     "angle_drift",
 ]
@@ -51,6 +56,8 @@ class MagneticSetup:
     label: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.q):
+            raise ValueError(f"field strength q must be finite, got {self.q!r}")
         if self.q == 0:
             raise ValueError("field strength q must be nonzero")
         if self.p0.sig != self.sig or self.T0.sig != self.sig:
@@ -71,6 +78,9 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
+        for name in ("t_end", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.step > 0:
             raise ValueError("step must be positive")
         if not self.t_end > 0:
@@ -79,6 +89,15 @@ class IntegratorConfig:
             raise ValueError("step must not exceed t_end")
         if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
             raise ValueError("record_every must be a positive integer")
+
+    @property
+    def n_steps(self) -> int:
+        return int(round(self.t_end / self.step))
+
+    @property
+    def n_samples(self) -> int:
+        """Recorded samples per trajectory, the initial one included."""
+        return self.n_steps // self.record_every + 1
 
 
 @dataclass(frozen=True)
@@ -208,6 +227,28 @@ def _rhs(sig: ms.SpaceSignature, q: float, state: np.ndarray) -> np.ndarray:
     return out
 
 
+def _rhs_rows(sig: ms.SpaceSignature, q: np.ndarray, state: np.ndarray) -> np.ndarray:
+    # _rhs applied to each row of a (B, 2 dim) state, with one strength per
+    # row.  Each dot product is a stacked (1, n) @ (n, 1) matmul, which per row
+    # gives the bits of _rhs's np.dot; sum(-1) and einsum round differently.
+    # _rhs stays separate because a shape-generic version is slower at B = 1.
+    n, d = sig.n, sig.dim
+    y = state[:, n:2 * n]
+    vx = state[:, d:d + n]
+    vy = state[:, d + n:d + 2 * n]
+
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    w = np.sum(state[:, d + 2 * n:], axis=1) - q - sig.s * dot(y, vx)
+    out = np.empty_like(state)
+    out[:, :d] = state[:, d:]
+    out[:, d:d + n] = vy * w[:, None]
+    out[:, d + n:d + 2 * n] = -vx * w[:, None]
+    out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None]
+    return out
+
+
 def magnetic_rhs(state: tuple[ms.Point, ms.Tangent], q: float) -> tuple[ms.Tangent, np.ndarray]:
     """Right-hand side of the first-order system at one state.
 
@@ -221,6 +262,54 @@ def magnetic_rhs(state: tuple[ms.Point, ms.Tangent], q: float) -> tuple[ms.Tange
     return ms.Tangent(p, flat[:p.sig.dim]), flat[p.sig.dim:]
 
 
+def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig):
+    """Classical RK4 of state' = rhs(state) for one state of shape (2 dim,) or
+    a batch of shape (B, 2 dim), one trajectory per row.
+
+    Returns the recorded times, points and velocities, the latter of shape
+    (n_samples, dim) with the batch axis first for a batch.  Rows never mix,
+    so a row that goes nonfinite leaves the others untouched; the
+    DivergenceError raised is that of the first such row, with its own time.
+    The loop stops early only when row 0 diverges, since its error is then
+    the one to raise whatever the later rows do.
+    """
+    h = cfg.step
+    stride = cfg.record_every
+    d = state.shape[-1] // 2
+    lead = state.shape[:-1]
+    pts = np.empty(lead + (cfg.n_samples, d))
+    vel = np.empty(lead + (cfg.n_samples, d))
+    pts[..., 0, :] = state[..., :d]
+    vel[..., 0, :] = state[..., d:]
+    diverged = np.zeros(math.prod(lead), dtype=int)  # per row: first nonfinite step
+
+    rec = 1
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
+        for k in range(1, cfg.n_steps + 1):
+            k1 = rhs(state)
+            k2 = rhs(state + (0.5 * h) * k1)
+            k3 = rhs(state + (0.5 * h) * k2)
+            k4 = rhs(state + h * k3)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(state)):
+                finite = np.all(np.isfinite(state).reshape(len(diverged), -1), axis=1)
+                diverged[~finite & (diverged == 0)] = k
+                if diverged[0]:
+                    break
+            if k % stride == 0:
+                pts[..., rec, :] = state[..., :d]
+                vel[..., rec, :] = state[..., d:]
+                rec += 1
+
+    if np.any(diverged):
+        k = int(diverged[np.flatnonzero(diverged)[0]])
+        raise DivergenceError(
+            f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
+            t_last=(k - 1) * h,
+        )
+    return (stride * np.arange(cfg.n_samples)) * h, pts, vel
+
+
 def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     """Fixed-step RK4 solution of the Lorentz equation.
 
@@ -228,41 +317,30 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     recorded point and velocity are exactly p0 and T0.  A nonfinite state
     aborts with DivergenceError carrying the last valid time.
     """
-    sig, q = setup.sig, setup.q
-    d = sig.dim
-    h = cfg.step
-    n_steps = int(round(cfg.t_end / h))
-    stride = cfg.record_every
-
     state = np.concatenate([setup.p0.coords, setup.T0.comps])
-    n_rec = n_steps // stride + 1
-    times = np.empty(n_rec)
-    pts = np.empty((n_rec, d))
-    vel = np.empty((n_rec, d))
-    times[0] = 0.0
-    pts[0] = state[:d]
-    vel[0] = state[d:]
+    times, pts, vel = _rk4(functools.partial(_rhs, setup.sig, setup.q), state, cfg)
+    return Trajectory(setup.sig, times, pts, vel, q=setup.q)
 
-    rec = 1
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
-        for k in range(1, n_steps + 1):
-            k1 = _rhs(sig, q, state)
-            k2 = _rhs(sig, q, state + (0.5 * h) * k1)
-            k3 = _rhs(sig, q, state + (0.5 * h) * k2)
-            k4 = _rhs(sig, q, state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state)):
-                raise DivergenceError(
-                    f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
-                    t_last=(k - 1) * h,
-                )
-            if k % stride == 0:
-                times[rec] = k * h
-                pts[rec] = state[:d]
-                vel[rec] = state[d:]
-                rec += 1
 
-    return Trajectory(sig, times[:rec], pts[:rec], vel[:rec], q=q)
+def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
+    """``integrate`` for several setups of one signature, stepped together.
+
+    Each setup keeps its own q, p0 and T0, and each returned trajectory has
+    the same bits as ``integrate`` gives for its setup alone.  If any setup
+    diverges, raises the DivergenceError that ``integrate`` raises for the
+    first diverging setup in list order.  For a single setup ``integrate``
+    is faster.
+    """
+    setups = list(setups)
+    if not setups:
+        raise ValueError("integrate_many needs at least one setup")
+    sig = setups[0].sig
+    if any(st.sig != sig for st in setups):
+        raise ValueError("integrate_many setups must share one signature")
+    q = np.array([st.q for st in setups])
+    state = np.stack([np.concatenate([st.p0.coords, st.T0.comps]) for st in setups])
+    times, pts, vel = _rk4(functools.partial(_rhs_rows, sig, q), state, cfg)
+    return [Trajectory(sig, times, p, v, q=st.q) for st, p, v in zip(setups, pts, vel)]
 
 
 def speed_drift(traj: Trajectory) -> float:

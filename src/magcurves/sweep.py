@@ -1,23 +1,29 @@
 """Deterministic parameter sweeps over (n, s, q, cos theta) grids.
 
 Each cell integrates one slant trajectory from the origin, measures its
-curvatures, and compares them with the predicted classification.  Cells are
-independent pure computations; ``jobs > 1`` runs them in a process pool,
-but rows always come out in the deterministic grid order and with identical
-bytes for identical specs.
+curvatures, and compares them with the predicted classification.  Cells of
+one (n, s) are stepped together by the batched RK4 engine, which gives every
+cell the bits it would get alone, so rows come out in the deterministic grid
+order and with identical bytes for identical specs.
 """
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
 from . import model_space as ms
 from .classify import predict_class
-from .dynamics import IntegratorConfig, MagneticSetup, initial_tangent, integrate
+from .dynamics import (
+    IntegratorConfig,
+    MagneticSetup,
+    initial_tangent,
+    integrate,
+    integrate_many,
+)
 from .frenet import frenet_apparatus
 
 __all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "write_sweep_csv"]
@@ -28,6 +34,10 @@ SWEEP_COLUMNS = [
     "kappa1_meas", "kappa2_meas",
     "kappa3_max", "drift",
 ]
+
+# Recorded floats (points and velocities) held at once by one batched run,
+# 32 MiB; caps the batch size so memory does not grow with the grid.
+_BATCH_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,7 @@ class SweepSpec:
     t_end: float = 10.0
     step: float = 1e-3
     record_every: int = 1
+    integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("q_values", "cos_theta_values", "n_values", "s_values"):
@@ -50,6 +61,11 @@ class SweepSpec:
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
             object.__setattr__(self, name, vals)
+        for name in ("q_values", "cos_theta_values"):
+            if not all(math.isfinite(v) for v in getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
+        if not math.isfinite(self.tol):
+            raise ValueError(f"tol must be finite, got {self.tol!r}")
         if any(q == 0 for q in self.q_values):
             raise ValueError("q grid must not contain 0")
         for s in self.s_values:
@@ -60,6 +76,9 @@ class SweepSpec:
                         f"inadmissible cell: |cos_theta| = {abs(ct):.6g} exceeds "
                         f"1/sqrt(s) = {limit:.6g} for s = {s}"
                     )
+        # IntegratorConfig validates t_end, step and record_every
+        object.__setattr__(self, "integrator",
+                           IntegratorConfig(self.t_end, self.step, self.record_every))
 
     def cells(self) -> list[tuple[int, int, float, float]]:
         return [
@@ -71,8 +90,7 @@ class SweepSpec:
         ]
 
 
-def _run_cell(args) -> dict:
-    spec, index, n, s, q, ct = args
+def _cell_setup(spec: SweepSpec, index: int, n: int, s: int, q: float, ct: float) -> MagneticSetup:
     sig = ms.SpaceSignature(n, s)
     rng = np.random.default_rng([spec.seed, index])
     direction = rng.normal(size=2 * n)
@@ -80,10 +98,11 @@ def _run_cell(args) -> dict:
         direction[0] = 1.0
     p0 = ms.origin(sig)
     T0 = initial_tangent(p0, [ct] * s, direction)
-    setup = MagneticSetup(sig, q, p0, T0)
-    traj = integrate(setup, IntegratorConfig(spec.t_end, spec.step, spec.record_every))
-    series = frenet_apparatus(traj)
+    return MagneticSetup(sig, q, p0, T0)
 
+
+def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
+    series = frenet_apparatus(traj)
     pred = predict_class(q, ct, s)
     k1 = float(np.nanmedian(series.kappa1)) if np.any(np.isfinite(series.kappa1)) else math.nan
     k2 = float(np.nanmedian(series.kappa2)) if np.any(np.isfinite(series.kappa2)) else math.nan
@@ -101,13 +120,25 @@ def _run_cell(args) -> dict:
     }
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> list[dict]:
-    """One row dict per cell, in deterministic grid order."""
-    tasks = [(spec, i, n, s, q, ct) for i, (n, s, q, ct) in enumerate(spec.cells())]
-    if jobs <= 1:
-        return [_run_cell(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_cell, tasks))
+def run_sweep(spec: SweepSpec) -> list[dict]:
+    """One row dict per cell, in deterministic grid order.
+
+    The cells of one (n, s) are contiguous in grid order and are integrated
+    together, in batches of at most _BATCH_FLOATS recorded floats; a batch of
+    one cell takes the faster scalar path.  A diverging cell raises the
+    DivergenceError of the first diverging cell in grid order.
+    """
+    cfg = spec.integrator
+    rows: list[dict] = []
+    for (n, s), group in groupby(enumerate(spec.cells()), key=lambda c: c[1][:2]):
+        group = list(group)
+        size = max(1, _BATCH_FLOATS // (cfg.n_samples * 2 * ms.SpaceSignature(n, s).dim))
+        for start in range(0, len(group), size):
+            batch = group[start:start + size]
+            setups = [_cell_setup(spec, i, *cell) for i, cell in batch]
+            trajs = integrate_many(setups, cfg) if len(setups) > 1 else [integrate(setups[0], cfg)]
+            rows.extend(_cell_row(*cell, traj) for (_, cell), traj in zip(batch, trajs))
+    return rows
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

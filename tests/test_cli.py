@@ -4,6 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from magcurves import (
+    MagneticSetup,
+    SpaceSignature,
+    angle_drift,
+    frenet_apparatus,
+    initial_tangent,
+    integrate,
+    origin,
+    predict_class,
+    speed_drift,
+)
+from magcurves import sweep as sweep_mod
 from magcurves.cli import main
 from magcurves.io import read_trajectory
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
@@ -264,16 +276,96 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_sweep_parallel_matches_serial(tmp_path):
-    spec = SweepSpec(q_values=(2.0, 3.0), cos_theta_values=(0.5, 0.0),
+@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
+def test_sweep_rows_match_per_cell_integrate(tmp_path, monkeypatch):
+    # a budget of two n = 1 cells (dim 3) splits that 3-cell group into a
+    # batch of two (integrate_many) and one of one (integrate); the n = 2
+    # cells (dim 5) run one at a time
+    spec = SweepSpec(q_values=(2.0, 3.0, -2.5), cos_theta_values=(0.5,), n_values=(1, 2),
                      t_end=0.5, step=1e-3, seed=1)
-    serial = run_sweep(spec, jobs=1)
-    parallel = run_sweep(spec, jobs=2)
+    monkeypatch.setattr(sweep_mod, "_BATCH_FLOATS", 2 * spec.integrator.n_samples * 2 * 3)
+    batched = run_sweep(spec)
+    reference = []
+    for i, (n, s, q, ct) in enumerate(spec.cells()):
+        rng = np.random.default_rng([spec.seed, i])
+        sig = SpaceSignature(n, s)
+        p0 = origin(sig)
+        setup = MagneticSetup(sig, q, p0, initial_tangent(p0, [ct] * s, rng.normal(size=2 * n)))
+        traj = integrate(setup, spec.integrator)
+        series = frenet_apparatus(traj)
+        pred = predict_class(q, ct, s)
+        reference.append({
+            "n": n, "s": s, "q": q, "cos_theta": ct,
+            "kappa1_pred": pred.kappa1, "kappa2_pred": pred.kappa2,
+            "kappa1_meas": float(np.nanmedian(series.kappa1)),
+            "kappa2_meas": float(np.nanmedian(series.kappa2)),
+            "kappa3_max": float(np.nanmax(series.kappa3)),
+            "drift": max(speed_drift(traj), angle_drift(traj)),
+        })
     # row order and values identical (bytes compare nan-safely)
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_sweep_csv(serial, p1)
-    write_sweep_csv(parallel, p2)
+    p1, p2 = tmp_path / "batched.csv", tmp_path / "reference.csv"
+    write_sweep_csv(batched, p1)
+    write_sweep_csv(reference, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_sweep_divergence_reports_first_cell_in_grid_order(tmp_path, capsys):
+    # cell 1 (q = 400) diverges at t = 0.1, cell 2 (q = 1e4) sooner, at t = 0.03;
+    # cells 0 and 3 stay finite.  The sweep reports cell 1 exactly as a
+    # serial integrate of that cell does.
+    doc = {"q_values": [2.0, 400.0, 1e4, -3.0], "cos_theta_values": [0.5],
+           "t_end": 2.0, "step": 0.01, "seed": 4}
+    code, _, sweep_err = run_cli(capsys, "sweep", "--config",
+                                 write_json(tmp_path / "sweep.json", doc),
+                                 "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    direction = np.random.default_rng([doc["seed"], 1]).normal(size=2)
+    cell = write_json(tmp_path / "cell.json", {
+        "n": 1, "s": 1, "q": 400.0, "cos_theta": 0.5, "direction": direction.tolist(),
+        "t_end": 2.0, "step": 0.01,
+    })
+    code, _, cell_err = run_cli(capsys, "integrate", "--config", cell,
+                                "--out", str(tmp_path / "cell.csv"))
+    assert code == 3
+    assert sweep_err == cell_err
+    assert "t = 0.1;" in sweep_err
+
+
+def test_sweep_out_of_tolerance_exits_1(tmp_path, capsys):
+    # q = 50 at step 0.05 puts h|w| = 2.5 near RK4's stability limit: the
+    # run stays finite but its curvatures miss the prediction
+    cfg = write_json(tmp_path / "sweep.json", {
+        "q_values": [50.0], "cos_theta_values": [0.0], "step": 0.05,
+    })
+    code, stdout, _ = run_cli(capsys, "sweep", "--config", cfg,
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 1
+    assert json.loads(stdout)["cells_out_of_tol"] == 1
+
+
+NONFINITE_CASES = [
+    ("integrate", {"t_end": math.inf}, "t_end must be finite"),
+    ("integrate", {"step": math.nan}, "step must be finite"),
+    ("integrate", {"q": math.nan}, "q must be finite"),
+    ("sweep", {"q_values": [2.0, math.nan]}, "q_values must be finite"),
+    ("sweep", {"cos_theta_values": [math.nan]}, "cos_theta_values must be finite"),
+    ("sweep", {"tol": math.nan}, "tol must be finite"),
+    ("sweep", {"t_end": math.inf}, "t_end must be finite"),
+    ("sweep", {"step": math.inf}, "step must be finite"),
+]
+
+
+@pytest.mark.parametrize("command,override,message", NONFINITE_CASES)
+def test_nonfinite_config_exits_2(tmp_path, capsys, command, override, message):
+    if command == "integrate":
+        base = {"n": 1, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": 1.0, "step": 1e-3}
+    else:
+        base = {"q_values": [2.0], "cos_theta_values": [0.5], "t_end": 1.0, "step": 1e-3}
+    cfg = write_json(tmp_path / "cfg.json", {**base, **override})
+    code, _, stderr = run_cli(capsys, command, "--config", cfg,
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert message in stderr
 
 
 def test_sweep_inadmissible_cell_exit_2(tmp_path, capsys):

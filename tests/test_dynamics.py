@@ -10,6 +10,7 @@ from magcurves import (
     angle_drift,
     initial_tangent,
     integrate,
+    integrate_many,
     lorentz_force,
     magnetic_rhs,
     origin,
@@ -17,9 +18,9 @@ from magcurves import (
     xi,
 )
 from magcurves import model_space as ms
-from magcurves.dynamics import _rhs
+from magcurves.dynamics import _rhs, _rhs_rows
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
-from conftest import integrate_slant, slant_setup
+from conftest import SIG_GRID, integrate_slant, slant_setup
 
 
 # ---------------------------------------------------------------------------
@@ -32,6 +33,15 @@ def test_setup_rejects_zero_strength():
     T0 = initial_tangent(p0, [0.5])
     with pytest.raises(ValueError):
         MagneticSetup(sig, 0.0, p0, T0)
+
+
+def test_setup_rejects_nonfinite_strength():
+    sig = SpaceSignature(1, 1)
+    p0 = origin(sig)
+    T0 = initial_tangent(p0, [0.5])
+    for q in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            MagneticSetup(sig, q, p0, T0)
 
 
 def test_setup_rejects_non_unit_speed():
@@ -48,6 +58,9 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, step=2.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, step=0.1, record_every=0)
+    for t_end, step in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan), (np.inf, np.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            IntegratorConfig(t_end=t_end, step=step)
 
 
 def test_trajectory_invariants():
@@ -224,6 +237,70 @@ def test_divergence_error_carries_last_valid_time():
         integrate(setup, IntegratorConfig(t_end=1.0, step=1e-3))
     assert err.value.t_last >= 0.0
     assert err.value.t_last < 1.0
+
+
+def _random_setups(rng, sig, count):
+    """Setups of mixed sign of q, each from its own random non-origin point."""
+    setups = []
+    for k in range(count):
+        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
+        cos = rng.uniform(-1, 1, size=sig.s)
+        cos *= rng.uniform(0, 0.95) / max(1.0, np.linalg.norm(cos))
+        T0 = initial_tangent(p0, cos, rng.normal(size=2 * sig.n))
+        q = rng.uniform(0.3, 3.0) * (-1.0) ** k
+        setups.append(MagneticSetup(sig, q, p0, T0))
+    return setups
+
+
+def test_rhs_rows_matches_rhs_bitwise():
+    rng = np.random.default_rng(11)
+    for (n, s) in SIG_GRID:
+        sig = SpaceSignature(n, s)
+        states = rng.normal(scale=2.0, size=(40, 2 * sig.dim))
+        q = rng.normal(size=40)
+        rows = _rhs_rows(sig, q, states)
+        for b in range(40):
+            assert np.array_equal(rows[b], _rhs(sig, q[b], states[b]))
+
+
+@pytest.mark.parametrize("n,s", SIG_GRID)
+def test_integrate_many_matches_integrate_bitwise(n, s):
+    sig = SpaceSignature(n, s)
+    setups = _random_setups(np.random.default_rng(10 * n + s), sig, 5)
+    cfg = IntegratorConfig(t_end=0.3, step=1e-3, record_every=7)
+    many = integrate_many(setups, cfg)
+    assert len(many) == len(setups)
+    for setup, traj in zip(setups, many):
+        one = integrate(setup, cfg)
+        assert traj.q == setup.q
+        assert np.array_equal(traj.times, one.times)
+        assert np.array_equal(traj.points, one.points)
+        assert np.array_equal(traj.velocities, one.velocities)
+
+
+def test_integrate_many_raises_first_diverging_setup():
+    # setup 1 diverges at t = 0.1, setup 2 sooner, at t = 0.03; the error is
+    # setup 1's, exactly as integrate raises it, so setup 2's overflow did
+    # not reach row 1
+    cfg = IntegratorConfig(t_end=2.0, step=0.01)
+    setups = [slant_setup(1, 1, q, 0.5, direction=[0.3, -0.8]) for q in (2.0, 400.0, 1e4)]
+    with pytest.raises(DivergenceError) as alone:
+        integrate(setups[1], cfg)
+    with pytest.raises(DivergenceError) as batched:
+        integrate_many(setups, cfg)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.t_last == alone.value.t_last
+    with pytest.raises(DivergenceError) as sooner:
+        integrate(setups[2], cfg)
+    assert sooner.value.t_last < alone.value.t_last
+
+
+def test_integrate_many_rejects_bad_batches():
+    cfg = IntegratorConfig(t_end=0.1, step=1e-2)
+    with pytest.raises(ValueError):
+        integrate_many([], cfg)
+    with pytest.raises(ValueError):
+        integrate_many([slant_setup(1, 1, 2.0, 0.5), slant_setup(2, 1, 2.0, 0.5)], cfg)
 
 
 def test_q_sign_symmetry_via_residuals():
