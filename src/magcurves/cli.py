@@ -262,7 +262,7 @@ def _cmd_sweep(args) -> int:
     def grid(*names, default=None):
         for name in names:
             if name in doc:
-                return tuple(doc[name])
+                return doc[name]
         if default is not None:
             return default
         raise ConfigError(f"sweep config is missing {names[0]!r}")
@@ -271,8 +271,8 @@ def _cmd_sweep(args) -> int:
         spec = SweepSpec(
             q_values=grid("q_values", "q"),
             cos_theta_values=grid("cos_theta_values", "cos_theta"),
-            n_values=tuple(int(v) for v in grid("n_values", "n", default=(1,))),
-            s_values=tuple(int(v) for v in grid("s_values", "s", default=(1,))),
+            n_values=grid("n_values", "n", default=(1,)),
+            s_values=grid("s_values", "s", default=(1,)),
             tol=float(doc.get("tol", 1e-3)),
             seed=int(doc.get("seed", 0)),
             t_end=float(doc.get("t_end", 10.0)),
@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: one process steps each (n, s) group as a batch")
+                   help="accepted and ignored: one process steps the cells together in batches")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

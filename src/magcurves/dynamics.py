@@ -11,11 +11,11 @@ which in coordinates becomes the first-order system on states
     v'^k    = -Gamma^k_{ij} v^i v^j - q (phi v)^k
 
 integrated here with classical fixed-step fourth-order Runge-Kutta, one
-trajectory at a time (``integrate``) or as a batch of one signature stepped
-together (``integrate_many``), with the same bits either way.  The
-integrator never renormalizes the velocity: drift in the speed and in the
-contact angles eta^a(T) (both first integrals of the exact flow) is the
-accuracy diagnostic reported to callers.
+trajectory at a time (``integrate``) or as a batch of any mix of signatures
+under one config, stepped together (``integrate_many``), with the same bits
+either way.  The integrator never renormalizes the velocity: drift in the
+speed and in the contact angles eta^a(T) (both first integrals of the exact
+flow) is the accuracy diagnostic reported to callers.
 """
 from __future__ import annotations
 
@@ -227,12 +227,18 @@ def _rhs(sig: ms.SpaceSignature, q: float, state: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rhs_rows(sig: ms.SpaceSignature, q: np.ndarray, state: np.ndarray) -> np.ndarray:
-    # _rhs applied to each row of a (B, 2 dim) state, with one strength per
-    # row.  Each dot product is a stacked (1, n) @ (n, 1) matmul, which per row
-    # gives the bits of _rhs's np.dot; sum(-1) and einsum round differently.
-    # _rhs stays separate because a shape-generic version is slower at B = 1.
-    n, d = sig.n, sig.dim
+def _rhs_rows(n: int, q: np.ndarray, s: np.ndarray, reeb: np.ndarray,
+              state: np.ndarray) -> np.ndarray:
+    # _rhs applied to each row of a (B, 2 D) state padded to D = 2 n + S, n
+    # and S the largest in the batch, with columns x | y | z | vx | vy | vz.
+    # q and s are per row, and reeb (B, S) is 1 on a row's own Reeb slots and
+    # 0 on the padding, so padded vz stays 0 and never enters w; padded x and
+    # y stay 0 by themselves.  Each dot product is a stacked (1, n) @ (n, 1)
+    # matmul, which per row gives the bits of _rhs's np.dot (the padding adds
+    # exact zeros; integrate_many says up to which widths); sum(-1) and einsum
+    # round differently.  _rhs stays separate because a shape-generic version
+    # is slower at B = 1.
+    d = state.shape[1] // 2
     y = state[:, n:2 * n]
     vx = state[:, d:d + n]
     vy = state[:, d + n:d + 2 * n]
@@ -240,12 +246,12 @@ def _rhs_rows(sig: ms.SpaceSignature, q: np.ndarray, state: np.ndarray) -> np.nd
     def dot(a, b):
         return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
-    w = np.sum(state[:, d + 2 * n:], axis=1) - q - sig.s * dot(y, vx)
+    w = np.sum(state[:, d + 2 * n:], axis=1) - q - s * dot(y, vx)
     out = np.empty_like(state)
     out[:, :d] = state[:, d:]
     out[:, d:d + n] = vy * w[:, None]
     out[:, d + n:d + 2 * n] = -vx * w[:, None]
-    out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None]
+    out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None] * reeb
     return out
 
 
@@ -262,26 +268,21 @@ def magnetic_rhs(state: tuple[ms.Point, ms.Tangent], q: float) -> tuple[ms.Tange
     return ms.Tangent(p, flat[:p.sig.dim]), flat[p.sig.dim:]
 
 
-def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig):
+def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
     """Classical RK4 of state' = rhs(state) for one state of shape (2 dim,) or
     a batch of shape (B, 2 dim), one trajectory per row.
 
-    Returns the recorded times, points and velocities, the latter of shape
-    (n_samples, dim) with the batch axis first for a batch.  Rows never mix,
-    so a row that goes nonfinite leaves the others untouched; the
-    DivergenceError raised is that of the first such row, with its own time.
-    The loop stops early only when row 0 diverges, since its error is then
-    the one to raise whatever the later rows do.
+    Calls record(i, state) for each recorded sample i, the initial one
+    included, and returns the recorded times.  Rows never mix, so a row that
+    goes nonfinite leaves the others untouched; the DivergenceError raised is
+    that of the first such row, with its own time.  The loop stops early only
+    when row 0 diverges, since its error is then the one to raise whatever
+    the later rows do.
     """
     h = cfg.step
     stride = cfg.record_every
-    d = state.shape[-1] // 2
-    lead = state.shape[:-1]
-    pts = np.empty(lead + (cfg.n_samples, d))
-    vel = np.empty(lead + (cfg.n_samples, d))
-    pts[..., 0, :] = state[..., :d]
-    vel[..., 0, :] = state[..., d:]
-    diverged = np.zeros(math.prod(lead), dtype=int)  # per row: first nonfinite step
+    record(0, state)
+    diverged = np.zeros(math.prod(state.shape[:-1]), dtype=int)  # per row: first nonfinite step
 
     rec = 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
@@ -297,8 +298,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig):
                 if diverged[0]:
                     break
             if k % stride == 0:
-                pts[..., rec, :] = state[..., :d]
-                vel[..., rec, :] = state[..., d:]
+                record(rec, state)
                 rec += 1
 
     if np.any(diverged):
@@ -307,7 +307,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig):
             f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
             t_last=(k - 1) * h,
         )
-    return (stride * np.arange(cfg.n_samples)) * h, pts, vel
+    return (stride * np.arange(cfg.n_samples)) * h
 
 
 def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
@@ -317,30 +317,74 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     recorded point and velocity are exactly p0 and T0.  A nonfinite state
     aborts with DivergenceError carrying the last valid time.
     """
+    d = setup.sig.dim
+    pts = np.empty((cfg.n_samples, d))
+    vel = np.empty((cfg.n_samples, d))
+
+    def record(i, state):
+        pts[i] = state[:d]
+        vel[i] = state[d:]
+
     state = np.concatenate([setup.p0.coords, setup.T0.comps])
-    times, pts, vel = _rk4(functools.partial(_rhs, setup.sig, setup.q), state, cfg)
+    times = _rk4(functools.partial(_rhs, setup.sig, setup.q), state, cfg, record)
     return Trajectory(setup.sig, times, pts, vel, q=setup.q)
 
 
 def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
-    """``integrate`` for several setups of one signature, stepped together.
+    """``integrate`` for several setups of any mix of signatures and one
+    config, stepped together.
 
-    Each setup keeps its own q, p0 and T0, and each returned trajectory has
-    the same bits as ``integrate`` gives for its setup alone.  If any setup
-    diverges, raises the DivergenceError that ``integrate`` raises for the
-    first diverging setup in list order.  For a single setup ``integrate``
-    is faster.
+    Each setup keeps its own signature, q, p0 and T0, and each returned
+    trajectory has the same bits as ``integrate`` gives for its setup alone.
+    The batch state is padded to the largest n and s in the batch.  The
+    padding adds exact zeros to each row's sums, which keeps the bits while
+    the sums are short enough to be added in order: checked up to n = 15 and
+    s = 7.  From n = 16 BLAS ddot, and from s = 8 numpy's sum, add in blocks,
+    so a wider mixed batch can differ from ``integrate`` in the last bits.
+    If any setup diverges, raises the DivergenceError that ``integrate``
+    raises for the first diverging setup in list order.  For a single setup
+    ``integrate`` is faster.
     """
     setups = list(setups)
     if not setups:
         raise ValueError("integrate_many needs at least one setup")
-    sig = setups[0].sig
-    if any(st.sig != sig for st in setups):
-        raise ValueError("integrate_many setups must share one signature")
+    n = max(st.sig.n for st in setups)
+    s = max(st.sig.s for st in setups)
+    d = 2 * n + s
+    m = cfg.n_samples
+    state = np.zeros((len(setups), 2 * d))
+    reeb = np.zeros((len(setups), s))
+    # Each row records straight into its own unpadded block of buf, points
+    # then velocities, each a C-contiguous (m, dim) array: strided views of a
+    # padded record give classify_trajectory other last bits, and copying
+    # them out would hold both at once.  The value at flat state index src
+    # goes to buf[dst + i * step] at sample i.
+    src, dst, step, offsets = [], [], [], []
+    size = 0
+    for row, st in enumerate(setups):
+        k, r, dim = st.sig.n, st.sig.s, st.sig.dim
+        cols = np.r_[0:k, n:n + k, 2 * n:2 * n + r]  # this row's x, y, z in the padded layout
+        state[row, cols] = st.p0.coords
+        state[row, d + cols] = st.T0.comps
+        reeb[row, :r] = 1.0
+        src.append(row * 2 * d + np.r_[cols, d + cols])
+        dst.append(size + np.r_[0:dim, m * dim:m * dim + dim])
+        step.append(np.full(2 * dim, dim))
+        offsets.append(size)
+        size += 2 * m * dim
+    src, dst, step = np.concatenate(src), np.concatenate(dst), np.concatenate(step)
+    buf = np.empty(size)
+
+    def record(i, rows):
+        buf[dst + i * step] = rows.reshape(-1)[src]
+
     q = np.array([st.q for st in setups])
-    state = np.stack([np.concatenate([st.p0.coords, st.T0.comps]) for st in setups])
-    times, pts, vel = _rk4(functools.partial(_rhs_rows, sig, q), state, cfg)
-    return [Trajectory(sig, times, p, v, q=st.q) for st, p, v in zip(setups, pts, vel)]
+    s_rows = np.array([st.sig.s for st in setups], dtype=float)
+    times = _rk4(functools.partial(_rhs_rows, n, q, s_rows, reeb), state, cfg, record)
+    return [
+        Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, m, -1), q=st.q)
+        for st, o in zip(setups, offsets)
+    ]
 
 
 def speed_drift(traj: Trajectory) -> float:

@@ -1,17 +1,17 @@
 """Deterministic parameter sweeps over (n, s, q, cos theta) grids.
 
 Each cell integrates one slant trajectory from the origin, measures its
-curvatures, and compares them with the predicted classification.  Cells of
-one (n, s) are stepped together by the batched RK4 engine, which gives every
-cell the bits it would get alone, so rows come out in the deterministic grid
-order and with identical bytes for identical specs.
+curvatures, and compares them with the predicted classification.
+Consecutive cells of any signatures are stepped together by the batched RK4
+engine, which gives every cell the bits it would get alone, so rows come out
+in the deterministic grid order and with identical bytes for identical specs.
 """
 from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -35,8 +35,9 @@ SWEEP_COLUMNS = [
     "kappa3_max", "drift",
 ]
 
-# Recorded floats (points and velocities) held at once by one batched run,
-# 32 MiB; caps the batch size so memory does not grow with the grid.
+# Recorded floats (points and velocities, at the batch's padded width) held
+# at once by one batched run, 32 MiB; caps the batch size so memory does not
+# grow with the grid.
 _BATCH_FLOATS = 1 << 22
 
 
@@ -56,11 +57,18 @@ class SweepSpec:
     integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("q_values", "cos_theta_values", "n_values", "s_values"):
-            vals = tuple(getattr(self, name))
+        for name, kind, what in (("q_values", numbers.Real, "real numbers"),
+                                 ("cos_theta_values", numbers.Real, "real numbers"),
+                                 ("n_values", numbers.Integral, "integers"),
+                                 ("s_values", numbers.Integral, "integers")):
+            vals = getattr(self, name)
+            if not isinstance(vals, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {vals!r}")
             if len(vals) == 0:
                 raise ValueError(f"{name} must be nonempty")
-            object.__setattr__(self, name, vals)
+            if not all(isinstance(v, kind) and not isinstance(v, bool) for v in vals):
+                raise ValueError(f"{name} entries must be {what}, got {vals!r}")
+            object.__setattr__(self, name, tuple(vals))
         for name in ("q_values", "cos_theta_values"):
             if not all(math.isfinite(v) for v in getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
@@ -123,21 +131,22 @@ def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row dict per cell, in deterministic grid order.
 
-    The cells of one (n, s) are contiguous in grid order and are integrated
-    together, in batches of at most _BATCH_FLOATS recorded floats; a batch of
-    one cell takes the faster scalar path.  A diverging cell raises the
-    DivergenceError of the first diverging cell in grid order.
+    Consecutive cells are integrated together, in batches of at most
+    _BATCH_FLOATS recorded floats counted at the padded width of the grid's
+    largest signature; a batch of one cell takes the faster scalar path.  A
+    diverging cell raises the DivergenceError of the first diverging cell in
+    grid order.
     """
     cfg = spec.integrator
+    cells = spec.cells()
+    width = 2 * (2 * max(spec.n_values) + max(spec.s_values))
+    size = max(1, _BATCH_FLOATS // (cfg.n_samples * width))
     rows: list[dict] = []
-    for (n, s), group in groupby(enumerate(spec.cells()), key=lambda c: c[1][:2]):
-        group = list(group)
-        size = max(1, _BATCH_FLOATS // (cfg.n_samples * 2 * ms.SpaceSignature(n, s).dim))
-        for start in range(0, len(group), size):
-            batch = group[start:start + size]
-            setups = [_cell_setup(spec, i, *cell) for i, cell in batch]
-            trajs = integrate_many(setups, cfg) if len(setups) > 1 else [integrate(setups[0], cfg)]
-            rows.extend(_cell_row(*cell, traj) for (_, cell), traj in zip(batch, trajs))
+    for start in range(0, len(cells), size):
+        batch = cells[start:start + size]
+        setups = [_cell_setup(spec, start + i, *cell) for i, cell in enumerate(batch)]
+        trajs = integrate_many(setups, cfg) if len(setups) > 1 else [integrate(setups[0], cfg)]
+        rows.extend(_cell_row(*cell, traj) for cell, traj in zip(batch, trajs))
     return rows
 
 

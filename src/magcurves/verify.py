@@ -29,6 +29,7 @@ from .dynamics import (
     angle_drift,
     initial_tangent,
     integrate,
+    integrate_many,
     speed_drift,
 )
 from .frenet import frenet_apparatus, osculating_order
@@ -275,11 +276,20 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
     """Integrator conservation/convergence, closed-form agreement, and the
     curvature relations of the canonical circle and helix cases."""
     out: list[CheckRecord] = []
-    rng = np.random.default_rng(seed)
+
+    # the circle, the Legendre helix and the closed form's matched initial
+    # data share one batched run; sampling the closed form at step * arange
+    # reproduces the integrator's recorded times bit-for-bit
+    params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
+    times = 1e-3 * np.arange(int(round(t_end / 1e-3)) + 1)
+    exact = sample_case_a(params, times)
+    setup_cf = MagneticSetup(exact.sig, 2.0, exact.point_at(0), exact.tangent_at(0))
+    traj, traj_h, traj_cf = integrate_many(
+        [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), setup_cf],
+        IntegratorConfig(t_end=t_end, step=1e-3),
+    )
 
     # canonical slant circle: n=1, s=1, q=2, cos theta = 1/2
-    setup = _slant_setup(1, 1, 2.0, 0.5)
-    traj = integrate(setup, IntegratorConfig(t_end=t_end, step=1e-3))
     out.append(_record("curves", "speed_drift", speed_drift(traj), 1e-8))
     out.append(_record("curves", "angle_drift", angle_drift(traj), 1e-8))
     out.append(_record("curves", "lorentz_fd_residual", residual(traj, 2.0), 1e-4))
@@ -300,8 +310,6 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
     out.append(_record("curves", "rk4_drift_ratio", 12.0 - min(ratio, 12.0), 0.0))
 
     # Legendre helix with two Reeb directions: kappa1=|q|, kappa2=sqrt(2)
-    helix = _slant_setup(1, 2, 1.5, 0.0)
-    traj_h = integrate(helix, IntegratorConfig(t_end=t_end, step=1e-3))
     series_h = frenet_apparatus(traj_h)
     out.append(_record("curves", "legendre_kappa1",
                        abs(float(np.nanmedian(series_h.kappa1)) - 1.5), 1e-4))
@@ -310,14 +318,8 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
     out.append(_record("curves", "legendre_kappa3",
                        float(np.nanmedian(series_h.kappa3)), 1e-3))
 
-    # closed form against the integrator, matched initial data; sampling at
-    # step * arange reproduces the integrator's recorded times bit-for-bit
-    params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
-    times = 1e-3 * np.arange(int(round(t_end / 1e-3)) + 1)
-    exact = sample_case_a(params, times)
+    # closed form against the integrator, matched initial data
     out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), 1e-10))
-    setup_cf = MagneticSetup(exact.sig, 2.0, exact.point_at(0), exact.tangent_at(0))
-    traj_cf = integrate(setup_cf, IntegratorConfig(t_end=t_end, step=1e-3))
     out.append(_record("curves", "closed_form_vs_rk4",
                        np.max(np.abs(traj_cf.points - exact.points)), 1e-6))
     return out
@@ -406,15 +408,19 @@ def classification_suite(seed: int = 0, cases: int = 10,
                       abs(predict_class(q, ct, 1).kappa2 - abs(1.0 - q * ct)))
     out.append(_record("classification", "single_reeb_reduction", sas_err, 1e-14))
 
-    # empirical agreement between measured and predicted classes
-    kind_mismatches = 0
-    curv_err = 0.0
+    # empirical agreement between measured and predicted classes; every case
+    # is drawn before the batched run, which draws no random numbers
+    drawn = []
     for i in range(cases):
         s = int(rng.integers(1, 4))
         n = int(rng.integers(1, 3))
         q, ct = _random_admissible(rng, s)
-        setup = _slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))
-        traj = integrate(setup, IntegratorConfig(t_end=t_end, step=1e-3))
+        drawn.append((s, q, ct, _slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
+    cfg = IntegratorConfig(t_end=t_end, step=1e-3)
+    trajs = integrate_many([setup for *_, setup in drawn], cfg) if drawn else []
+    kind_mismatches = 0
+    curv_err = 0.0
+    for (s, q, ct, _), traj in zip(drawn, trajs):
         series = frenet_apparatus(traj)
         got = classify_trajectory(traj, series, tol=1e-3)
         want = predict_class(q, ct, s)

@@ -28,7 +28,7 @@ from magcurves import (
     speed_drift,
 )
 from magcurves.verify import connection_suite, structure_suite
-from conftest import integrate_angles, integrate_slant
+from conftest import integrate_angles, integrate_slant, slant_setup
 
 
 def report(num, name, **details):
@@ -101,18 +101,18 @@ def test_criterion_4_legendre_helix():
 def test_criterion_5_slant_helices_randomized():
     t0 = time.perf_counter()
     rng = np.random.default_rng(105)
-    worst_k1 = worst_k2 = worst_k3 = 0.0
-    cases = 0
-    while cases < 50:
+    drawn = []
+    while len(drawn) < 50:
         s = int(rng.integers(1, 4))
         n = int(rng.integers(1, 3))
         q = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
         ct = rng.uniform(-0.95, 0.95) / math.sqrt(s)
         if abs(ct) < 0.02 or abs(ct - 1.0 / q) < 0.02:
             continue  # strictly between the Legendre and circle loci
-        cases += 1
-        traj = integrate_slant(n, s, q, ct, t_end=2.0, step=1e-3,
-                               direction=rng.normal(size=2 * n))
+        drawn.append((s, q, ct, slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
+    trajs = integrate_many([setup for *_, setup in drawn], IntegratorConfig(t_end=2.0, step=1e-3))
+    worst_k1 = worst_k2 = worst_k3 = 0.0
+    for (s, q, ct, _), traj in zip(drawn, trajs):
         series = frenet_apparatus(traj)
         k1, k2, k3 = medians(series)
         worst_k1 = max(worst_k1, abs(k1 - abs(q) * math.sqrt(1.0 - s * ct * ct)))
@@ -164,15 +164,15 @@ def test_criterion_7_closed_form_oracle_equivalence():
     step, t_end = 1e-3, 10.0
     times = step * np.arange(int(round(t_end / step)) + 1)
     worst_res = 0.0
-    # RK4 side, grouped by signature so that each group is one batched run
-    groups: dict[SpaceSignature, list] = {}
+    # RK4 side: every case in one batched run
+    members = []
 
     def check(params, q):
         nonlocal worst_res
         exact = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
         worst_res = max(worst_res, residual(exact, q))
         setup = MagneticSetup(exact.sig, q, exact.point_at(0), exact.tangent_at(0))
-        groups.setdefault(exact.sig, []).append((setup, exact.points))
+        members.append((setup, exact.points))
 
     cases_a = 0
     seed = 0
@@ -201,13 +201,12 @@ def test_criterion_7_closed_form_oracle_equivalence():
         check(params, q)
 
     worst_gap = 0.0
-    for members in groups.values():
-        trajs = integrate_many([setup for setup, _ in members],
-                               IntegratorConfig(t_end=t_end, step=step))
-        for (_, exact_points), traj in zip(members, trajs):
-            worst_gap = max(worst_gap, float(np.max(np.abs(traj.points - exact_points))))
+    trajs = integrate_many([setup for setup, _ in members],
+                           IntegratorConfig(t_end=t_end, step=step))
+    for (_, exact_points), traj in zip(members, trajs):
+        worst_gap = max(worst_gap, float(np.max(np.abs(traj.points - exact_points))))
 
-    assert sum(len(members) for members in groups.values()) == 30
+    assert len(members) == 30
     assert worst_gap <= 1e-6
     assert worst_res <= 1e-10
     report(7, "closed form vs integrator, 20 + 10 parameter sets",

@@ -6,12 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from magcurves import (
     CurveKind,
+    IntegratorConfig,
     SpaceSignature,
     Trajectory,
     check_circle_existence,
     classify_trajectory,
     fit_field_strength,
     frenet_apparatus,
+    integrate_many,
     invert_q,
     order_bound_curvatures,
     predict_class,
@@ -20,7 +22,7 @@ from magcurves import (
     CaseBParams,
 )
 from magcurves.errors import InconsistentCaseError, InfeasibleAngleError
-from conftest import integrate_slant
+from conftest import slant_setup
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +287,13 @@ def test_classification_agrees_with_prediction_randomized():
     # randomized empirical agreement: measured class and curvature match the
     # predicted ones with zero mismatches
     rng = np.random.default_rng(2024)
-    cases = 0
-    while cases < 100:
+    drawn = []
+    while len(drawn) < 100:
         s = int(rng.integers(1, 4))
         n = int(rng.integers(1, 3))
         limit = 1.0 / math.sqrt(s)
         q = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
-        kind_pick = cases % 4
+        kind_pick = len(drawn) % 4
         if kind_pick == 0:
             ct = rng.choice([-1.0, 1.0]) * limit          # geodesic
         elif kind_pick == 1:
@@ -303,9 +305,9 @@ def test_classification_agrees_with_prediction_randomized():
             ct = rng.uniform(-0.9, 0.9) * limit            # generic helix
             if abs(ct) < 5e-2 or abs(ct - 1.0 / q) < 5e-2:
                 continue
-        cases += 1
-        traj = integrate_slant(n, s, q, ct, t_end=1.5, step=1e-3,
-                               direction=rng.normal(size=2 * n))
+        drawn.append((n, s, q, ct, slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
+    trajs = integrate_many([setup for *_, setup in drawn], IntegratorConfig(t_end=1.5, step=1e-3))
+    for (n, s, q, ct, _), traj in zip(drawn, trajs):
         series = frenet_apparatus(traj)
         got = classify_trajectory(traj, series, tol=1e-3)
         want = predict_class(q, ct, s)

@@ -278,12 +278,12 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
 
 @pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
 def test_sweep_rows_match_per_cell_integrate(tmp_path, monkeypatch):
-    # a budget of two n = 1 cells (dim 3) splits that 3-cell group into a
-    # batch of two (integrate_many) and one of one (integrate); the n = 2
-    # cells (dim 5) run one at a time
+    # a budget of five cells at the padded width (n = 2, s = 1: dim 5) splits
+    # the six cells into a batch of five mixing n = 1 and n = 2
+    # (integrate_many) and a batch of one (integrate)
     spec = SweepSpec(q_values=(2.0, 3.0, -2.5), cos_theta_values=(0.5,), n_values=(1, 2),
                      t_end=0.5, step=1e-3, seed=1)
-    monkeypatch.setattr(sweep_mod, "_BATCH_FLOATS", 2 * spec.integrator.n_samples * 2 * 3)
+    monkeypatch.setattr(sweep_mod, "_BATCH_FLOATS", 5 * spec.integrator.n_samples * 2 * 5)
     batched = run_sweep(spec)
     reference = []
     for i, (n, s, q, ct) in enumerate(spec.cells()):
@@ -366,6 +366,25 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, override, message):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert message in stderr
+
+
+BAD_GRID_CASES = [
+    ({"q_values": ["2"]}, "q_values entries must be real numbers"),
+    ({"q_values": 2.0}, "q_values must be a list"),
+    ({"q_values": [True]}, "q_values entries must be real numbers"),
+    ({"q_values": [None]}, "q_values entries must be real numbers"),
+]
+
+
+@pytest.mark.parametrize("override,message", BAD_GRID_CASES)
+def test_sweep_bad_grid_entries_exit_2(tmp_path, capsys, override, message):
+    base = {"q_values": [2.0], "cos_theta_values": [0.5], "t_end": 1.0, "step": 1e-3}
+    cfg = write_json(tmp_path / "cfg.json", {**base, **override})
+    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg,
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert message in stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_inadmissible_cell_exit_2(tmp_path, capsys):

@@ -252,15 +252,34 @@ def _random_setups(rng, sig, count):
     return setups
 
 
+def _padded_columns(sig, n_max):
+    """Columns of sig's coordinates in a state padded to n_max: x | y | z."""
+    n, s = sig.n, sig.s
+    return np.r_[0:n, n_max:n_max + n, 2 * n_max:2 * n_max + s]
+
+
 def test_rhs_rows_matches_rhs_bitwise():
+    # one mixed batch of every (n, s) in the grid, padded to n = s = 3
     rng = np.random.default_rng(11)
-    for (n, s) in SIG_GRID:
-        sig = SpaceSignature(n, s)
-        states = rng.normal(scale=2.0, size=(40, 2 * sig.dim))
-        q = rng.normal(size=40)
-        rows = _rhs_rows(sig, q, states)
-        for b in range(40):
-            assert np.array_equal(rows[b], _rhs(sig, q[b], states[b]))
+    sigs = [SpaceSignature(*SIG_GRID[k]) for k in rng.integers(len(SIG_GRID), size=40)]
+    n_max, s_max = 3, 3
+    d = 2 * n_max + s_max
+    states = np.zeros((40, 2 * d))
+    reeb = np.zeros((40, s_max))
+    own = []
+    for b, sig in enumerate(sigs):
+        cols = np.r_[_padded_columns(sig, n_max), d + _padded_columns(sig, n_max)]
+        states[b, cols] = rng.normal(scale=2.0, size=2 * sig.dim)
+        reeb[b, :sig.s] = 1.0
+        own.append(cols)
+    q = rng.normal(size=40)
+    s = np.array([sig.s for sig in sigs], dtype=float)
+    rows = _rhs_rows(n_max, q, s, reeb, states)
+    for b, sig in enumerate(sigs):
+        assert np.array_equal(rows[b, own[b]], _rhs(sig, q[b], states[b, own[b]]))
+        padding = np.ones(2 * d, dtype=bool)
+        padding[own[b]] = False
+        assert np.all(rows[b, padding] == 0.0)
 
 
 @pytest.mark.parametrize("n,s", SIG_GRID)
@@ -295,12 +314,63 @@ def test_integrate_many_raises_first_diverging_setup():
     assert sooner.value.t_last < alone.value.t_last
 
 
+def _slant_cases(rng, sig):
+    """Slant setups of sig from random non-origin points: Legendre,
+    Reeb-combination geodesics of both signs, a circle (cos theta = 1/q) and
+    lambda = 0 (q = 2 s cos theta)."""
+    root = np.sqrt(sig.s)
+    lam0 = 0.4 / root
+    cases = [(1.7, 0.0), (-1.3, 1.0 / root), (0.8, -1.0 / root), (-2.5, 1.0 / -2.5),
+             (2.0 * sig.s * lam0, lam0)]
+    setups = []
+    for q, ct in cases:
+        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
+        T0 = initial_tangent(p0, [ct] * sig.s, rng.normal(size=2 * sig.n))
+        setups.append(MagneticSetup(sig, q, p0, T0))
+    return setups
+
+
+@pytest.mark.parametrize("sigs", [SIG_GRID, [(5, 1), (1, 1), (5, 2), (1, 3)]],
+                         ids=["grid", "n5-with-n1"])
+def test_integrate_many_mixed_signatures_bitwise(sigs):
+    rng = np.random.default_rng(12)
+    setups = [st for n, s in sigs for st in _slant_cases(rng, SpaceSignature(n, s))]
+    setups = [setups[k] for k in rng.permutation(len(setups))]
+    cfg = IntegratorConfig(t_end=0.3, step=1e-3, record_every=7)
+    many = integrate_many(setups, cfg)
+    assert len(many) == len(setups)
+    for setup, traj in zip(setups, many):
+        one = integrate(setup, cfg)
+        assert traj.sig == setup.sig and traj.q == setup.q
+        assert np.array_equal(traj.times, one.times)
+        for got, want in ((traj.points, one.points), (traj.velocities, one.velocities)):
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_integrate_many_mixed_raises_first_diverging_setup():
+    # setup 1 (n = 2, s = 2) diverges at t = 0.05, setup 2 (n = 1, s = 3)
+    # sooner, at t = 0.03; the error is setup 1's, as integrate raises it
+    cfg = IntegratorConfig(t_end=2.0, step=0.01)
+    setups = [slant_setup(3, 1, 2.0, 0.5),
+              slant_setup(2, 2, 400.0, 0.3, direction=[0.3, -0.8, 0.5, 0.1]),
+              slant_setup(1, 3, 1e4, 0.2, direction=[0.3, -0.8]),
+              slant_setup(1, 1, -3.0, 0.2)]
+    with pytest.raises(DivergenceError) as alone:
+        integrate(setups[1], cfg)
+    with pytest.raises(DivergenceError) as batched:
+        integrate_many(setups, cfg)
+    assert str(batched.value) == str(alone.value)
+    assert batched.value.t_last == alone.value.t_last
+    with pytest.raises(DivergenceError) as sooner:
+        integrate(setups[2], cfg)
+    assert sooner.value.t_last < alone.value.t_last
+
+
 def test_integrate_many_rejects_bad_batches():
-    cfg = IntegratorConfig(t_end=0.1, step=1e-2)
     with pytest.raises(ValueError):
-        integrate_many([], cfg)
-    with pytest.raises(ValueError):
-        integrate_many([slant_setup(1, 1, 2.0, 0.5), slant_setup(2, 1, 2.0, 0.5)], cfg)
+        integrate_many([], IntegratorConfig(t_end=0.1, step=1e-2))
 
 
 def test_q_sign_symmetry_via_residuals():

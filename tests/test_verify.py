@@ -1,5 +1,7 @@
 import json
 
+from magcurves import integrate
+from magcurves import verify
 from magcurves.verify import run_all, structure_suite
 
 
@@ -22,3 +24,13 @@ def test_reports_identical_for_fixed_seed():
     a = json.dumps(run_all(seed=5, samples=30, points=9, cases=1), sort_keys=True)
     b = json.dumps(run_all(seed=5, samples=30, points=9, cases=1), sort_keys=True)
     assert a == b
+
+
+def test_batched_runs_match_per_setup_integrate(monkeypatch):
+    # the batched engine is an execution detail: a per-setup integrate loop
+    # in its place gives the same report
+    small = dict(samples=20, points=9)
+    batched = [run_all(seed, **small) for seed in range(3)]
+    monkeypatch.setattr(verify, "integrate_many",
+                        lambda setups, cfg: [integrate(st, cfg) for st in setups])
+    assert [run_all(seed, **small) for seed in range(3)] == batched
