@@ -29,9 +29,9 @@ from enum import Enum
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory
-from .errors import InconsistentCaseError, InfeasibleAngleError
-from .frenet import FrenetSeries, covariant_tt
+from .dynamics import Trajectory, check_angles, speed_drift
+from .errors import InconsistentCaseError
+from .frenet import FrenetSeries, _nanmedian, covariant_tt
 
 __all__ = [
     "CurveKind",
@@ -47,7 +47,7 @@ __all__ = [
 ]
 
 _DISPATCH_BAND = 1e-9       # exact-equality cases get this much numerical slack
-_FEASIBILITY_SLACK = 1e-12
+_CURVATURE_SLACK = 1e-12   # the exact curvature conditions of invert_q
 
 
 class CurveKind(str, Enum):
@@ -114,33 +114,45 @@ def _sign(x: float) -> int:
     return int(np.sign(x))
 
 
+def _slant_class(kind: CurveKind, q: float | None, cos_theta: float, s: int,
+                 measured: dict | None = None) -> CurveClass:
+    """The slant family ``kind`` with its curvatures (k1, k2) and sign
+    eps = sgn(1 - q cos theta); q None (an indeterminate strength, for a
+    geodesic only) leaves eps None."""
+    if kind is CurveKind.GEODESIC:
+        k1, k2 = 0.0, 0.0
+    elif kind is CurveKind.SLANT_CIRCLE:
+        k1, k2 = math.sqrt(max(0.0, q * q - s)), 0.0
+    elif kind is CurveKind.LEGENDRE_HELIX:
+        k1, k2 = abs(q), math.sqrt(s)
+    else:
+        k1 = abs(q) * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
+        k2 = math.sqrt(s) * abs(1.0 - q * cos_theta)
+    eps = None if q is None else _sign(1.0 - q * cos_theta)
+    return CurveClass(kind, q=q, cos_theta=cos_theta, kappa1=k1, kappa2=k2,
+                      epsilon=eps, measured=measured)
+
+
 def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
     """Classification of the slant normal magnetic curve with data (q, theta).
 
-    The angle regimes are exact-equality conditions; numerically each gets a
-    band of 1e-9 around it.
+    The angle must pass ``check_angles`` with cos(theta) in each of the s
+    directions, that is s cos^2(theta) <= 1 + 1e-12, else
+    InfeasibleAngleError.  The angle regimes are exact-equality conditions;
+    numerically each gets a band of 1e-9 around it.
     """
     if q == 0:
         raise ValueError("q must be nonzero")
-    limit = 1.0 / math.sqrt(s)
-    if abs(cos_theta) > limit + _FEASIBILITY_SLACK:
-        raise InfeasibleAngleError(
-            f"|cos(theta)| = {abs(cos_theta):.6g} exceeds 1/sqrt(s) = {limit:.6g}"
-        )
-    eps = _sign(1.0 - q * cos_theta)
-    if abs(abs(cos_theta) - limit) <= _DISPATCH_BAND:
-        return CurveClass(CurveKind.GEODESIC, q=q, cos_theta=cos_theta,
-                          kappa1=0.0, kappa2=0.0, epsilon=eps)
-    if abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and abs(q) > math.sqrt(s):
-        return CurveClass(CurveKind.SLANT_CIRCLE, q=q, cos_theta=cos_theta,
-                          kappa1=math.sqrt(q * q - s), kappa2=0.0, epsilon=eps)
-    if abs(cos_theta) <= _DISPATCH_BAND:
-        return CurveClass(CurveKind.LEGENDRE_HELIX, q=q, cos_theta=cos_theta,
-                          kappa1=abs(q), kappa2=math.sqrt(s), epsilon=eps)
-    k1 = abs(q) * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
-    k2 = math.sqrt(s) * abs(1.0 - q * cos_theta)
-    return CurveClass(CurveKind.SLANT_HELIX, q=q, cos_theta=cos_theta,
-                      kappa1=k1, kappa2=k2, epsilon=eps)
+    check_angles(np.full(s, cos_theta))
+    if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
+        kind = CurveKind.GEODESIC
+    elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and abs(q) > math.sqrt(s):
+        kind = CurveKind.SLANT_CIRCLE
+    elif abs(cos_theta) <= _DISPATCH_BAND:
+        kind = CurveKind.LEGENDRE_HELIX
+    else:
+        kind = CurveKind.SLANT_HELIX
+    return _slant_class(kind, q, cos_theta, s)
 
 
 def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
@@ -151,11 +163,7 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     """
     cos = np.asarray(cosines, dtype=float)
     s = cos.shape[-1]
-    a_sum = float(np.sum(cos * cos))
-    if a_sum > 1.0 + _FEASIBILITY_SLACK:
-        raise InfeasibleAngleError(
-            f"sum of squared cosines is {a_sum:.6g} > 1; angles are not realizable"
-        )
+    a_sum = check_angles(cos)
     b_sum = float(np.sum(cos))
     k1 = abs(q) * math.sqrt(max(0.0, 1.0 - a_sum))
     k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
@@ -193,20 +201,20 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
             "case i is the geodesic family (kappa1 = 0) with arbitrary strength"
         )
     if case == "ii":
-        if abs(kappa2 - math.sqrt(s)) > _FEASIBILITY_SLACK:
+        if abs(kappa2 - math.sqrt(s)) > _CURVATURE_SLACK:
             raise InconsistentCaseError(
                 f"case ii requires kappa2 = sqrt(s) = {math.sqrt(s)!r}, got {kappa2!r}"
             )
         return InverseResult("ii", (kappa1, -kappa1), 0.0)
     if case == "iii":
-        if kappa2 > _FEASIBILITY_SLACK:
+        if kappa2 > _CURVATURE_SLACK:
             raise InconsistentCaseError(
                 f"case iii is a circle: kappa2 must be 0, got {kappa2!r}"
             )
         q = eps * math.sqrt(kappa1 * kappa1 + s)
         return InverseResult("iii", (q,), eps / math.sqrt(kappa1 * kappa1 + s))
     if case == "iv":
-        if kappa2 <= _FEASIBILITY_SLACK:
+        if kappa2 <= _CURVATURE_SLACK:
             raise InconsistentCaseError(
                 "case iv requires kappa2 > 0 (use case iii for circles)"
             )
@@ -231,13 +239,10 @@ def rho(cos_theta: float, s: int) -> float:
     """Magnitude of the Reeb-sum component along v3 for order-3 slant helices.
 
     rho^2 = s - s^2 cos^2(theta); the sign is frame-dependent and not
-    resolved here.
+    resolved here.  The angle must pass ``check_angles`` as in
+    ``predict_class``.
     """
-    limit = 1.0 / math.sqrt(s)
-    if abs(cos_theta) > limit + _FEASIBILITY_SLACK:
-        raise InfeasibleAngleError(
-            f"|cos(theta)| = {abs(cos_theta):.6g} exceeds 1/sqrt(s) = {limit:.6g}"
-        )
+    check_angles(np.full(s, cos_theta))
     return math.sqrt(max(0.0, s - s * s * cos_theta * cos_theta))
 
 
@@ -280,12 +285,6 @@ def _v2_alignment(traj: Trajectory, series: FrenetSeries) -> float | None:
     return float(np.mean(vals))
 
 
-def _nanmedian(arr: np.ndarray) -> float:
-    if not np.any(np.isfinite(arr)):
-        return float("nan")
-    return float(np.nanmedian(arr))
-
-
 def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-3) -> CurveClass:
     """Empirical classification of a sampled trajectory.
 
@@ -297,12 +296,11 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     measured angles and curvature medians: equal angles reproduce the slant
     families, constant-but-unequal angles are GENERAL_MAGNETIC.
     """
-    sig = traj.sig
-    s = sig.s
+    s = traj.sig.s
     etas = traj.etas()
     cosines = etas.mean(axis=0)
-    angle_dev = float(np.max(np.abs(etas - cosines)))
-    speed_dev = float(np.max(np.abs(traj.speeds() - 1.0)))
+    angle_dev = float(np.max(np.abs(etas - cosines)))  # about the mean, not etas[0]
+    speed_dev = speed_drift(traj)
     q_hat, res = fit_field_strength(traj)
 
     k1_med = _nanmedian(series.kappa1)
@@ -326,57 +324,17 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     slant = float(np.max(cosines) - np.min(cosines)) <= tol
     if not slant:
         k1, k2 = order_bound_curvatures(q_hat, cosines)
-        return CurveClass(
-            CurveKind.GENERAL_MAGNETIC,
-            q=q_hat,
-            cos_theta=None,
-            kappa1=k1,
-            kappa2=k2,
-            epsilon=None,
-            measured=measured,
-        )
+        return CurveClass(CurveKind.GENERAL_MAGNETIC, q=q_hat, kappa1=k1, kappa2=k2,
+                          measured=measured)
 
     cos_theta = float(np.mean(cosines))
     if k1_med <= tol or q_hat is None:
-        return CurveClass(
-            CurveKind.GEODESIC,
-            q=None,
-            cos_theta=cos_theta,
-            kappa1=0.0,
-            kappa2=0.0,
-            epsilon=None,
-            measured=measured,
-        )
-    eps = _sign(1.0 - q_hat * cos_theta)
-    k2_is_zero = np.isnan(k2_med) or k2_med <= tol
-    if k2_is_zero:
-        return CurveClass(
-            CurveKind.SLANT_CIRCLE,
-            q=q_hat,
-            cos_theta=cos_theta,
-            kappa1=math.sqrt(max(0.0, q_hat * q_hat - s)),
-            kappa2=0.0,
-            epsilon=eps,
-            measured=measured,
-        )
-    if abs(cos_theta) <= tol:
-        return CurveClass(
-            CurveKind.LEGENDRE_HELIX,
-            q=q_hat,
-            cos_theta=cos_theta,
-            kappa1=abs(q_hat),
-            kappa2=math.sqrt(s),
-            epsilon=eps,
-            measured=measured,
-        )
-    k1 = abs(q_hat) * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
-    k2 = math.sqrt(s) * abs(1.0 - q_hat * cos_theta)
-    return CurveClass(
-        CurveKind.SLANT_HELIX,
-        q=q_hat,
-        cos_theta=cos_theta,
-        kappa1=k1,
-        kappa2=k2,
-        epsilon=eps,
-        measured=measured,
-    )
+        # magnetic for every strength, so none is reported
+        return _slant_class(CurveKind.GEODESIC, None, cos_theta, s, measured)
+    if np.isnan(k2_med) or k2_med <= tol:
+        kind = CurveKind.SLANT_CIRCLE
+    elif abs(cos_theta) <= tol:
+        kind = CurveKind.LEGENDRE_HELIX
+    else:
+        kind = CurveKind.SLANT_HELIX
+    return _slant_class(kind, q_hat, cos_theta, s, measured)

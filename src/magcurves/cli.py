@@ -10,6 +10,7 @@ import argparse
 import json
 import math
 import sys
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .classify import (
 from .closed_form import (
     CaseAParams,
     CaseBParams,
-    lambda_,
+    _lambda_vanishes,
     residual,
     sample_case_a,
     sample_case_b,
@@ -66,17 +67,42 @@ def _load_config(path: str) -> dict:
     return doc
 
 
-def _require(doc: dict, key: str):
+_REQUIRED = object()
+
+
+def _number(key: str, value, kind):
+    if not isinstance(value, kind) or isinstance(value, bool):
+        what = "an integer" if kind is Integral else "a real number"
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
+    if kind is Integral:
+        return int(value)
+    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
+def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
+    """The config value doc[key], or default when the key is absent.
+
+    A real number (kind Real) comes back as a finite float and an integer
+    (Integral) as an int; with ``length`` the value must be a list of that
+    many real numbers and comes back as a float array.  bool, str, None and
+    containers in the place of a number raise ConfigError naming the key.
+    """
     if key not in doc:
-        raise ConfigError(f"config is missing required key {key!r}")
-    return doc[key]
+        if default is _REQUIRED:
+            raise ConfigError(f"config is missing required key {key!r}")
+        return default
+    value = doc[key]
+    if length is None:
+        return _number(key, value, kind)
+    if not (isinstance(value, list) and len(value) == length):
+        raise ConfigError(f"{key} must be a list of {length} real numbers, got {value!r}")
+    return np.array([_number(key, v, kind) for v in value])
 
 
 def _signature(doc: dict) -> ms.SpaceSignature:
-    try:
-        return ms.SpaceSignature(int(_require(doc, "n")), int(_require(doc, "s")))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return ms.SpaceSignature(_field(doc, "n", Integral), _field(doc, "s", Integral))
 
 
 def _resolve_cosines(doc: dict, s: int) -> np.ndarray:
@@ -92,12 +118,10 @@ def _resolve_cosines(doc: dict, s: int) -> np.ndarray:
         )
     key = given[0]
     if key == "cos_theta":
-        return np.full(s, float(doc[key]))
+        return np.full(s, _field(doc, key))
     if key == "theta":
-        return np.full(s, math.cos(float(doc[key])))
-    vals = np.asarray(doc[key], dtype=float)
-    if vals.shape != (s,):
-        raise ConfigError(f"{key!r} must list {s} values, got shape {vals.shape}")
+        return np.full(s, math.cos(_field(doc, key)))
+    vals = _field(doc, key, length=s)
     return vals if key == "cosines" else np.cos(vals)
 
 
@@ -116,15 +140,15 @@ def _cmd_integrate(args) -> int:
     doc = _load_config(args.config)
     sig = _signature(doc)
     cosines = _resolve_cosines(doc, sig.s)
-    q = float(_require(doc, "q"))
-    p0 = ms.Point(sig, np.asarray(doc.get("p0", np.zeros(sig.dim)), dtype=float))
-    direction = doc.get("direction")
+    q = _field(doc, "q")
+    p0 = ms.Point(sig, _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim)))
+    direction = _field(doc, "direction", length=2 * sig.n, default=None)
     T0 = initial_tangent(p0, cosines, direction)
     setup = MagneticSetup(sig, q, p0, T0, label=doc.get("label"))
     cfg = IntegratorConfig(
-        t_end=float(doc.get("t_end", 10.0)),
-        step=float(doc.get("step", 1e-3)),
-        record_every=int(doc.get("record_every", 1)),
+        t_end=_field(doc, "t_end", default=10.0),
+        step=_field(doc, "step", default=1e-3),
+        record_every=_field(doc, "record_every", Integral, default=1),
     )
     traj = integrate(setup, cfg)
     out = _out_path(args)
@@ -147,37 +171,29 @@ def _closed_form_params(doc: dict):
     ct = float(cosines[0])
     n, s = sig.n, sig.s
     case = doc.get("case")
-    q = doc.get("q")
+    q = _field(doc, "q", default=None)
     if case is None:
-        case = "b" if q is None or abs(lambda_(float(q), s, ct)) <= 1e-12 else "a"
+        case = "b" if q is None or _lambda_vanishes(q, s, ct) else "a"
     if case not in ("a", "b"):
         raise ConfigError(f"case must be 'a' or 'b', got {case!r}")
 
     radius = 2.0 * math.sqrt(max(0.0, 1.0 - s * ct * ct))
     clen = n if case == "a" else 2 * n
 
-    def vec(key: str, length: int, default):
-        if key in doc:
-            return np.asarray(doc[key], dtype=float)
-        return default(length)
+    def vec(key: str, length: int) -> np.ndarray:
+        return _field(doc, key, length=length, default=np.zeros(length))
 
-    def canonical_c(length: int) -> np.ndarray:
-        c = np.zeros(length)
-        c[0] = radius
-        return c
-
-    c = vec("c", clen, canonical_c)
-    h = vec("h", s, np.zeros)
+    c = _field(doc, "c", length=clen, default=np.r_[radius, np.zeros(clen - 1)])
+    h = vec("h", s)
     if case == "a":
         if q is None:
             raise ConfigError("case a requires an explicit strength q")
         return CaseAParams(
-            sig, float(q), ct,
-            a=vec("a", n, np.zeros), b=vec("b", n, np.zeros),
-            c=c, d=vec("d", n, np.zeros), h=h,
+            sig, q, ct,
+            a=vec("a", n), b=vec("b", n), c=c, d=vec("d", n), h=h,
         )
-    params = CaseBParams(sig, ct, c=c, d=vec("d", 2 * n, np.zeros), h=h)
-    if q is not None and abs(float(q) - params.q) > 1e-12:
+    params = CaseBParams(sig, ct, c=c, d=vec("d", 2 * n), h=h)
+    if q is not None and not _lambda_vanishes(q, s, ct):
         raise ConfigError(
             f"case b fixes q = 2 s cos(theta) = {params.q!r}, config says {q!r}"
         )
@@ -187,9 +203,10 @@ def _closed_form_params(doc: dict):
 def _cmd_closed_form(args) -> int:
     doc = _load_config(args.config)
     params = _closed_form_params(doc)
-    step = float(doc.get("step", 1e-3))
-    t_end = float(doc.get("t_end", 10.0))
-    times = step * np.arange(int(round(t_end / step)) + 1)
+    step = _field(doc, "step", default=1e-3)
+    t_end = _field(doc, "t_end", default=10.0)
+    # the integrator's grid: same validation, and the times integrate records
+    times = step * np.arange(IntegratorConfig(t_end, step).n_steps + 1)
     if isinstance(params, CaseAParams):
         traj = sample_case_a(params, times)
     else:
@@ -212,15 +229,15 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify needs exactly one of --config or --traj")
     if args.config is not None:
         doc = _load_config(args.config)
-        s = int(_require(doc, "s"))
+        s = _field(doc, "s", Integral)
         cosines = _resolve_cosines(doc, s)
+        q = _field(doc, "q")
         if np.max(cosines) - np.min(cosines) > 0:
-            q = float(_require(doc, "q"))
             k1, k2 = order_bound_curvatures(q, cosines)
             cls = CurveClass(CurveKind.GENERAL_MAGNETIC, q=q, kappa1=k1, kappa2=k2)
             print(cls.to_json())
             return EXIT_OK
-        cls = predict_class(float(_require(doc, "q")), float(cosines[0]), s)
+        cls = predict_class(q, float(cosines[0]), s)
         print(cls.to_json())
         return EXIT_OK
     traj = read_trajectory(args.traj)
@@ -273,11 +290,11 @@ def _cmd_sweep(args) -> int:
             cos_theta_values=grid("cos_theta_values", "cos_theta"),
             n_values=grid("n_values", "n", default=(1,)),
             s_values=grid("s_values", "s", default=(1,)),
-            tol=float(doc.get("tol", 1e-3)),
-            seed=int(doc.get("seed", 0)),
-            t_end=float(doc.get("t_end", 10.0)),
-            step=float(doc.get("step", 1e-3)),
-            record_every=int(doc.get("record_every", 1)),
+            tol=_field(doc, "tol", default=1e-3),
+            seed=_field(doc, "seed", Integral, default=0),
+            t_end=_field(doc, "t_end", default=10.0),
+            step=_field(doc, "step", default=1e-3),
+            record_every=_field(doc, "record_every", Integral, default=1),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc

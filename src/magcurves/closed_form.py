@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory
-from .errors import InfeasibleAngleError, InvalidParamsError, WrongCaseError
+from .dynamics import Trajectory, check_angles
+from .errors import InvalidParamsError, WrongCaseError
 from .frenet import covariant_tt
 
 __all__ = [
@@ -54,11 +54,9 @@ def lambda_(q: float, s: int, cos_theta: float) -> float:
     return -q + 2.0 * s * cos_theta
 
 
-def _check_angle(cos_theta: float, s: int):
-    if abs(cos_theta) > 1.0 / np.sqrt(s) + 1e-12:
-        raise InfeasibleAngleError(
-            f"|cos(theta)| = {abs(cos_theta):.6g} exceeds 1/sqrt(s) = {1.0 / np.sqrt(s):.6g}"
-        )
+def _lambda_vanishes(q: float, s: int, cos_theta: float) -> bool:
+    """Whether (q, theta) is in the straight-line family (case b), within 1e-12."""
+    return abs(lambda_(q, s, cos_theta)) <= _LAMBDA_ZERO_BAND
 
 
 def _check_amplitudes(c: np.ndarray, s: int, cos_theta: float):
@@ -95,13 +93,13 @@ class CaseAParams:
     def __post_init__(self):
         if self.q == 0:
             raise InvalidParamsError("q must be nonzero")
-        _check_angle(self.cos_theta, self.sig.s)
+        check_angles(np.full(self.sig.s, self.cos_theta))
         n, s = self.sig.n, self.sig.s
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _vector(getattr(self, name), n, name))
         object.__setattr__(self, "h", _vector(self.h, s, "h"))
         _check_amplitudes(self.c, s, self.cos_theta)
-        if abs(self.lam) <= _LAMBDA_ZERO_BAND:
+        if _lambda_vanishes(self.q, s, self.cos_theta):
             raise WrongCaseError(
                 "lambda = -q + 2 s cos(theta) vanishes; use the straight-line family (case b)"
             )
@@ -136,7 +134,7 @@ class CaseBParams:
     h: np.ndarray
 
     def __post_init__(self):
-        _check_angle(self.cos_theta, self.sig.s)
+        check_angles(np.full(self.sig.s, self.cos_theta))
         if self.cos_theta == 0:
             raise InvalidParamsError(
                 "cos(theta) = 0 implies q = 2 s cos(theta) = 0, which is excluded"
@@ -232,7 +230,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
     """
     if q == 0:
         raise InvalidParamsError("q must be nonzero")
-    _check_angle(cos_theta, sig.s)
+    check_angles(np.full(sig.s, cos_theta))
     rng = np.random.default_rng(seed)
     n, s = sig.n, sig.s
     radius = 2.0 * np.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
@@ -248,7 +246,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
             un = 1.0
         return u * (radius / un)
 
-    if abs(lambda_(q, s, cos_theta)) <= _LAMBDA_ZERO_BAND:
+    if _lambda_vanishes(q, s, cos_theta):
         return CaseBParams(
             sig,
             cos_theta,

@@ -33,6 +33,7 @@ __all__ = [
     "IntegratorConfig",
     "Trajectory",
     "lorentz_force",
+    "check_angles",
     "initial_tangent",
     "magnetic_rhs",
     "integrate",
@@ -87,8 +88,11 @@ class IntegratorConfig:
             raise ValueError("t_end must be positive")
         if self.step > self.t_end:
             raise ValueError("step must not exceed t_end")
-        if not (isinstance(self.record_every, (int, np.integer)) and self.record_every >= 1):
-            raise ValueError("record_every must be a positive integer")
+        if not math.isfinite(self.t_end / self.step):
+            raise ValueError(f"t_end / step = {self.t_end!r} / {self.step!r} overflows")
+        if not (isinstance(self.record_every, (int, np.integer))
+                and 1 <= self.record_every <= self.n_steps):
+            raise ValueError("record_every must be a positive integer, at most the step count")
 
     @property
     def n_steps(self) -> int:
@@ -130,14 +134,14 @@ class Trajectory:
             raise ValueError(
                 f"points/velocities must have shape {want}, got {pts.shape} and {vel.shape}"
             )
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "velocities", vel)
+        object.__setattr__(self, "times", np.ascontiguousarray(times))
+        object.__setattr__(self, "points", np.ascontiguousarray(pts))
+        object.__setattr__(self, "velocities", np.ascontiguousarray(vel))
         if self.accelerations is not None:
             acc = np.asarray(self.accelerations, dtype=float)
             if acc.shape != want:
                 raise ValueError(f"accelerations must have shape {want}, got {acc.shape}")
-            object.__setattr__(self, "accelerations", acc)
+            object.__setattr__(self, "accelerations", np.ascontiguousarray(acc))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -164,11 +168,29 @@ def lorentz_force(p: ms.Point, T: ms.Tangent, q: float) -> ms.Tangent:
     return ms.Tangent(p, -q * ms.phi_comps(p.sig, p.coords, T.comps))
 
 
+def check_angles(cosines) -> float:
+    """sum_a cos^2(theta_a) of the contact angles, checked realizable.
+
+    A unit tangent has eta^a(T) = cos(theta_a) for every a exactly when the
+    sum is at most 1; for slant angles that is |cos(theta)| <= 1/sqrt(s).
+    The sum gets 1e-12 of slack, so that cosines rounded from 1/sqrt(s)
+    pass; a larger sum, or NaN, raises InfeasibleAngleError.
+    """
+    cos = np.asarray(cosines, dtype=float)
+    a_sum = float(np.sum(cos * cos))
+    if not a_sum <= 1.0 + _FEASIBILITY_SLACK:
+        raise InfeasibleAngleError(
+            f"sum of squared cosines exceeds 1 by {a_sum - 1.0:.3g} "
+            f"(slack {_FEASIBILITY_SLACK:g}); angles are not realizable"
+        )
+    return a_sum
+
+
 def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
     """Unit tangent at p0 with prescribed contact-form values.
 
-    ``cosines`` gives the target cos(theta_a) = eta^a(T) per Reeb direction;
-    feasibility requires sum_a cos^2(theta_a) <= 1.  The remaining
+    ``cosines`` gives the target cos(theta_a) = eta^a(T) per Reeb direction,
+    which ``check_angles`` must accept.  The remaining
     contact-distribution part, of norm sqrt(1 - sum cos^2), points along the
     frame combination sum_k direction_k X_k normalized over the 2n frame
     vectors X_1..X_2n (default: X_1).  The split is g-orthogonal, so the
@@ -178,11 +200,7 @@ def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
     cos = np.asarray(cosines, dtype=float)
     if cos.shape != (sig.s,):
         raise ValueError(f"cosines must have length s={sig.s}, got shape {cos.shape}")
-    a_sum = float(np.sum(cos * cos))
-    if a_sum > 1.0 + _FEASIBILITY_SLACK:
-        raise InfeasibleAngleError(
-            f"sum of squared cosines is {a_sum:.6g} > 1; angles are not realizable"
-        )
+    a_sum = check_angles(cos)
     # cosines like 1/sqrt(s) put a_sum within rounding of 1; treat that as the
     # degenerate Reeb-combination family rather than keeping a spurious
     # contact component of size ~sqrt(eps)

@@ -162,8 +162,9 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
 
 
 def _nanmedian(arr: np.ndarray) -> float:
+    """Median of the finite values of arr, NaN when there are none."""
     if not np.any(np.isfinite(arr)):
-        return np.nan
+        return float("nan")
     return float(np.nanmedian(arr))
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,11 +21,15 @@ from .classify import predict_class
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
+    angle_drift,
+    check_angles,
     initial_tangent,
     integrate,
     integrate_many,
+    speed_drift,
 )
-from .frenet import frenet_apparatus
+from .errors import InfeasibleAngleError
+from .frenet import _nanmedian, frenet_apparatus
 
 __all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "write_sweep_csv"]
 
@@ -43,7 +48,11 @@ _BATCH_FLOATS = 1 << 22
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grids plus per-cell tolerance, seed and integrator settings."""
+    """Grids plus per-cell tolerance, seed and integrator settings.
+
+    Every (s, cos theta) pair of the grid must pass ``check_angles`` (s
+    cos^2(theta) <= 1 + 1e-12), else ValueError naming the inadmissible cell.
+    """
 
     q_values: tuple[float, ...]
     cos_theta_values: tuple[float, ...]
@@ -70,20 +79,20 @@ class SweepSpec:
                 raise ValueError(f"{name} entries must be {what}, got {vals!r}")
             object.__setattr__(self, name, tuple(vals))
         for name in ("q_values", "cos_theta_values"):
-            if not all(math.isfinite(v) for v in getattr(self, name)):
+            # false for NaN, the infinities and integers beyond the float range
+            if not all(abs(v) <= sys.float_info.max for v in getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not math.isfinite(self.tol):
             raise ValueError(f"tol must be finite, got {self.tol!r}")
         if any(q == 0 for q in self.q_values):
             raise ValueError("q grid must not contain 0")
         for s in self.s_values:
-            limit = 1.0 / math.sqrt(s)
             for ct in self.cos_theta_values:
-                if abs(ct) > limit + 1e-12:
+                try:
+                    check_angles(np.full(s, ct))
+                except InfeasibleAngleError as exc:
                     raise ValueError(
-                        f"inadmissible cell: |cos_theta| = {abs(ct):.6g} exceeds "
-                        f"1/sqrt(s) = {limit:.6g} for s = {s}"
-                    )
+                        f"inadmissible cell s = {s}, cos_theta = {ct!r}: {exc}") from exc
         # IntegratorConfig validates t_end, step and record_every
         object.__setattr__(self, "integrator",
                            IntegratorConfig(self.t_end, self.step, self.record_every))
@@ -112,19 +121,12 @@ def _cell_setup(spec: SweepSpec, index: int, n: int, s: int, q: float, ct: float
 def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
     series = frenet_apparatus(traj)
     pred = predict_class(q, ct, s)
-    k1 = float(np.nanmedian(series.kappa1)) if np.any(np.isfinite(series.kappa1)) else math.nan
-    k2 = float(np.nanmedian(series.kappa2)) if np.any(np.isfinite(series.kappa2)) else math.nan
     k3 = float(np.nanmax(series.kappa3)) if np.any(np.isfinite(series.kappa3)) else math.nan
-    etas = traj.etas()
-    drift = max(
-        float(np.max(np.abs(traj.speeds() - 1.0))),
-        float(np.max(np.abs(etas - etas[0]))),
-    )
     return {
         "n": n, "s": s, "q": q, "cos_theta": ct,
         "kappa1_pred": pred.kappa1, "kappa2_pred": pred.kappa2,
-        "kappa1_meas": k1, "kappa2_meas": k2,
-        "kappa3_max": k3, "drift": drift,
+        "kappa1_meas": _nanmedian(series.kappa1), "kappa2_meas": _nanmedian(series.kappa2),
+        "kappa3_max": k3, "drift": max(speed_drift(traj), angle_drift(traj)),
     }
 
 

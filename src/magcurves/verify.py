@@ -32,7 +32,7 @@ from .dynamics import (
     integrate_many,
     speed_drift,
 )
-from .frenet import frenet_apparatus, osculating_order
+from .frenet import _nanmedian, frenet_apparatus, osculating_order
 
 __all__ = [
     "CheckRecord",
@@ -296,9 +296,9 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
 
     series = frenet_apparatus(traj)
     out.append(_record("curves", "circle_kappa1",
-                       abs(float(np.nanmedian(series.kappa1)) - math.sqrt(3.0)), 1e-4))
+                       abs(_nanmedian(series.kappa1) - math.sqrt(3.0)), 1e-4))
     out.append(_record("curves", "circle_kappa2",
-                       float(np.nanmedian(series.kappa2)), 1e-4))
+                       _nanmedian(series.kappa2), 1e-4))
     out.append(_record("curves", "circle_order",
                        abs(osculating_order(series, 1e-3) - 2), 0.0))
 
@@ -312,11 +312,11 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
     # Legendre helix with two Reeb directions: kappa1=|q|, kappa2=sqrt(2)
     series_h = frenet_apparatus(traj_h)
     out.append(_record("curves", "legendre_kappa1",
-                       abs(float(np.nanmedian(series_h.kappa1)) - 1.5), 1e-4))
+                       abs(_nanmedian(series_h.kappa1) - 1.5), 1e-4))
     out.append(_record("curves", "legendre_kappa2",
-                       abs(float(np.nanmedian(series_h.kappa2)) - math.sqrt(2.0)), 1e-3))
+                       abs(_nanmedian(series_h.kappa2) - math.sqrt(2.0)), 1e-3))
     out.append(_record("curves", "legendre_kappa3",
-                       float(np.nanmedian(series_h.kappa3)), 1e-3))
+                       _nanmedian(series_h.kappa3), 1e-3))
 
     # closed form against the integrator, matched initial data
     out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), 1e-10))

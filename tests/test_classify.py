@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,15 +14,20 @@ from magcurves import (
     classify_trajectory,
     fit_field_strength,
     frenet_apparatus,
+    initial_tangent,
     integrate_many,
     invert_q,
     order_bound_curvatures,
+    origin,
     predict_class,
+    random_params,
     rho,
     sample_case_b,
     CaseBParams,
 )
+from magcurves.cli import main
 from magcurves.errors import InconsistentCaseError, InfeasibleAngleError
+from magcurves.sweep import SweepSpec
 from conftest import slant_setup
 
 
@@ -74,6 +80,54 @@ def test_circle_below_threshold_is_out_of_range():
     # sneaks in below the existence threshold
     with pytest.raises(InfeasibleAngleError):
         predict_class(1.2, 1.0 / 1.2, 2)
+
+
+def _check_slant_angle(entry_point, ct, s):
+    """Call one entry point that checks a slant contact angle."""
+    sig = SpaceSignature(1, s)
+    if entry_point == "initial_tangent":
+        initial_tangent(origin(sig), [ct] * s)
+    elif entry_point == "order_bound_curvatures":
+        order_bound_curvatures(2.0, [ct] * s)
+    elif entry_point == "predict_class":
+        predict_class(2.0, ct, s)
+    elif entry_point == "rho":
+        rho(ct, s)
+    elif entry_point == "random_params":
+        random_params(sig, 1.0, ct, seed=0)
+    elif entry_point == "CaseBParams":
+        CaseBParams(sig, ct, c=np.zeros(2), d=np.zeros(2), h=np.zeros(s))
+    else:
+        SweepSpec(q_values=[2.0], cos_theta_values=[ct], s_values=[s])
+
+
+ANGLE_ENTRY_POINTS = ["initial_tangent", "order_bound_curvatures", "predict_class", "rho",
+                      "random_params", "CaseBParams", "SweepSpec"]
+
+
+@pytest.mark.parametrize("entry_point", ANGLE_ENTRY_POINTS)
+def test_angle_rule_has_one_boundary(entry_point):
+    for s in (1, 2, 3):
+        _check_slant_angle(entry_point, 1.0 / math.sqrt(s), s)  # |cos theta| = 1/sqrt(s) passes
+    # s cos^2 = 1 + 2e-12 is beyond the 1e-12 slack on the sum, while
+    # |cos theta| - 1/sqrt(s) = 5.8e-13 would be within that slack on the
+    # cosine: every entry point draws the line at the same place
+    sliver = (1.0 / math.sqrt(3.0)) * (1.0 + 1e-12)
+    if entry_point == "SweepSpec":
+        with pytest.raises(ValueError, match="inadmissible"):
+            _check_slant_angle(entry_point, sliver, 3)
+    else:
+        with pytest.raises(InfeasibleAngleError):
+            _check_slant_angle(entry_point, sliver, 3)
+
+
+def test_angle_rule_boundary_on_the_cli(tmp_path, capsys):
+    s, ct = 3, (1.0 / math.sqrt(3.0)) * (1.0 + 1e-12)
+    cfg = tmp_path / "sliver.json"
+    cfg.write_text(json.dumps({"n": 1, "s": s, "q": 2.0, "cos_theta": ct, "t_end": 0.01}))
+    assert main(["classify", "--config", str(cfg)]) == 2
+    assert main(["integrate", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    assert "angles are not realizable" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

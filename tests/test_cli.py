@@ -1,8 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magcurves import (
     MagneticSetup,
@@ -409,3 +414,77 @@ def test_sweep_geodesic_cells_flagged(tmp_path, capsys):
     row = dict(zip(SWEEP_COLUMNS, out.read_text().splitlines()[1].split(",")))
     assert float(row["kappa1_pred"]) == 0.0
     assert float(row["kappa1_meas"]) <= 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the config contract: typed fields, documented exit codes
+# ---------------------------------------------------------------------------
+
+# one small valid config per command, holding every key the command reads
+VALID_CONFIGS = {
+    "integrate": {"n": 1, "s": 2, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "step": 1e-3,
+                  "record_every": 1, "p0": [0.0, 0.0, 0.0, 0.0], "direction": [1.0, 0.0],
+                  "label": "run"},
+    "closed-form": {"n": 1, "s": 1, "case": "a", "q": 2.0, "cos_theta": 0.5,
+                    "a": [0.0], "b": [0.0], "c": [math.sqrt(3.0)], "d": [0.0], "h": [0.0],
+                    "t_end": 0.01, "step": 1e-3},
+    "classify": {"q": 2.0, "s": 2, "cos_theta": 0.5},
+    "sweep": {"q_values": [2.0], "cos_theta_values": [0.5], "n_values": [1], "s_values": [1],
+              "tol": 1e-3, "seed": 0, "t_end": 0.01, "step": 1e-3, "record_every": 1},
+}
+
+
+def _cli_argv(command, cfg, out):
+    argv = [command, "--config", str(cfg)]
+    return argv if command == "classify" else argv + ["--out", str(out)]
+
+
+BAD_TYPE_CASES = [
+    ("integrate", "q", None), ("integrate", "q", [2.0]), ("integrate", "cos_theta", [0.3]),
+    ("integrate", "t_end", None), ("integrate", "step", [1]), ("integrate", "n", None),
+    ("integrate", "s", [1]), ("integrate", "record_every", None),
+    ("integrate", "n", 1.5), ("integrate", "n", "1"), ("integrate", "n", True),
+    ("integrate", "q", "2"), ("integrate", "record_every", 2.7),
+    ("sweep", "seed", None), ("sweep", "seed", [1]), ("sweep", "t_end", None),
+    ("sweep", "tol", None), ("sweep", "step", [0.001]),
+    ("sweep", "seed", 1.5), ("sweep", "seed", True), ("sweep", "t_end", "0.01"),
+    ("closed-form", "q", [2.0]), ("closed-form", "t_end", [1]),
+    ("classify", "q", None), ("classify", "s", None), ("classify", "s", 1.7),
+]
+
+
+@pytest.mark.parametrize("command,key,value", BAD_TYPE_CASES)
+def test_malformed_config_types_exit_2(tmp_path, capsys, command, key, value):
+    cfg = write_json(tmp_path / "cfg.json", {**VALID_CONFIGS[command], key: value})
+    code, _, stderr = run_cli(capsys, *_cli_argv(command, cfg, tmp_path / "x.csv"))
+    assert code == 2
+    assert f"{key} must be" in stderr
+
+
+# Huge and tiny numbers: past the float range, past the index range, and
+# steps that make t_end / step overflow or the sample count unaddressable.
+# Ordinary numbers stay at or above 1e-3 in size: a step of 1e-9 is a valid
+# run of 1e7 steps, merely a long one, and between 1e-13 and 1e-10 the
+# sample arrays exceed memory (a MemoryError, not yet mapped to an exit code).
+JSON_EXTREMES = [1e308, -1e308, 5e-324, 1e-300, -1e-300, 2**63, 10**400, 0, -1]
+json_scalars = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                         st.integers(-3, 3),
+                         st.floats(-2.0, 2.0).filter(lambda x: x == 0 or abs(x) >= 1e-3),
+                         st.sampled_from(JSON_EXTREMES))
+json_values = st.one_of(json_scalars, st.lists(json_scalars, max_size=3),
+                        st.dictionaries(st.text(max_size=3), json_scalars, max_size=2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(command=st.sampled_from(sorted(VALID_CONFIGS)), data=st.data())
+def test_fuzzed_config_exits_with_a_documented_code(command, data):
+    base = VALID_CONFIGS[command]
+    key = data.draw(st.sampled_from(sorted(base)), label="key")
+    value = data.draw(json_values, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(_cli_argv(command, cfg, Path(tmp) / "x.csv"))
+    assert code in (0, 1, 2, 3)
