@@ -40,7 +40,7 @@ from .dynamics import (
     integrate,
     speed_drift,
 )
-from .errors import DivergenceError
+from .errors import ConfigError, DivergenceError, typed_number
 from .frenet import frenet_apparatus
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, run_sweep, write_sweep_csv
@@ -50,10 +50,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 def _load_config(path: str) -> dict:
@@ -70,17 +66,6 @@ def _load_config(path: str) -> dict:
 _REQUIRED = object()
 
 
-def _number(key: str, value, kind):
-    if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is Integral else "a real number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    if kind is Integral:
-        return int(value)
-    if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-    return float(value)
-
-
 def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
     """The config value doc[key], or default when the key is absent.
 
@@ -95,10 +80,10 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
         return default
     value = doc[key]
     if length is None:
-        return _number(key, value, kind)
+        return typed_number(key, value, kind)
     if not (isinstance(value, list) and len(value) == length):
         raise ConfigError(f"{key} must be a list of {length} real numbers, got {value!r}")
-    return np.array([_number(key, v, kind) for v in value])
+    return np.array([typed_number(key, v, kind) for v in value])
 
 
 def _signature(doc: dict) -> ms.SpaceSignature:

@@ -127,8 +127,8 @@ class Trajectory:
         vel = np.asarray(self.velocities, dtype=float)
         if times.ndim != 1 or len(times) == 0:
             raise ValueError("times must be a nonempty 1-d array")
-        if np.any(np.diff(times) <= 0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.all(np.isfinite(times)) and np.all(np.diff(times) > 0)):
+            raise ValueError("times must be finite and strictly increasing")
         want = (len(times), self.sig.dim)
         if pts.shape != want or vel.shape != want:
             raise ValueError(

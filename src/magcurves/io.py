@@ -5,20 +5,30 @@ Trajectory CSV column order is fixed:
     t, x_1..x_n, y_1..y_n, z_1..z_s, vx_1..vx_n, vy_1..vy_n, vz_1..vz_s,
     speed, eta_1..eta_s
 
-The JSON mirror keys the same column names plus the metadata n, s, q.
-Numbers are written in the shortest decimal form that round-trips, so
-identical inputs produce byte-identical files.
+CSV files are written byte for byte as follows: one header line of the
+column names, then one line per sample; cells are separated by commas
+with no spaces and never quoted, and every line, the last included, ends
+in ``\\r\\n``.  Each number is ``repr`` of a Python float (the shortest
+decimal that round-trips, with ``nan``, ``inf`` and ``-inf`` for the
+non-finite values); the Frenet ``order`` column is a plain integer.
+
+The JSON mirror keys the same column names, each to a list of numbers,
+plus the metadata n, s, q; its numbers are ``repr`` floats too (``NaN``
+and ``Infinity`` for the non-finite values, as ``json`` writes them).
+Identical inputs produce byte-identical files, and reading a file back
+gives the same bits.
 """
 from __future__ import annotations
 
-import csv
 import json
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
 from . import model_space as ms
 from .dynamics import Trajectory
+from .errors import typed_number
 from .frenet import FrenetSeries
 
 __all__ = [
@@ -30,9 +40,9 @@ __all__ = [
     "write_frenet_csv",
 ]
 
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
+# Rows formatted and written per block: the text held in memory stays the
+# same size whatever the length of the trajectory.
+_BLOCK_ROWS = 512
 
 
 def trajectory_columns(sig: ms.SpaceSignature) -> list[str]:
@@ -55,23 +65,32 @@ def _trajectory_table(traj: Trajectory) -> np.ndarray:
     return np.column_stack([traj.times, traj.points, traj.velocities, speeds, etas])
 
 
+def _write_csv(path, header: list[str], n_rows: int, rows) -> None:
+    """Write the header and rows(start, stop), a list of rows of Python
+    floats and ints, in the module's CSV format, _BLOCK_ROWS at a time."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = rows(start, start + _BLOCK_ROWS)
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     table = _trajectory_table(traj)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(trajectory_columns(traj.sig))
-        for row in table:
-            writer.writerow([_fmt(v) for v in row])
+    _write_csv(path, trajectory_columns(traj.sig), len(table),
+               lambda start, stop: table[start:stop].tolist())
 
 
 def write_trajectory_json(traj: Trajectory, path) -> None:
     table = _trajectory_table(traj)
-    doc: dict = {"n": traj.sig.n, "s": traj.sig.s, "q": traj.q}
-    for k, name in enumerate(trajectory_columns(traj.sig)):
-        doc[name] = [float(v) for v in table[:, k]]
+    meta = json.dumps({"n": traj.sig.n, "s": traj.sig.s, "q": traj.q})
     with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+        # json.dump's bytes for the whole document, written one column at a
+        # time so that only one column is held as Python floats
+        fh.write(meta[:-1])
+        for k, name in enumerate(trajectory_columns(traj.sig)):
+            fh.write(f", {json.dumps(name)}: {json.dumps(table[:, k].tolist())}")
+        fh.write("}\n")
 
 
 def write_trajectory(traj: Trajectory, path, fmt: str | None = None) -> None:
@@ -96,43 +115,84 @@ def _sig_from_header(header: list[str]) -> ms.SpaceSignature:
     return sig
 
 
+def _data_lines(fh, path):
+    """The lines after the header; a blank line, which loadtxt would skip,
+    or no line at all raises ValueError."""
+    number = 1
+    for number, line in enumerate(fh, start=2):
+        if line == "\n":
+            raise ValueError(f"trajectory file {path} has a blank line at line {number}")
+        yield line
+    if number == 1:
+        raise ValueError(f"trajectory file {path} has a header but no data rows")
+
+
+def _read_csv_table(path) -> tuple[ms.SpaceSignature, np.ndarray, None]:
+    # Text mode reads \r\n, \r and \n alike as the end of a line.
+    with open(path) as fh:
+        header = fh.readline()
+        if not header:
+            raise ValueError(f"trajectory file {path} is empty")
+        header = header.rstrip("\n").split(",")
+        sig = _sig_from_header(header)
+        # loadtxt converts each cell with the parser behind float(): same bits
+        table = np.loadtxt(_data_lines(fh, path), delimiter=",", comments=None, ndmin=2)
+    if table.shape[1] != len(header):
+        raise ValueError(
+            f"trajectory file {path} has {table.shape[1]} cells per row, "
+            f"its header names {len(header)}"
+        )
+    return sig, table, None  # CSV carries no strength
+
+
+def _read_json_table(path) -> tuple[ms.SpaceSignature, np.ndarray, float | None]:
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"trajectory file {path} must hold a JSON object")
+    n = typed_number("n", doc.get("n"), Integral)
+    s = typed_number("s", doc.get("s"), Integral)
+    q = doc.get("q")
+    q = None if q is None else typed_number("q", q, Real)
+    sig = ms.SpaceSignature(n, s)
+    if 4 * n + 3 * s + 2 > len(doc) - 2:  # the column count; bounds n, s before listing them
+        raise ValueError(f"trajectory file {path} lacks columns for n = {n}, s = {s}")
+    cols = []
+    for name in trajectory_columns(sig):
+        col = doc.get(name)
+        # the JSON decoder gives int, float, str, bool, None, list or dict
+        if not (isinstance(col, list) and set(map(type, col)) <= {int, float}):
+            raise ValueError(f"trajectory column {name!r} must be a list of numbers")
+        cols.append(col)
+    try:
+        table = np.array(cols, dtype=float).T
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ValueError(f"trajectory file {path}: {exc}") from exc
+    return sig, table, q
+
+
 def read_trajectory(path, fmt: str | None = None) -> Trajectory:
     """Read a trajectory written by this module.
 
     Speed and contact-form columns are derived quantities and are not
-    trusted on input.  CSV carries no strength, so q is None there.
+    trusted on input.  CSV carries no strength, so q is None there.  A
+    malformed file (empty, no data rows, a blank line, a ragged row, a cell
+    that is not a number, metadata of the wrong type, times that are not
+    finite and increasing) raises ValueError.
     """
     fmt = fmt or Path(path).suffix.lstrip(".").lower()
     if fmt == "csv":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            sig = _sig_from_header(header)
-            rows = np.array([[float(v) for v in row] for row in reader])
-        d = sig.dim
-        return Trajectory(sig, rows[:, 0], rows[:, 1:1 + d], rows[:, 1 + d:1 + 2 * d], q=None)
-    if fmt == "json":
-        with open(path) as fh:
-            doc = json.load(fh)
-        sig = ms.SpaceSignature(int(doc["n"]), int(doc["s"]))
-        cols = trajectory_columns(sig)
-        table = np.column_stack([np.asarray(doc[name], dtype=float) for name in cols])
-        d = sig.dim
-        q = doc.get("q")
-        return Trajectory(sig, table[:, 0], table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d],
-                          q=None if q is None else float(q))
-    raise ValueError(f"unknown trajectory format {fmt!r} (expected csv or json)")
+        sig, table, q = _read_csv_table(path)
+    elif fmt == "json":
+        sig, table, q = _read_json_table(path)
+    else:
+        raise ValueError(f"unknown trajectory format {fmt!r} (expected csv or json)")
+    d = sig.dim
+    return Trajectory(sig, table[:, 0], table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d], q=q)
 
 
 def write_frenet_csv(series: FrenetSeries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "kappa1", "kappa2", "kappa3", "order"])
-        for i in range(len(series.times)):
-            writer.writerow([
-                _fmt(series.times[i]),
-                _fmt(series.kappa1[i]),
-                _fmt(series.kappa2[i]),
-                _fmt(series.kappa3[i]),
-                int(series.defined_order[i]),
-            ])
+    cols = [series.times, series.kappa1, series.kappa2, series.kappa3,
+            series.defined_order.astype(int)]
+    _write_csv(path, ["t", "kappa1", "kappa2", "kappa3", "order"], len(series.times),
+               lambda start, stop: zip(*[c[start:stop].tolist() for c in cols]))

@@ -22,7 +22,7 @@ from magcurves import (
 )
 from magcurves import sweep as sweep_mod
 from magcurves.cli import main
-from magcurves.io import read_trajectory
+from magcurves.io import read_trajectory, write_trajectory
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
 
 
@@ -195,6 +195,83 @@ def test_classify_trajectory_file(tmp_path, capsys):
     doc = json.loads(stdout)
     assert doc["class"] == "legendre_helix"
     assert doc["measured"]["kappa2"] == pytest.approx(math.sqrt(2.0), abs=1e-3)
+
+
+def _csv_row(text: str, k: int, edit) -> str:
+    """The CSV text with its line k (0 is the header) replaced by edit(line)."""
+    lines = text.split("\r\n")
+    lines[k] = edit(lines[k])
+    return "\r\n".join(lines)
+
+
+def _json_with(text: str, **changes) -> str:
+    doc = json.loads(text)
+    doc.update(changes)
+    return json.dumps(doc)
+
+
+def _x_1(text: str, edit) -> str:
+    """The JSON text with its column x_1 replaced by edit(column)."""
+    return _json_with(text, x_1=edit(json.loads(text)["x_1"]))
+
+
+# case: (suffix, part of the error message, the bad text from the good text t)
+MALFORMED_TRAJECTORY_FILES = {
+    "empty csv": ("csv", "is empty", lambda t: ""),
+    "header-only csv": ("csv", "no data rows", lambda t: t.split("\r\n")[0] + "\r\n"),
+    "ragged csv row": ("csv", "number of columns changed",
+                       lambda t: _csv_row(t, 3, lambda line: line + ",1.0")),
+    "short csv rows": ("csv", "cells per row",
+                       lambda t: "\r\n".join([line if k == 0 else line.rsplit(",", 1)[0]
+                                              for k, line in enumerate(t.split("\r\n"))])),
+    "non-numeric csv cell": ("csv", "could not convert string 'zero'",
+                             lambda t: _csv_row(t, 2, lambda ln: "zero" + ln[ln.index(","):])),
+    "blank csv body line": ("csv", "blank line at line 4",
+                            lambda t: _csv_row(t, 3, lambda line: "")),
+    "blank csv first line": ("csv", "blank line at line 2",
+                             lambda t: _csv_row(t, 1, lambda line: "")),
+    "blank csv last line": ("csv", "blank line at line", lambda t: t + "\r\n"),
+    "nan csv time": ("csv", "times must be finite",
+                     lambda t: _csv_row(t, 5, lambda ln: "nan" + ln[ln.index(","):])),
+    "json n null": ("json", "n must be an integer, got None", lambda t: _json_with(t, n=None)),
+    "json n string": ("json", "n must be an integer, got '1'", lambda t: _json_with(t, n="1")),
+    "json n float": ("json", "n must be an integer, got 1.5", lambda t: _json_with(t, n=1.5)),
+    "json n true": ("json", "n must be an integer, got True", lambda t: _json_with(t, n=True)),
+    "json s float": ("json", "s must be an integer, got 1.0", lambda t: _json_with(t, s=1.0)),
+    "json n huge": ("json", "lacks columns", lambda t: _json_with(t, n=10 ** 12)),
+    "json n missing": ("json", "n must be an integer, got None",
+                       lambda t: json.dumps({k: v for k, v in json.loads(t).items() if k != "n"})),
+    "json q string": ("json", "q must be a real number", lambda t: _json_with(t, q="2")),
+    "json q true": ("json", "q must be a real number", lambda t: _json_with(t, q=True)),
+    "json q list": ("json", "q must be a real number", lambda t: _json_with(t, q=[2.0])),
+    "json column scalar": ("json", "'x_1' must be a list", lambda t: _x_1(t, lambda c: 0.0)),
+    "json column strings": ("json", "'x_1' must be a list",
+                            lambda t: _x_1(t, lambda c: [str(v) for v in c])),
+    "json column null": ("json", "'x_1' must be a list",
+                         lambda t: _x_1(t, lambda c: [None] + c[1:])),
+    "json column bool": ("json", "'x_1' must be a list",
+                         lambda t: _x_1(t, lambda c: [True] + c[1:])),
+    "json column ragged": ("json", "inhomogeneous", lambda t: _x_1(t, lambda c: c[1:])),
+    "json column huge int": ("json", "too large",
+                             lambda t: _x_1(t, lambda c: [10 ** 400] + c[1:])),
+    "json not an object": ("json", "must hold a JSON object", lambda t: "[1, 2]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRAJECTORY_FILES))
+def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
+    suffix, message, corrupt = MALFORMED_TRAJECTORY_FILES[case]
+    good = tmp_path / f"good.{suffix}"
+    write_trajectory(circle_traj, good)
+    code, _, _ = run_cli(capsys, "classify", "--traj", str(good))
+    assert code == 0  # the valid file reads: only the corruption fails
+    bad = tmp_path / f"bad.{suffix}"
+    bad.write_text(corrupt(good.read_bytes().decode()), newline="")
+    code, stdout, err = run_cli(capsys, "classify", "--traj", str(bad))
+    assert code == 2, err
+    assert stdout == ""
+    assert err.startswith("invalid configuration: ") and "Traceback" not in err
+    assert message in err
 
 
 def test_classify_requires_one_input(capsys):

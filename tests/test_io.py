@@ -1,8 +1,13 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 
-from magcurves import SpaceSignature, frenet_apparatus
+from magcurves import SpaceSignature, Trajectory, frenet_apparatus
+from magcurves.frenet import FrenetSeries
 from magcurves.io import (
+    _trajectory_table,
     read_trajectory,
     trajectory_columns,
     write_frenet_csv,
@@ -80,3 +85,102 @@ def test_frenet_csv(tmp_path, circle_traj):
     first = lines[1].split(",")
     assert float(first[1]) == series.kappa1[0]
     assert first[3] == "nan"  # kappa3 undefined on a circle
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: the writers against the per-cell reference they replaced
+# ---------------------------------------------------------------------------
+
+SPECIAL = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 0.1, -2.5e-7, 1.0, 0.0]
+
+
+def reference_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow(row)
+
+
+def reference_trajectory_csv(traj, path):
+    table = _trajectory_table(traj)
+    reference_csv(path, trajectory_columns(traj.sig),
+                  [[repr(float(v)) for v in row] for row in table])
+
+
+def reference_trajectory_json(traj, path):
+    table = _trajectory_table(traj)
+    doc = {"n": traj.sig.n, "s": traj.sig.s, "q": traj.q}
+    for k, name in enumerate(trajectory_columns(traj.sig)):
+        doc[name] = [float(v) for v in table[:, k]]
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+        fh.write("\n")
+
+
+def reference_frenet_csv(series, path):
+    reference_csv(path, ["t", "kappa1", "kappa2", "kappa3", "order"], [
+        [repr(float(series.times[i])), repr(float(series.kappa1[i])),
+         repr(float(series.kappa2[i])), repr(float(series.kappa3[i])),
+         int(series.defined_order[i])]
+        for i in range(len(series.times))
+    ])
+
+
+def special_trajectory(n, s, rows):
+    """Every special value in the points and velocities, and -0.0, 5e-324
+    and 1e16 among the strictly increasing times."""
+    sig = SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s, rows])
+    times = 0.1 * np.arange(rows)
+    times[0] = -0.0
+    if rows > 2:
+        times[1], times[-1] = 5e-324, 1e16
+    values = np.r_[SPECIAL, rng.standard_normal(37) * 10.0 ** rng.integers(-300, 300, 37)]
+    points = np.resize(values, (rows, sig.dim))
+    velocities = np.resize(values[::-1], (rows, sig.dim))
+    return Trajectory(sig, times, points, velocities, q=0.1)
+
+
+def assert_same_bits(back, traj):
+    for name in ("times", "points", "velocities"):
+        a, b = getattr(back, name), getattr(traj, name)
+        assert np.array_equal(a, b, equal_nan=True), name
+        assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.mark.parametrize("rows", [1, 2001])
+@pytest.mark.parametrize("n, s", [(1, 1), (3, 2)])
+def test_writers_match_reference_bytes(tmp_path, n, s, rows):
+    traj = special_trajectory(n, s, rows)
+    for suffix, write, reference in (("csv", write_trajectory_csv, reference_trajectory_csv),
+                                     ("json", write_trajectory_json, reference_trajectory_json)):
+        got, want = tmp_path / f"got.{suffix}", tmp_path / f"want.{suffix}"
+        with np.errstate(all="ignore"):  # speed and eta of the infinite rows
+            write(traj, got)
+            reference(traj, want)
+        assert got.read_bytes() == want.read_bytes(), suffix
+        back = read_trajectory(got)
+        assert back.sig == traj.sig
+        assert_same_bits(back, traj)
+
+
+@pytest.mark.parametrize("rows", [1, 2001])
+def test_frenet_writer_matches_reference_bytes(tmp_path, rows):
+    sig = SpaceSignature(1, 1)
+    values = np.resize(SPECIAL, (4, rows))
+    series = FrenetSeries(sig, 0.1 * np.arange(rows), values[1], values[2], values[3],
+                          frames=np.zeros((rows, 4, sig.dim)),
+                          defined_order=np.resize([1, 2, 3, 4], rows))
+    write_frenet_csv(series, tmp_path / "got.csv")
+    reference_frenet_csv(series, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r"])
+def test_csv_reader_takes_any_line_ending(tmp_path, circle_traj, ending):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(circle_traj, path)
+    other = tmp_path / "other.csv"
+    other.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
+    assert_same_bits(read_trajectory(other), circle_traj)
