@@ -1,8 +1,9 @@
 """Normal magnetic trajectories on the model space R^(2n+s).
 
-Simulation (fixed-step RK4 of the Lorentz equation), exact closed-form
-generation, Frenet-curvature extraction, and classification of the
-resulting curve families, with a CLI for runs, sweeps and verification.
+Simulation (fixed-step RK4 of the Lorentz equation, and its exact flow),
+exact closed-form generation, Frenet-curvature extraction, and
+classification of the resulting curve families, with a CLI for runs,
+sweeps and verification.
 """
 from .model_space import (
     SpaceSignature,
@@ -27,6 +28,7 @@ from .dynamics import (
     magnetic_rhs,
     integrate,
     integrate_many,
+    exact_flow,
     speed_drift,
     angle_drift,
 )
@@ -61,7 +63,7 @@ __all__ = [
     "covariant_acceleration", "nabla_phi_check",
     "MagneticSetup", "IntegratorConfig", "Trajectory",
     "lorentz_force", "initial_tangent", "magnetic_rhs", "integrate",
-    "integrate_many",
+    "integrate_many", "exact_flow",
     "speed_drift", "angle_drift",
     "FrenetSeries", "frenet_apparatus", "osculating_order",
     "CaseAParams", "CaseBParams", "lambda_", "sample_case_a", "sample_case_b",

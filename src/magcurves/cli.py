@@ -40,7 +40,7 @@ from .dynamics import (
     integrate,
     speed_drift,
 )
-from .errors import ConfigError, DivergenceError, typed_number
+from .errors import ConfigError, DivergenceError, check_memory, typed_number
 from .frenet import frenet_apparatus
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, run_sweep, write_sweep_csv
@@ -102,6 +102,7 @@ def _resolve_cosines(doc: dict, s: int) -> np.ndarray:
             f"found {given or 'none'}"
         )
     key = given[0]
+    check_memory(8 * s, "the contact angles")
     if key == "cos_theta":
         return np.full(s, _field(doc, key))
     if key == "theta":
@@ -191,7 +192,9 @@ def _cmd_closed_form(args) -> int:
     step = _field(doc, "step", default=1e-3)
     t_end = _field(doc, "t_end", default=10.0)
     # the integrator's grid: same validation, and the times integrate records
-    times = step * np.arange(IntegratorConfig(t_end, step).n_steps + 1)
+    cfg = IntegratorConfig(t_end, step)
+    cfg.check_fits(3 * params.sig.dim + 1, "the closed-form samples")
+    times = cfg.times
     if isinstance(params, CaseAParams):
         traj = sample_case_a(params, times)
     else:
@@ -345,7 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--jobs", type=int, default=1,
-                   help="accepted and ignored: one process steps the cells together in batches")
+                   help="accepted and ignored: the cells are sampled one after another "
+                        "from the exact flow")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

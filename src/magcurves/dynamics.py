@@ -16,6 +16,11 @@ under one config, stepped together (``integrate_many``), with the same bits
 either way.  The integrator never renormalizes the velocity: drift in the
 speed and in the contact angles eta^a(T) (both first integrals of the exact
 flow) is the accuracy diagnostic reported to callers.
+
+The system is also solved exactly (``exact_flow``): the first integrals make
+w = 2 sum_a eta^a(T) - q constant, so each (x_i', y_i') pair rotates at the
+rate w.  RK4 stays the independent path that the exact flow is checked
+against.
 """
 from __future__ import annotations
 
@@ -26,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_space as ms
-from .errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
+from .errors import (
+    DegenerateDirectionError,
+    DivergenceError,
+    InfeasibleAngleError,
+    check_memory,
+)
 
 __all__ = [
     "MagneticSetup",
@@ -38,6 +48,7 @@ __all__ = [
     "magnetic_rhs",
     "integrate",
     "integrate_many",
+    "exact_flow",
     "speed_drift",
     "angle_drift",
 ]
@@ -102,6 +113,17 @@ class IntegratorConfig:
     def n_samples(self) -> int:
         """Recorded samples per trajectory, the initial one included."""
         return self.n_steps // self.record_every + 1
+
+    @property
+    def times(self) -> np.ndarray:
+        """The recorded times step * record_every * i, the one grid that every
+        run under this config is sampled on."""
+        return (self.record_every * np.arange(self.n_samples)) * self.step
+
+    def check_fits(self, floats_per_sample: int, what: str) -> None:
+        """Raise ConfigError when arrays of floats_per_sample 8-byte floats
+        per recorded sample would need more bytes than physical memory."""
+        check_memory(8 * floats_per_sample * self.n_samples, what)
 
 
 @dataclass(frozen=True)
@@ -201,6 +223,7 @@ def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
     if cos.shape != (sig.s,):
         raise ValueError(f"cosines must have length s={sig.s}, got shape {cos.shape}")
     a_sum = check_angles(cos)
+    check_memory(8 * sig.dim ** 2, "the frame matrix at p0")
     # cosines like 1/sqrt(s) put a_sum within rounding of 1; treat that as the
     # degenerate Reeb-combination family rather than keeping a spurious
     # contact component of size ~sqrt(eps)
@@ -325,7 +348,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
             f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
             t_last=(k - 1) * h,
         )
-    return (stride * np.arange(cfg.n_samples)) * h
+    return cfg.times
 
 
 def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
@@ -336,6 +359,7 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     aborts with DivergenceError carrying the last valid time.
     """
     d = setup.sig.dim
+    cfg.check_fits(2 * d + 1, "the recorded samples")
     pts = np.empty((cfg.n_samples, d))
     vel = np.empty((cfg.n_samples, d))
 
@@ -370,6 +394,7 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     s = max(st.sig.s for st in setups)
     d = 2 * n + s
     m = cfg.n_samples
+    cfg.check_fits(sum(2 * st.sig.dim for st in setups) + 1, "the recorded samples")
     state = np.zeros((len(setups), 2 * d))
     reeb = np.zeros((len(setups), s))
     # Each row records straight into its own unpadded block of buf, points
@@ -403,6 +428,96 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
         Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, m, -1), q=st.q)
         for st, o in zip(setups, offsets)
     ]
+
+
+# Below this |w t| the rotation integrals are summed from their Taylor
+# series, whose first dropped term is then under 1e-17; at and above it the
+# closed forms lose no digits to cancellation.
+_SERIES_BAND = 1.0
+_SERIES_TERMS = 9
+
+
+def _rotation_integrals(z: np.ndarray):
+    """cos z, sin z and the entire functions S = sin z / z, C = (1 - cos z)/z
+    and G = (z - sin z)/z^2 (phi-functions of -i z: t phi_1(-i w t) is
+    t (S - i C) at z = w t).
+
+    At z = w t they give t S = int_0^t cos(w r) dr, t C = int_0^t sin(w r) dr
+    and t^2 G = int_0^t r C(w r) dr without dividing by w, so w = 0 is an
+    ordinary value.
+    """
+    small = np.abs(z) < _SERIES_BAND
+    zs = np.where(small, z, 0.0)
+    zz = zs * zs
+
+    def series(k):  # sum_j (-1)^j z^(2j) / (2j + k)!, by Horner in z^2
+        acc = np.zeros_like(zz)
+        for j in reversed(range(_SERIES_TERMS)):
+            acc = acc * zz + (-1) ** j / math.factorial(2 * j + k)
+        return acc
+
+    zl = np.where(small, 1.0, z)  # the closed forms are taken only where |z| >= 1
+    cos, sin = np.cos(z), np.sin(z)
+    S = np.where(small, series(1), sin / zl)
+    C = np.where(small, zs * series(2), (1.0 - cos) / zl)
+    G = np.where(small, zs * series(3), (zl - sin) / zl / zl)
+    return cos, sin, S, C, G
+
+
+def exact_flow(setup: MagneticSetup, times) -> Trajectory:
+    """The exact solution of the Lorentz equation from (p0, T0), sampled at
+    the given times, for any signature and any unit-speed T0, slant or not.
+
+    Each eta^a(T) is a first integral, so w = 2 sum_a eta^a(T) - q is
+    constant and u = vx + i vy obeys u' = -i w u.  With z = w t and the
+    rotation integrals S, C, G of ``_rotation_integrals``, and (a, b) =
+    (vx0, vy0):
+
+        vx = a cos z + b sin z,        vy = b cos z - a sin z
+        x  = x0 + t (a S + b C),       y  = y0 + t (b S - a C)
+        z_a  = z_a0 + 2 eta^a t + int_0^t y . vx
+        vz_a = 2 eta^a + y . vx
+
+    where, with X = x - x0 and Y = y - y0, int_0^t y . vx =
+    y0 . X + (X . Y + (|a|^2 + |b|^2) t^2 G) / 2.  Nothing divides by w, so
+    w = 0 (the slant straight-line family, lambda = w = 0) takes the same
+    path.  The accelerations are exact: (vy w, -vx w, vx . vy + (y . vy) w).
+    A nonfinite sample raises DivergenceError with the time of the last
+    finite one.
+    """
+    sig = setup.sig
+    n = sig.n
+    t = np.asarray(times, dtype=float)
+    p0, v0 = setup.p0.coords, setup.T0.comps
+    x0, y0, z0 = p0[:n], p0[n:2 * n], p0[2 * n:]
+    a, b = v0[:n], v0[n:2 * n]
+    eta = ms.eta_comps(sig, p0, v0)
+    w = 2.0 * float(np.sum(eta)) - setup.q
+
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
+        cos, sin, S, C, G = (f[:, None] for f in _rotation_integrals(w * t))
+        tc = t[:, None]
+        X = tc * (a * S + b * C)
+        Y = tc * (b * S - a * C)
+        y = y0 + Y
+        vx = a * cos + b * sin
+        vy = b * cos - a * sin
+        y_vx = np.sum(y * vx, axis=1, keepdims=True)
+        # t (t G), not t^2 G: t^2 overflows long before t^2 G ~ t / w does
+        int_y_vx = (X @ y0)[:, None] + 0.5 * (
+            np.sum(X * Y, axis=1, keepdims=True) + (a @ a + b @ b) * (tc * (tc * G)))
+        pts = np.concatenate([x0 + X, y, z0 + 2.0 * eta * tc + int_y_vx], axis=1)
+        vel = np.concatenate([vx, vy, 2.0 * eta + y_vx], axis=1)
+        az = np.sum(vx * vy, axis=1, keepdims=True) + np.sum(y * vy, axis=1, keepdims=True) * w
+        acc = np.concatenate([vy * w, vx * -w, np.repeat(az, sig.s, axis=1)], axis=1)
+
+    finite = np.all(np.isfinite(pts), axis=1) & np.all(np.isfinite(vel), axis=1)
+    if not np.all(finite):
+        k = int(np.argmin(finite))
+        t_last = float(t[k - 1]) if k else math.nan
+        raise DivergenceError(
+            f"nonfinite sample at t = {t[k]:.6g}; last valid time {t_last:.6g}", t_last=t_last)
+    return Trajectory(sig, t, pts, vel, q=setup.q, accelerations=acc)
 
 
 def speed_drift(traj: Trajectory) -> float:

@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the typed-number check
-behind every value read from a config or trajectory file."""
+"""Exception types shared across the package, the typed-number check
+behind every value read from a config or trajectory file, and the memory
+bound on the arrays a run allocates."""
+import os
 import sys
 from numbers import Integral, Real
 
@@ -33,7 +35,7 @@ class InconsistentCaseError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Integration produced a nonfinite state.
+    """A trajectory run produced a nonfinite state.
 
     Carries the last time at which the state was still finite.
     """
@@ -61,3 +63,18 @@ def typed_number(key: str, value, kind=Real):
     if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+def check_memory(nbytes: int, what: str) -> None:
+    """Raise ConfigError when nbytes exceed the host's physical memory, so
+    that a run too large to hold stops with a message before it allocates.
+
+    nbytes is an int, exact however large (a size from a config can be
+    beyond the float range).
+    """
+    phys = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > phys:
+        size = f"{nbytes:.3g}" if nbytes <= sys.float_info.max else "over 1.8e308"
+        raise ConfigError(
+            f"{what} need {size} bytes, more than the {phys:.3g} bytes of physical memory"
+        )

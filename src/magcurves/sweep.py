@@ -1,10 +1,9 @@
 """Deterministic parameter sweeps over (n, s, q, cos theta) grids.
 
-Each cell integrates one slant trajectory from the origin, measures its
-curvatures, and compares them with the predicted classification.
-Consecutive cells of any signatures are stepped together by the batched RK4
-engine, which gives every cell the bits it would get alone, so rows come out
-in the deterministic grid order and with identical bytes for identical specs.
+Each cell samples one slant trajectory from the origin with the exact flow
+(``dynamics.exact_flow``) on the integrator's time grid, measures its
+curvatures, and compares them with the predicted classification.  Cells are
+independent and run in grid order, so identical specs give identical bytes.
 """
 from __future__ import annotations
 
@@ -23,12 +22,14 @@ from .dynamics import (
     MagneticSetup,
     angle_drift,
     check_angles,
+    exact_flow,
     initial_tangent,
-    integrate,
-    integrate_many,
+    # unused here, but kept bound: perfbench/spans.py wraps sweep.integrate by
+    # name, and every traced benchmark run fails with an AttributeError without it
+    integrate,  # noqa: F401
     speed_drift,
 )
-from .errors import InfeasibleAngleError
+from .errors import DivergenceError, InfeasibleAngleError
 from .frenet import _nanmedian, frenet_apparatus
 
 __all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "write_sweep_csv"]
@@ -40,18 +41,14 @@ SWEEP_COLUMNS = [
     "kappa3_max", "drift",
 ]
 
-# Recorded floats (points and velocities, at the batch's padded width) held
-# at once by one batched run, 32 MiB; caps the batch size so memory does not
-# grow with the grid.
-_BATCH_FLOATS = 1 << 22
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """Grids plus per-cell tolerance, seed and integrator settings.
 
     Every (s, cos theta) pair of the grid must pass ``check_angles`` (s
-    cos^2(theta) <= 1 + 1e-12), else ValueError naming the inadmissible cell.
+    cos^2(theta) <= 1 + 1e-12), else ValueError naming the inadmissible cell;
+    a grid whose widest cell's samples would not fit in physical memory is
+    refused too.
     """
 
     q_values: tuple[float, ...]
@@ -94,8 +91,11 @@ class SweepSpec:
                     raise ValueError(
                         f"inadmissible cell s = {s}, cos_theta = {ct!r}: {exc}") from exc
         # IntegratorConfig validates t_end, step and record_every
-        object.__setattr__(self, "integrator",
-                           IntegratorConfig(self.t_end, self.step, self.record_every))
+        cfg = IntegratorConfig(self.t_end, self.step, self.record_every)
+        # one cell at a time: its times, points, velocities and accelerations
+        cfg.check_fits(3 * (2 * max(self.n_values) + max(self.s_values)) + 1,
+                       "the samples of one sweep cell")
+        object.__setattr__(self, "integrator", cfg)
 
     def cells(self) -> list[tuple[int, int, float, float]]:
         return [
@@ -133,22 +133,22 @@ def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
 def run_sweep(spec: SweepSpec) -> list[dict]:
     """One row dict per cell, in deterministic grid order.
 
-    Consecutive cells are integrated together, in batches of at most
-    _BATCH_FLOATS recorded floats counted at the padded width of the grid's
-    largest signature; a batch of one cell takes the faster scalar path.  A
-    diverging cell raises the DivergenceError of the first diverging cell in
-    grid order.
+    Each cell is sampled from the exact flow on the integrator's time grid.
+    A cell whose samples overflow raises DivergenceError naming the cell;
+    the first such cell in grid order is the one reported.
     """
-    cfg = spec.integrator
-    cells = spec.cells()
-    width = 2 * (2 * max(spec.n_values) + max(spec.s_values))
-    size = max(1, _BATCH_FLOATS // (cfg.n_samples * width))
+    times = spec.integrator.times
     rows: list[dict] = []
-    for start in range(0, len(cells), size):
-        batch = cells[start:start + size]
-        setups = [_cell_setup(spec, start + i, *cell) for i, cell in enumerate(batch)]
-        trajs = integrate_many(setups, cfg) if len(setups) > 1 else [integrate(setups[0], cfg)]
-        rows.extend(_cell_row(*cell, traj) for cell, traj in zip(batch, trajs))
+    for index, (n, s, q, ct) in enumerate(spec.cells()):
+        setup = _cell_setup(spec, index, n, s, q, ct)
+        try:
+            traj = exact_flow(setup, times)
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"sweep cell {index} (n = {n}, s = {s}, q = {q!r}, cos_theta = {ct!r}): {exc}",
+                t_last=exc.t_last,
+            ) from exc
+        rows.append(_cell_row(n, s, q, ct, traj))
     return rows
 
 

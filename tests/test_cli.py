@@ -12,15 +12,12 @@ from hypothesis import given, settings, strategies as st
 from magcurves import (
     MagneticSetup,
     SpaceSignature,
-    angle_drift,
-    frenet_apparatus,
     initial_tangent,
     integrate,
     origin,
-    predict_class,
-    speed_drift,
 )
 from magcurves import sweep as sweep_mod
+from magcurves.dynamics import exact_flow
 from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
@@ -358,64 +355,52 @@ def test_sweep_deterministic_bytes(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-@pytest.mark.filterwarnings("ignore:All-NaN slice:RuntimeWarning")
-def test_sweep_rows_match_per_cell_integrate(tmp_path, monkeypatch):
-    # a budget of five cells at the padded width (n = 2, s = 1: dim 5) splits
-    # the six cells into a batch of five mixing n = 1 and n = 2
-    # (integrate_many) and a batch of one (integrate)
-    spec = SweepSpec(q_values=(2.0, 3.0, -2.5), cos_theta_values=(0.5,), n_values=(1, 2),
-                     t_end=0.5, step=1e-3, seed=1)
-    monkeypatch.setattr(sweep_mod, "_BATCH_FLOATS", 5 * spec.integrator.n_samples * 2 * 5)
-    batched = run_sweep(spec)
-    reference = []
+def test_sweep_rows_match_per_cell_exact_flow(tmp_path):
+    # n = 5 cells next to n = 16 cells: each cell is sampled on its own, so no
+    # cell's bits depend on the widths of the others
+    spec = SweepSpec(q_values=(2.5, -1.5), cos_theta_values=(0.3,), n_values=(5, 16),
+                     s_values=(1, 2), t_end=0.5, step=1e-3, seed=1)
+    rows = run_sweep(spec)
+    exact, rk4 = [], []
     for i, (n, s, q, ct) in enumerate(spec.cells()):
         rng = np.random.default_rng([spec.seed, i])
         sig = SpaceSignature(n, s)
         p0 = origin(sig)
         setup = MagneticSetup(sig, q, p0, initial_tangent(p0, [ct] * s, rng.normal(size=2 * n)))
-        traj = integrate(setup, spec.integrator)
-        series = frenet_apparatus(traj)
-        pred = predict_class(q, ct, s)
-        reference.append({
-            "n": n, "s": s, "q": q, "cos_theta": ct,
-            "kappa1_pred": pred.kappa1, "kappa2_pred": pred.kappa2,
-            "kappa1_meas": float(np.nanmedian(series.kappa1)),
-            "kappa2_meas": float(np.nanmedian(series.kappa2)),
-            "kappa3_max": float(np.nanmax(series.kappa3)),
-            "drift": max(speed_drift(traj), angle_drift(traj)),
-        })
+        exact.append(sweep_mod._cell_row(n, s, q, ct, exact_flow(setup, spec.integrator.times)))
+        rk4.append(sweep_mod._cell_row(n, s, q, ct, integrate(setup, spec.integrator)))
     # row order and values identical (bytes compare nan-safely)
-    p1, p2 = tmp_path / "batched.csv", tmp_path / "reference.csv"
-    write_sweep_csv(batched, p1)
-    write_sweep_csv(reference, p2)
+    p1, p2 = tmp_path / "sweep.csv", tmp_path / "reference.csv"
+    write_sweep_csv(rows, p1)
+    write_sweep_csv(exact, p2)
     assert p1.read_bytes() == p2.read_bytes()
+    # the independent RK4 path measures the same curvatures
+    for row, ref in zip(rows, rk4):
+        for key in ("kappa1_meas", "kappa2_meas"):
+            assert abs(row[key] - ref[key]) <= 1e-9, (row, key)
 
 
 def test_sweep_divergence_reports_first_cell_in_grid_order(tmp_path, capsys):
-    # cell 1 (q = 400) diverges at t = 0.1, cell 2 (q = 1e4) sooner, at t = 0.03;
-    # cells 0 and 3 stay finite.  The sweep reports cell 1 exactly as a
-    # serial integrate of that cell does.
-    doc = {"q_values": [2.0, 400.0, 1e4, -3.0], "cos_theta_values": [0.5],
-           "t_end": 2.0, "step": 0.01, "seed": 4}
-    code, _, sweep_err = run_cli(capsys, "sweep", "--config",
-                                 write_json(tmp_path / "sweep.json", doc),
-                                 "--out", str(tmp_path / "x.csv"))
+    # lambda = w = 2 s cos(theta) - q vanishes in cells 2 (q = 1, cos 0.5) and
+    # 5 (q = 0.5, cos 0.25): their x and y grow linearly, so x . y in z
+    # overflows at the first sample t = 1e199.  The other cells stay bounded
+    # in x and y and finite.  The sweep names cell 2.
+    doc = {"q_values": [2.0, 1.0, 0.5], "cos_theta_values": [0.5, 0.25],
+           "t_end": 1e200, "step": 1e199, "seed": 4}
+    code, _, stderr = run_cli(capsys, "sweep", "--config",
+                              write_json(tmp_path / "sweep.json", doc),
+                              "--out", str(tmp_path / "x.csv"))
     assert code == 3
-    direction = np.random.default_rng([doc["seed"], 1]).normal(size=2)
-    cell = write_json(tmp_path / "cell.json", {
-        "n": 1, "s": 1, "q": 400.0, "cos_theta": 0.5, "direction": direction.tolist(),
-        "t_end": 2.0, "step": 0.01,
-    })
-    code, _, cell_err = run_cli(capsys, "integrate", "--config", cell,
-                                "--out", str(tmp_path / "cell.csv"))
-    assert code == 3
-    assert sweep_err == cell_err
-    assert "t = 0.1;" in sweep_err
+    assert "sweep cell 2 (n = 1, s = 1, q = 1.0, cos_theta = 0.5)" in stderr
+    assert "nonfinite sample at t = 1e+199; last valid time 0" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_sweep_out_of_tolerance_exits_1(tmp_path, capsys):
-    # q = 50 at step 0.05 puts h|w| = 2.5 near RK4's stability limit: the
-    # run stays finite but its curvatures miss the prediction
+    # q = 50 at step 0.05 turns the velocity by |w| h = 2.5 rad per sample:
+    # the samples are exact, but the five-point differences behind the
+    # measured curvatures cannot resolve them, so they miss the prediction
     cfg = write_json(tmp_path / "sweep.json", {
         "q_values": [50.0], "cos_theta_values": [0.0], "step": 0.05,
     })
@@ -538,11 +523,38 @@ def test_malformed_config_types_exit_2(tmp_path, capsys, command, key, value):
     assert f"{key} must be" in stderr
 
 
+# Runs whose arrays would not fit in physical memory exit 2 before they
+# allocate: a huge s (the contact angles alone need 8 TiB), a huge n (the
+# frame matrix at p0 needs 32 TB) and steps that make the sample arrays
+# terabytes long.
+_TINY_STEP = {"step": 2.5554245801443455e-13}
+_HUGE_N = {"n": 10**6, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "step": 1e-3}
+TOO_BIG_CASES = [
+    ("classify", {**VALID_CONFIGS["classify"], "s": 1099511627776}, "the contact angles need"),
+    ("integrate", {**VALID_CONFIGS["integrate"], **_TINY_STEP}, "the recorded samples need"),
+    ("integrate", _HUGE_N, "the frame matrix at p0 need"),
+    ("closed-form", {**VALID_CONFIGS["closed-form"], **_TINY_STEP},
+     "the closed-form samples need"),
+    ("sweep", {**VALID_CONFIGS["sweep"], **_TINY_STEP}, "the samples of one sweep cell need"),
+]
+
+
+@pytest.mark.parametrize("command,doc,message", TOO_BIG_CASES,
+                         ids=["classify-s", "integrate-step", "integrate-n", "closed-form-step",
+                              "sweep-step"])
+def test_runs_beyond_physical_memory_exit_2(tmp_path, capsys, command, doc, message):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    code, stdout, stderr = run_cli(capsys, *_cli_argv(command, cfg, tmp_path / "x.csv"))
+    assert code == 2
+    assert stdout == ""
+    assert message in stderr and "bytes of physical memory" in stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
 # Huge and tiny numbers: past the float range, past the index range, and
 # steps that make t_end / step overflow or the sample count unaddressable.
-# Ordinary numbers stay at or above 1e-3 in size: a step of 1e-9 is a valid
-# run of 1e7 steps, merely a long one, and between 1e-13 and 1e-10 the
-# sample arrays exceed memory (a MemoryError, not yet mapped to an exit code).
+# Ordinary numbers stay at or above 1e-3 in size, which bounds the run time:
+# a step of 1e-9 is a valid run of 1e7 steps, merely a long one.
 JSON_EXTREMES = [1e308, -1e308, 5e-324, 1e-300, -1e-300, 2**63, 10**400, 0, -1]
 json_scalars = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                          st.integers(-3, 3),

@@ -18,7 +18,14 @@ from magcurves import (
     xi,
 )
 from magcurves import model_space as ms
-from magcurves.dynamics import _rhs, _rhs_rows
+from magcurves.closed_form import (
+    CaseAParams,
+    random_params,
+    residual,
+    sample_case_a,
+    sample_case_b,
+)
+from magcurves.dynamics import _rhs, _rhs_rows, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
 from conftest import SIG_GRID, integrate_slant, slant_setup
 
@@ -396,3 +403,98 @@ def test_drift_on_constructed_inputs():
 
     scaled = Trajectory(sig, exact.times, exact.points, 1.01 * exact.velocities)
     assert speed_drift(scaled) == pytest.approx(0.01, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the exact flow
+# ---------------------------------------------------------------------------
+
+def _flow_cases():
+    """Non-slant and slant setups of every (n, s) in the grid, from random
+    non-origin points: mixed contact angles, Legendre, Reeb geodesics, a
+    circle and lambda = w = 0."""
+    rng = np.random.default_rng(21)
+    setups = []
+    for n, s in SIG_GRID:
+        sig = SpaceSignature(n, s)
+        setups += _random_setups(rng, sig, 2) + _slant_cases(rng, sig)
+    return setups
+
+
+def test_exact_flow_matches_rk4():
+    setups = _flow_cases()
+    cfg = IntegratorConfig(t_end=2.0, step=1e-3)
+    for setup, rk4 in zip(setups, integrate_many(setups, cfg)):
+        exact = exact_flow(setup, cfg.times)
+        assert exact.sig == setup.sig and exact.q == setup.q
+        assert np.array_equal(exact.times, rk4.times)
+        assert np.max(np.abs(exact.points - rk4.points)) <= 1e-9
+        assert np.max(np.abs(exact.velocities - rk4.velocities)) <= 1e-9
+
+
+def test_exact_flow_conserves_first_integrals():
+    times = IntegratorConfig(t_end=5.0, step=1e-3).times
+    for setup in _flow_cases():
+        traj = exact_flow(setup, times)
+        assert speed_drift(traj) <= 1e-13
+        assert angle_drift(traj) <= 1e-13
+        assert np.array_equal(traj.points[0], setup.p0.coords)
+        # the exact accelerations solve the Lorentz equation
+        assert residual(traj, setup.q) <= 1e-10
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (3, 2)])
+def test_exact_flow_reproduces_the_closed_form_families(n, s):
+    sig = SpaceSignature(n, s)
+    times = IntegratorConfig(t_end=5.0, step=1e-3).times
+    # case a at both signs of lambda, and case b (lambda = 0, q = 2 s cos theta)
+    for k, (q, ct) in enumerate([(2.0, 0.3), (-1.5, -0.2), (2.0 * s * 0.25, 0.25)]):
+        params = random_params(sig, q, ct, seed=[n, s, k])
+        paper = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
+        setup = MagneticSetup(sig, params.q, paper.point_at(0), paper.tangent_at(0))
+        exact = exact_flow(setup, times)
+        for got, want in ((exact.points, paper.points), (exact.velocities, paper.velocities),
+                          (exact.accelerations, paper.accelerations)):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("w", [1e-3, 1e-6, 1e-9, 1e-12, 0.0])
+def test_exact_flow_near_vanishing_rotation(w):
+    # w = 2 sum eta^a(T) - q is tuned to w (exactly 0 for the last case); a
+    # form that divides by w loses its digits here
+    rng = np.random.default_rng(22)
+    cfg = IntegratorConfig(t_end=2.0, step=1e-3)
+    setups = []
+    for n, s in [(1, 1), (2, 2), (3, 1), (1, 3)]:
+        sig = SpaceSignature(n, s)
+        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
+        cos = rng.uniform(-1, 1, size=s)
+        T0 = initial_tangent(p0, 0.6 * cos / max(1.0, np.linalg.norm(cos)),
+                             rng.normal(size=2 * n))
+        eta_sum = float(np.sum(ms.eta_comps(sig, p0.coords, T0.comps)))
+        setups.append(MagneticSetup(sig, 2.0 * eta_sum - w, p0, T0))
+    for setup, rk4 in zip(setups, integrate_many(setups, cfg)):
+        exact = exact_flow(setup, cfg.times)
+        assert np.max(np.abs(exact.points - rk4.points)) <= 1e-9
+        assert np.max(np.abs(exact.velocities - rk4.velocities)) <= 1e-9
+
+
+def test_rotation_integrals_join_at_the_series_band():
+    # S = sin z / z, C = (1 - cos z) / z, G = (z - sin z) / z^2: the Taylor
+    # branch below |z| = 1 meets the closed forms, which are accurate there
+    z = np.array([-1.0 + 1e-12, -0.999, 0.999, 1.0 - 1e-12, 1.0, 1.001])
+    _, _, S, C, G = _rotation_integrals(z)
+    assert np.allclose(S, np.sin(z) / z, rtol=1e-15, atol=0.0)
+    assert np.allclose(C, 2.0 * np.sin(z / 2) ** 2 / z, rtol=2e-15, atol=0.0)
+    assert np.allclose(G, (z - np.sin(z)) / z ** 2, rtol=4e-15, atol=0.0)
+    _, _, S0, C0, G0 = _rotation_integrals(np.array([0.0]))
+    assert (S0[0], C0[0], G0[0]) == (1.0, 0.0, 0.0)
+
+
+def test_exact_flow_overflow_raises_divergence():
+    # w = 2 * 0.5 - 1 = 0: x and y grow linearly and x . y in z overflows
+    setup = slant_setup(1, 1, 1.0, 0.5, direction=[0.6, 0.8])
+    times = 1e154 * np.arange(4.0)
+    with pytest.raises(DivergenceError) as err:
+        exact_flow(setup, times)
+    assert err.value.t_last == 1e154
