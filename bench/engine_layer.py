@@ -45,14 +45,13 @@ SWEEP_SEED = 1
 def _setup(n: int, s: int, seed):
     """A non-slant setup of (n, s) from a random non-origin point."""
     from magcurves import MagneticSetup, SpaceSignature, initial_tangent
-    from magcurves.model_space import Point
     rng = np.random.default_rng(seed)
     sig = SpaceSignature(n, s)
-    p0 = Point(sig, rng.normal(scale=1.5, size=sig.dim))
+    p0 = rng.normal(scale=1.5, size=sig.dim)
     cos = rng.uniform(-1.0, 1.0, size=s)
     cos *= 0.8 / max(1.0, float(np.linalg.norm(cos)))
     return MagneticSetup(sig, rng.uniform(0.5, 3.0), p0,
-                         initial_tangent(p0, cos, rng.normal(size=2 * n)))
+                         initial_tangent(sig, p0, cos, rng.normal(size=2 * n)))
 
 
 def _sweep_spec():

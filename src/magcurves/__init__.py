@@ -5,27 +5,12 @@ exact closed-form generation, Frenet-curvature extraction, and
 classification of the resulting curve families, with a CLI for runs,
 sweeps and verification.
 """
-from .model_space import (
-    SpaceSignature,
-    Point,
-    Tangent,
-    origin,
-    metric,
-    phi,
-    eta,
-    xi,
-    orthonormal_frame,
-    christoffel,
-    covariant_acceleration,
-    nabla_phi_check,
-)
+from .model_space import SpaceSignature
 from .dynamics import (
     MagneticSetup,
     IntegratorConfig,
     Trajectory,
-    lorentz_force,
     initial_tangent,
-    magnetic_rhs,
     integrate,
     integrate_many,
     exact_flow,
@@ -58,11 +43,9 @@ from .classify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "SpaceSignature", "Point", "Tangent", "origin",
-    "metric", "phi", "eta", "xi", "orthonormal_frame", "christoffel",
-    "covariant_acceleration", "nabla_phi_check",
+    "SpaceSignature",
     "MagneticSetup", "IntegratorConfig", "Trajectory",
-    "lorentz_force", "initial_tangent", "magnetic_rhs", "integrate",
+    "initial_tangent", "integrate",
     "integrate_many", "exact_flow",
     "speed_drift", "angle_drift",
     "FrenetSeries", "frenet_apparatus", "osculating_order",

@@ -43,7 +43,7 @@ from .dynamics import (
 from .errors import ConfigError, DivergenceError, check_memory, typed_number
 from .frenet import frenet_apparatus
 from .io import read_trajectory, write_trajectory
-from .sweep import SweepSpec, run_sweep, write_sweep_csv
+from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
 from . import verify as verify_mod
 
 EXIT_OK = 0
@@ -127,10 +127,9 @@ def _cmd_integrate(args) -> int:
     sig = _signature(doc)
     cosines = _resolve_cosines(doc, sig.s)
     q = _field(doc, "q")
-    p0 = ms.Point(sig, _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim)))
+    p0 = _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim))
     direction = _field(doc, "direction", length=2 * sig.n, default=None)
-    T0 = initial_tangent(p0, cosines, direction)
-    setup = MagneticSetup(sig, q, p0, T0, label=doc.get("label"))
+    setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines, direction))
     cfg = IntegratorConfig(
         t_end=_field(doc, "t_end", default=10.0),
         step=_field(doc, "step", default=1e-3),
@@ -288,13 +287,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec)
     write_sweep_csv(rows, args.out)
-    bad = sum(
-        1 for r in rows
-        if not (math.isfinite(r["kappa1_meas"])
-                and abs(r["kappa1_meas"] - r["kappa1_pred"]) <= spec.tol
-                and (not math.isfinite(r["kappa2_meas"])
-                     or abs(r["kappa2_meas"] - r["kappa2_pred"]) <= spec.tol))
-    )
+    bad = sum(not in_tolerance(r, spec.tol) for r in rows)
     print(json.dumps({"out": str(args.out), "rows": len(rows), "cells_out_of_tol": bad}))
     return EXIT_VERIFY_FAIL if bad else EXIT_OK
 

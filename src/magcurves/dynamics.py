@@ -42,10 +42,8 @@ __all__ = [
     "MagneticSetup",
     "IntegratorConfig",
     "Trajectory",
-    "lorentz_force",
     "check_angles",
     "initial_tangent",
-    "magnetic_rhs",
     "integrate",
     "integrate_many",
     "exact_flow",
@@ -59,22 +57,26 @@ _FEASIBILITY_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class MagneticSetup:
-    """Initial data for one normal magnetic trajectory."""
+    """Initial data for one normal magnetic trajectory: the start point p0
+    and the unit tangent T0 there, each a finite array of length sig.dim in
+    the coordinate basis."""
 
     sig: ms.SpaceSignature
     q: float
-    p0: ms.Point
-    T0: ms.Tangent
-    label: str | None = None
+    p0: np.ndarray
+    T0: np.ndarray
 
     def __post_init__(self):
         if not math.isfinite(self.q):
             raise ValueError(f"field strength q must be finite, got {self.q!r}")
         if self.q == 0:
             raise ValueError("field strength q must be nonzero")
-        if self.p0.sig != self.sig or self.T0.sig != self.sig:
-            raise ValueError("p0/T0 signature does not match setup signature")
-        speed = ms.inner(self.sig, self.p0.coords, self.T0.comps, self.T0.comps)
+        # read-only copies, so that the checks here hold for the setup's life
+        for name in ("p0", "T0"):
+            arr = ms._as_coords(self.sig, getattr(self, name), name).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        speed = ms.inner(self.sig, self.p0, self.T0, self.T0)
         if abs(speed - 1.0) > _UNIT_SPEED_TOL:
             raise ValueError(
                 f"T0 must be unit speed: |g(T0,T0) - 1| = {abs(speed - 1.0):.3e} > 1e-12"
@@ -102,6 +104,7 @@ class IntegratorConfig:
         if not math.isfinite(self.t_end / self.step):
             raise ValueError(f"t_end / step = {self.t_end!r} / {self.step!r} overflows")
         if not (isinstance(self.record_every, (int, np.integer))
+                and not isinstance(self.record_every, bool)
                 and 1 <= self.record_every <= self.n_steps):
             raise ValueError("record_every must be a positive integer, at most the step count")
 
@@ -168,26 +171,12 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
-    def point_at(self, i: int) -> ms.Point:
-        return ms.Point(self.sig, self.points[i])
-
-    def tangent_at(self, i: int) -> ms.Tangent:
-        return ms.Tangent(self.point_at(i), self.velocities[i])
-
     def speeds(self) -> np.ndarray:
         return ms.norm(self.sig, self.points, self.velocities)
 
     def etas(self) -> np.ndarray:
         """Contact-form values eta^a(T) per sample, shape (len, s)."""
         return ms.eta_comps(self.sig, self.points, self.velocities)
-
-
-def lorentz_force(p: ms.Point, T: ms.Tangent, q: float) -> ms.Tangent:
-    """Force -q phi T of the contact magnetic field of strength q.
-
-    Accepts q = 0 (geodesic limit) even though MagneticSetup forbids it.
-    """
-    return ms.Tangent(p, -q * ms.phi_comps(p.sig, p.coords, T.comps))
 
 
 def check_angles(cosines) -> float:
@@ -208,7 +197,7 @@ def check_angles(cosines) -> float:
     return a_sum
 
 
-def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
+def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.ndarray:
     """Unit tangent at p0 with prescribed contact-form values.
 
     ``cosines`` gives the target cos(theta_a) = eta^a(T) per Reeb direction,
@@ -218,7 +207,6 @@ def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
     vectors X_1..X_2n (default: X_1).  The split is g-orthogonal, so the
     result is exactly unit speed.
     """
-    sig = p0.sig
     cos = np.asarray(cosines, dtype=float)
     if cos.shape != (sig.s,):
         raise ValueError(f"cosines must have length s={sig.s}, got shape {cos.shape}")
@@ -229,7 +217,7 @@ def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
     # contact component of size ~sqrt(eps)
     contact_norm = 0.0 if a_sum >= 1.0 - 1e-13 else np.sqrt(1.0 - a_sum)
 
-    frame = ms.frame_matrix(sig, p0.coords)
+    frame = ms.frame_matrix(sig, p0)
     comps = frame[:, 2 * sig.n:] @ cos
     if contact_norm > 0:
         if direction is None:
@@ -248,7 +236,7 @@ def initial_tangent(p0: ms.Point, cosines, direction=None) -> ms.Tangent:
                 )
             u = u / unorm
         comps = comps + contact_norm * (frame[:, :2 * sig.n] @ u)
-    return ms.Tangent(p0, comps)
+    return comps
 
 
 def _rhs(sig: ms.SpaceSignature, q: float, state: np.ndarray) -> np.ndarray:
@@ -294,19 +282,6 @@ def _rhs_rows(n: int, q: np.ndarray, s: np.ndarray, reeb: np.ndarray,
     out[:, d + n:d + 2 * n] = -vx * w[:, None]
     out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None] * reeb
     return out
-
-
-def magnetic_rhs(state: tuple[ms.Point, ms.Tangent], q: float) -> tuple[ms.Tangent, np.ndarray]:
-    """Right-hand side of the first-order system at one state.
-
-    Returns (velocity, a) with a^k = -Gamma^k_{ij} v^i v^j - q (phi v)^k, so
-    the covariant acceleration assembled from a equals -q phi v exactly.
-    """
-    p, T = state
-    if T.sig != p.sig:
-        raise ValueError("state point and tangent have mismatched signatures")
-    flat = _rhs(p.sig, q, np.concatenate([p.coords, T.comps]))
-    return ms.Tangent(p, flat[:p.sig.dim]), flat[p.sig.dim:]
 
 
 def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
@@ -367,7 +342,7 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
         pts[i] = state[:d]
         vel[i] = state[d:]
 
-    state = np.concatenate([setup.p0.coords, setup.T0.comps])
+    state = np.concatenate([setup.p0, setup.T0])
     times = _rk4(functools.partial(_rhs, setup.sig, setup.q), state, cfg, record)
     return Trajectory(setup.sig, times, pts, vel, q=setup.q)
 
@@ -407,8 +382,8 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     for row, st in enumerate(setups):
         k, r, dim = st.sig.n, st.sig.s, st.sig.dim
         cols = np.r_[0:k, n:n + k, 2 * n:2 * n + r]  # this row's x, y, z in the padded layout
-        state[row, cols] = st.p0.coords
-        state[row, d + cols] = st.T0.comps
+        state[row, cols] = st.p0
+        state[row, d + cols] = st.T0
         reeb[row, :r] = 1.0
         src.append(row * 2 * d + np.r_[cols, d + cols])
         dst.append(size + np.r_[0:dim, m * dim:m * dim + dim])
@@ -488,7 +463,7 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
     sig = setup.sig
     n = sig.n
     t = np.asarray(times, dtype=float)
-    p0, v0 = setup.p0.coords, setup.T0.comps
+    p0, v0 = setup.p0, setup.T0
     x0, y0, z0 = p0[:n], p0[n:2 * n], p0[2 * n:]
     a, b = v0[:n], v0[n:2 * n]
     eta = ms.eta_comps(sig, p0, v0)

@@ -22,10 +22,12 @@ These blocks are polynomials in y, so metric derivatives and Christoffel
 symbols are evaluated in closed form; finite differences appear only in
 test oracles and in the curvature-from-samples code.
 
-Array-level helpers (``metric_matrix``, ``eta_comps``, ``phi_comps``,
-``inner``, ``gamma_bilinear``, ...) accept arbitrary leading batch axes and
-are the fast path for integration and trajectory post-processing.  The
-``Point``/``Tangent`` wrappers carry validation for the public operations.
+Points and tangent vectors are plain float arrays of length 2n + s, and
+every operation takes the signature alongside them.  ``eta_comps``,
+``phi_comps``, ``inner``, ``norm`` and ``gamma_bilinear`` accept arbitrary
+leading batch axes; ``metric_matrix``, ``frame_matrix`` and the Christoffel
+helpers take one point and check it (length 2n + s, finite).  The Reeb field
+xi_a is the constant array with 2 in slot z_a.
 """
 from __future__ import annotations
 
@@ -35,9 +37,6 @@ import numpy as np
 
 __all__ = [
     "SpaceSignature",
-    "Point",
-    "Tangent",
-    "origin",
     "metric_matrix",
     "inverse_metric_matrix",
     "metric_derivatives",
@@ -48,14 +47,6 @@ __all__ = [
     "inner",
     "norm",
     "gamma_bilinear",
-    "metric",
-    "phi",
-    "eta",
-    "xi",
-    "orthonormal_frame",
-    "christoffel",
-    "covariant_acceleration",
-    "nabla_phi_check",
 ]
 
 
@@ -67,10 +58,11 @@ class SpaceSignature:
     s: int
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
-        if not (isinstance(self.s, (int, np.integer)) and self.s >= 1):
-            raise ValueError(f"s must be a positive integer, got {self.s!r}")
+        for name in ("n", "s"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+                    and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
     @property
     def dim(self) -> int:
@@ -99,36 +91,6 @@ def _as_coords(sig: SpaceSignature, values, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} must be finite, got {arr}")
     return arr
-
-
-@dataclass(frozen=True)
-class Point:
-    """Coordinate vector (x_1..x_n, y_1..y_n, z_1..z_s)."""
-
-    sig: SpaceSignature
-    coords: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", _as_coords(self.sig, self.coords, "point"))
-
-
-@dataclass(frozen=True)
-class Tangent:
-    """Tangent vector at ``base``, components in the coordinate basis."""
-
-    base: Point
-    comps: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "comps", _as_coords(self.sig, self.comps, "tangent"))
-
-    @property
-    def sig(self) -> SpaceSignature:
-        return self.base.sig
-
-
-def origin(sig: SpaceSignature) -> Point:
-    return Point(sig, np.zeros(sig.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -281,97 +243,3 @@ def frame_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
     for a in range(s):
         F[2 * n + a, 2 * n + a] = 2.0
     return F
-
-
-# ---------------------------------------------------------------------------
-# public operations on Point/Tangent
-# ---------------------------------------------------------------------------
-
-def _check_same_sig(p: Point, *tangents: Tangent):
-    for t in tangents:
-        if t.sig != p.sig:
-            raise ValueError(
-                f"tangent signature {t.sig} does not match point signature {p.sig}"
-            )
-
-
-def metric(p: Point, X: Tangent, Y: Tangent) -> float:
-    """g_p(X, Y)."""
-    _check_same_sig(p, X, Y)
-    return float(inner(p.sig, p.coords, X.comps, Y.comps))
-
-
-def phi(p: Point, X: Tangent) -> Tangent:
-    """phi X at p."""
-    _check_same_sig(p, X)
-    return Tangent(p, phi_comps(p.sig, p.coords, X.comps))
-
-
-def eta(p: Point, X: Tangent) -> np.ndarray:
-    """The s values eta^a(X) at p."""
-    _check_same_sig(p, X)
-    return eta_comps(p.sig, p.coords, X.comps)
-
-
-def xi(sig: SpaceSignature, alpha: int, at: Point | None = None) -> Tangent:
-    """Reeb field xi_alpha = 2 d/dz_alpha (alpha is 1-based).
-
-    The components do not depend on the base point; ``at`` only fixes where
-    the returned tangent is attached (origin by default).
-    """
-    if not 1 <= alpha <= sig.s:
-        raise ValueError(f"alpha must be in 1..{sig.s}, got {alpha}")
-    comps = np.zeros(sig.dim)
-    comps[2 * sig.n + alpha - 1] = 2.0
-    return Tangent(at if at is not None else origin(sig), comps)
-
-
-def orthonormal_frame(p: Point) -> tuple[Tangent, ...]:
-    """The g-orthonormal frame (X_1..X_n, X_{n+1}..X_{2n}, xi_1..xi_s) at p."""
-    F = frame_matrix(p.sig, p.coords)
-    return tuple(Tangent(p, F[:, k]) for k in range(p.sig.dim))
-
-
-def christoffel(p: Point) -> np.ndarray:
-    """Gamma^k_{ij} at p as a (dim, dim, dim) array, symmetric in (i, j)."""
-    return christoffel_array(p.sig, p.coords)
-
-
-def covariant_acceleration(p: Point, v: Tangent, a: Tangent) -> Tangent:
-    """Covariant acceleration a^k + Gamma^k_{ij} v^i v^j along velocity v."""
-    _check_same_sig(p, v, a)
-    quad = gamma_bilinear(p.sig, p.coords, v.comps, v.comps)
-    return Tangent(p, a.comps + quad)
-
-
-def nabla_phi_check(p: Point, X: Tangent, Y: Tangent,
-                    fd_step: float = 1e-6) -> tuple[Tangent, Tangent]:
-    """Both sides of the covariant-derivative identity for phi.
-
-    The left side (nabla_X phi)Y = nabla_X(phi Y) - phi(nabla_X Y) is
-    assembled for constant-component extensions of X and Y: the coefficient
-    derivative of phi Y along X is taken by central differences (phi's
-    coefficients are linear in y, so the step only controls rounding), the
-    connection terms come from the closed-form contraction.  The right side
-
-        g(phi X, phi Y) sum_a xi_a + (sum_a eta^a(Y)) phi^2 X
-
-    is evaluated exactly.  Returned as (lhs, rhs) for comparison in tests.
-    """
-    _check_same_sig(p, X, Y)
-    sig, c = p.sig, p.coords
-    xc, yc = X.comps, Y.comps
-    h = fd_step
-    d_phiY = (phi_comps(sig, c + h * xc, yc) - phi_comps(sig, c - h * xc, yc)) / (2 * h)
-    nab_X_phiY = d_phiY + gamma_bilinear(sig, c, xc, phi_comps(sig, c, yc))
-    nab_X_Y = gamma_bilinear(sig, c, xc, yc)
-    lhs = nab_X_phiY - phi_comps(sig, c, nab_X_Y)
-
-    phiX = phi_comps(sig, c, xc)
-    phiY = phi_comps(sig, c, yc)
-    g_phiX_phiY = inner(sig, c, phiX, phiY)
-    sum_xi = np.zeros(sig.dim)
-    sum_xi[2 * sig.n:] = 2.0
-    phi2X = phi_comps(sig, c, phiX)
-    rhs = g_phiX_phiY * sum_xi + np.sum(eta_comps(sig, c, yc)) * phi2X
-    return Tangent(p, lhs), Tangent(p, rhs)

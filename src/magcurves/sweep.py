@@ -32,7 +32,7 @@ from .dynamics import (
 from .errors import DivergenceError, InfeasibleAngleError
 from .frenet import _nanmedian, frenet_apparatus
 
-__all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "write_sweep_csv"]
+__all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "in_tolerance", "write_sweep_csv"]
 
 SWEEP_COLUMNS = [
     "n", "s", "q", "cos_theta",
@@ -113,9 +113,8 @@ def _cell_setup(spec: SweepSpec, index: int, n: int, s: int, q: float, ct: float
     direction = rng.normal(size=2 * n)
     if np.linalg.norm(direction) < 1e-12:
         direction[0] = 1.0
-    p0 = ms.origin(sig)
-    T0 = initial_tangent(p0, [ct] * s, direction)
-    return MagneticSetup(sig, q, p0, T0)
+    p0 = np.zeros(sig.dim)
+    return MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [ct] * s, direction))
 
 
 def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
@@ -150,6 +149,15 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
             ) from exc
         rows.append(_cell_row(n, s, q, ct, traj))
     return rows
+
+
+def in_tolerance(row: dict, tol: float) -> bool:
+    """The sweep's pass rule for one row: kappa1_meas is finite and within tol
+    of kappa1_pred, and kappa2_meas is within tol of kappa2_pred unless it is
+    not finite (it is undefined wherever kappa1 is at its noise floor)."""
+    k1, k2 = row["kappa1_meas"], row["kappa2_meas"]
+    return (math.isfinite(k1) and abs(k1 - row["kappa1_pred"]) <= tol
+            and (not math.isfinite(k2) or abs(k2 - row["kappa2_pred"]) <= tol))
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:

@@ -7,7 +7,6 @@ from magcurves import (
     SpaceSignature,
     initial_tangent,
     integrate,
-    origin,
 )
 
 SIG_GRID = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
@@ -15,14 +14,14 @@ SIG_GRID = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
 
 def slant_setup(n, s, q, cos_theta, direction=None):
     sig = SpaceSignature(n, s)
-    p0 = origin(sig)
-    return MagneticSetup(sig, q, p0, initial_tangent(p0, [cos_theta] * s, direction))
+    p0 = np.zeros(sig.dim)
+    return MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [cos_theta] * s, direction))
 
 
 def integrate_angles(n, s, q, cosines, t_end=4.0, step=1e-3, direction=None):
     sig = SpaceSignature(n, s)
-    p0 = origin(sig)
-    setup = MagneticSetup(sig, q, p0, initial_tangent(p0, cosines, direction))
+    p0 = np.zeros(sig.dim)
+    setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines, direction))
     return integrate(setup, IntegratorConfig(t_end=t_end, step=step))
 
 

@@ -171,7 +171,7 @@ def test_criterion_7_closed_form_oracle_equivalence():
         nonlocal worst_res
         exact = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
         worst_res = max(worst_res, residual(exact, q))
-        setup = MagneticSetup(exact.sig, q, exact.point_at(0), exact.tangent_at(0))
+        setup = MagneticSetup(exact.sig, q, exact.points[0], exact.velocities[0])
         members.append((setup, exact.points))
 
     cases_a = 0

@@ -18,7 +18,6 @@ from magcurves import (
     integrate_many,
     invert_q,
     order_bound_curvatures,
-    origin,
     predict_class,
     random_params,
     rho,
@@ -86,7 +85,7 @@ def _check_slant_angle(entry_point, ct, s):
     """Call one entry point that checks a slant contact angle."""
     sig = SpaceSignature(1, s)
     if entry_point == "initial_tangent":
-        initial_tangent(origin(sig), [ct] * s)
+        initial_tangent(sig, np.zeros(sig.dim), [ct] * s)
     elif entry_point == "order_bound_curvatures":
         order_bound_curvatures(2.0, [ct] * s)
     elif entry_point == "predict_class":

@@ -14,7 +14,6 @@ from magcurves import (
     SpaceSignature,
     initial_tangent,
     integrate,
-    origin,
 )
 from magcurves import sweep as sweep_mod
 from magcurves.dynamics import exact_flow
@@ -365,8 +364,8 @@ def test_sweep_rows_match_per_cell_exact_flow(tmp_path):
     for i, (n, s, q, ct) in enumerate(spec.cells()):
         rng = np.random.default_rng([spec.seed, i])
         sig = SpaceSignature(n, s)
-        p0 = origin(sig)
-        setup = MagneticSetup(sig, q, p0, initial_tangent(p0, [ct] * s, rng.normal(size=2 * n)))
+        p0 = np.zeros(sig.dim)
+        setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [ct] * s, rng.normal(size=2 * n)))
         exact.append(sweep_mod._cell_row(n, s, q, ct, exact_flow(setup, spec.integrator.times)))
         rk4.append(sweep_mod._cell_row(n, s, q, ct, integrate(setup, spec.integrator)))
     # row order and values identical (bytes compare nan-safely)
@@ -408,6 +407,19 @@ def test_sweep_out_of_tolerance_exits_1(tmp_path, capsys):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 1
     assert json.loads(stdout)["cells_out_of_tol"] == 1
+
+
+def test_sweep_in_tolerance_edges():
+    tol = 1e-3
+    row = {"kappa1_pred": 0.0, "kappa2_pred": 0.0, "kappa1_meas": 0.0, "kappa2_meas": 0.0}
+    assert sweep_mod.in_tolerance(row, tol)
+    # kappa2 unmeasured passes, kappa1 unmeasured fails
+    assert sweep_mod.in_tolerance({**row, "kappa2_meas": math.nan}, tol)
+    assert not sweep_mod.in_tolerance({**row, "kappa1_meas": math.nan}, tol)
+    # a difference of exactly tol passes, one ulp more fails
+    for key in ("kappa1_meas", "kappa2_meas"):
+        assert sweep_mod.in_tolerance({**row, key: tol}, tol)
+        assert not sweep_mod.in_tolerance({**row, key: math.nextafter(tol, 1.0)}, tol)
 
 
 NONFINITE_CASES = [
@@ -485,8 +497,7 @@ def test_sweep_geodesic_cells_flagged(tmp_path, capsys):
 # one small valid config per command, holding every key the command reads
 VALID_CONFIGS = {
     "integrate": {"n": 1, "s": 2, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "step": 1e-3,
-                  "record_every": 1, "p0": [0.0, 0.0, 0.0, 0.0], "direction": [1.0, 0.0],
-                  "label": "run"},
+                  "record_every": 1, "p0": [0.0, 0.0, 0.0, 0.0], "direction": [1.0, 0.0]},
     "closed-form": {"n": 1, "s": 1, "case": "a", "q": 2.0, "cos_theta": 0.5,
                     "a": [0.0], "b": [0.0], "c": [math.sqrt(3.0)], "d": [0.0], "h": [0.0],
                     "t_end": 0.01, "step": 1e-3},

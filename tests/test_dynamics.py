@@ -5,17 +5,12 @@ from magcurves import (
     IntegratorConfig,
     MagneticSetup,
     SpaceSignature,
-    Tangent,
     Trajectory,
     angle_drift,
     initial_tangent,
     integrate,
     integrate_many,
-    lorentz_force,
-    magnetic_rhs,
-    origin,
     speed_drift,
-    xi,
 )
 from magcurves import model_space as ms
 from magcurves.closed_form import (
@@ -36,16 +31,16 @@ from conftest import SIG_GRID, integrate_slant, slant_setup
 
 def test_setup_rejects_zero_strength():
     sig = SpaceSignature(1, 1)
-    p0 = origin(sig)
-    T0 = initial_tangent(p0, [0.5])
+    p0 = np.zeros(sig.dim)
+    T0 = initial_tangent(sig, p0, [0.5])
     with pytest.raises(ValueError):
         MagneticSetup(sig, 0.0, p0, T0)
 
 
 def test_setup_rejects_nonfinite_strength():
     sig = SpaceSignature(1, 1)
-    p0 = origin(sig)
-    T0 = initial_tangent(p0, [0.5])
+    p0 = np.zeros(sig.dim)
+    T0 = initial_tangent(sig, p0, [0.5])
     for q in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             MagneticSetup(sig, q, p0, T0)
@@ -53,9 +48,29 @@ def test_setup_rejects_nonfinite_strength():
 
 def test_setup_rejects_non_unit_speed():
     sig = SpaceSignature(1, 1)
-    p0 = origin(sig)
+    p0 = np.zeros(sig.dim)
     with pytest.raises(ValueError):
-        MagneticSetup(sig, 1.0, p0, Tangent(p0, [0.0, 0.0, 2.1]))
+        MagneticSetup(sig, 1.0, p0, np.array([0.0, 0.0, 2.1]))
+
+
+def test_setup_validates_p0_and_T0():
+    sig = SpaceSignature(1, 1)
+    p0 = np.array([0.0, 1.0, 2.0])
+    T0 = initial_tangent(sig, p0, [0.5])
+    for bad_p0, bad_T0, what in (([1.0, 2.0], T0, "p0 must have 3"),
+                                 ([1.0, np.inf, 0.0], T0, "p0 must be finite"),
+                                 (p0, [1.0], "T0 must have 3"),
+                                 (p0, [np.nan, 0.0, 2.0], "T0 must be finite")):
+        with pytest.raises(ValueError, match=what):
+            MagneticSetup(sig, 1.0, bad_p0, bad_T0)
+    setup = MagneticSetup(sig, 1.0, list(p0), tuple(T0))
+    assert setup.p0.dtype == setup.T0.dtype == np.float64
+    # the setup keeps its own read-only copies of the checked arrays
+    setup = MagneticSetup(sig, 1.0, p0, T0)
+    p0[1] = 5.0
+    assert setup.p0[1] == 1.0
+    with pytest.raises(ValueError):
+        setup.T0[0] = 2.0
 
 
 def test_integrator_config_validation():
@@ -65,6 +80,8 @@ def test_integrator_config_validation():
         IntegratorConfig(t_end=1.0, step=2.0)
     with pytest.raises(ValueError):
         IntegratorConfig(t_end=1.0, step=0.1, record_every=0)
+    with pytest.raises(ValueError):
+        IntegratorConfig(t_end=1.0, step=0.1, record_every=True)
     for t_end, step in ((np.inf, 0.1), (np.nan, 0.1), (1.0, np.nan), (np.inf, np.inf)):
         with pytest.raises(ValueError, match="finite"):
             IntegratorConfig(t_end=t_end, step=step)
@@ -82,20 +99,26 @@ def test_trajectory_invariants():
 # lorentz force and the first-order system
 # ---------------------------------------------------------------------------
 
+def lorentz_force(sig, p, T, q):
+    """-q phi T, the force of the contact magnetic field of strength q."""
+    return -q * ms.phi_comps(sig, p, T)
+
+
 def test_lorentz_force_on_reeb_direction():
     sig = SpaceSignature(2, 2)
-    p = origin(sig)
+    p = np.zeros(sig.dim)
+    xi1 = np.zeros(sig.dim)
+    xi1[2 * sig.n] = 2.0
     for q in (-3.0, 0.5, 7.0):
-        out = lorentz_force(p, xi(sig, 1, at=p), q)
-        assert np.all(out.comps == 0.0)
+        assert np.all(lorentz_force(sig, p, xi1, q) == 0.0)
 
 
 def test_lorentz_force_geodesic_limit():
     sig = SpaceSignature(1, 1)
     rng = np.random.default_rng(0)
-    p = ms.Point(sig, rng.normal(size=3))
-    T = Tangent(p, rng.normal(size=3))
-    assert np.all(lorentz_force(p, T, 0.0).comps == 0.0)
+    p = rng.normal(size=3)
+    T = rng.normal(size=3)
+    assert np.all(lorentz_force(sig, p, T, 0.0) == 0.0)
 
 
 def test_lorentz_force_orthogonal_to_velocity():
@@ -103,25 +126,26 @@ def test_lorentz_force_orthogonal_to_velocity():
     for (n, s) in [(1, 1), (2, 2), (1, 3)]:
         sig = SpaceSignature(n, s)
         for _ in range(20):
-            p = ms.Point(sig, rng.normal(scale=2.0, size=sig.dim))
-            T = Tangent(p, rng.normal(size=sig.dim))
-            F = lorentz_force(p, T, rng.normal() or 1.0)
-            assert abs(ms.metric(p, F, T)) < 1e-12
+            p = rng.normal(scale=2.0, size=sig.dim)
+            T = rng.normal(size=sig.dim)
+            F = lorentz_force(sig, p, T, rng.normal() or 1.0)
+            assert abs(ms.inner(sig, p, F, T)) < 1e-12
 
 
 def test_magnetic_rhs_is_lorentz_equation():
+    # _rhs returns (v, a) with a^k = -Gamma^k_ij v^i v^j - q (phi v)^k, so
+    # the covariant acceleration a + Gamma(v, v) is the force -q phi v
     rng = np.random.default_rng(2)
     for (n, s) in [(1, 1), (2, 1), (1, 2), (3, 3)]:
         sig = SpaceSignature(n, s)
         for _ in range(20):
-            p = ms.Point(sig, rng.normal(scale=2.0, size=sig.dim))
-            T = Tangent(p, rng.normal(size=sig.dim))
+            p = rng.normal(scale=2.0, size=sig.dim)
+            T = rng.normal(size=sig.dim)
             q = rng.uniform(0.5, 3.0)
-            vel, acc = magnetic_rhs((p, T), q)
-            assert np.all(vel.comps == T.comps)
-            cov = ms.covariant_acceleration(p, T, Tangent(p, acc))
-            force = lorentz_force(p, T, q)
-            assert np.abs(cov.comps - force.comps).max() < 1e-13
+            flat = _rhs(sig, q, np.concatenate([p, T]))
+            assert np.all(flat[:sig.dim] == T)
+            cov = flat[sig.dim:] + ms.gamma_bilinear(sig, p, T, T)
+            assert np.abs(cov - lorentz_force(sig, p, T, q)).max() < 1e-13
 
 
 def test_rhs_along_reeb_combination():
@@ -140,30 +164,28 @@ def test_rhs_along_reeb_combination():
 def test_initial_tangent_reeb_geodesic_start():
     for s in (1, 2, 3):
         sig = SpaceSignature(1, s)
-        p0 = origin(sig)
-        T0 = initial_tangent(p0, [1.0 / np.sqrt(s)] * s)
+        T0 = initial_tangent(sig, np.zeros(sig.dim), [1.0 / np.sqrt(s)] * s)
         expected = np.zeros(sig.dim)
         expected[2:] = 2.0 / np.sqrt(s)
-        assert np.abs(T0.comps - expected).max() < 1e-12
+        assert np.abs(T0 - expected).max() < 1e-12
 
 
 def test_initial_tangent_legendre_default_direction():
     sig = SpaceSignature(2, 1)
-    p0 = origin(sig)
-    T0 = initial_tangent(p0, [0.0])
+    T0 = initial_tangent(sig, np.zeros(sig.dim), [0.0])
     # X_1 = 2 d/dy_1
     expected = np.zeros(sig.dim)
     expected[2] = 2.0
-    assert np.abs(T0.comps - expected).max() == 0.0
+    assert np.abs(T0 - expected).max() == 0.0
 
 
 def test_initial_tangent_worked_example():
     sig = SpaceSignature(1, 1)
-    p0 = ms.Point(sig, [0.0, -np.sqrt(3.0), 0.0])
-    T0 = initial_tangent(p0, [0.5], direction=[0.0, 1.0])
-    assert np.abs(T0.comps - np.array([np.sqrt(3.0), 0.0, -2.0])).max() < 1e-12
-    assert ms.eta(p0, T0)[0] == pytest.approx(0.5, abs=1e-15)
-    assert ms.metric(p0, T0, T0) == pytest.approx(1.0, abs=1e-14)
+    p0 = np.array([0.0, -np.sqrt(3.0), 0.0])
+    T0 = initial_tangent(sig, p0, [0.5], direction=[0.0, 1.0])
+    assert np.abs(T0 - np.array([np.sqrt(3.0), 0.0, -2.0])).max() < 1e-12
+    assert ms.eta_comps(sig, p0, T0)[0] == pytest.approx(0.5, abs=1e-15)
+    assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_initial_tangent_targets_met_at_random_points():
@@ -171,27 +193,27 @@ def test_initial_tangent_targets_met_at_random_points():
     for (n, s) in [(1, 1), (2, 2), (1, 3)]:
         sig = SpaceSignature(n, s)
         for _ in range(20):
-            p0 = ms.Point(sig, rng.normal(scale=2.0, size=sig.dim))
+            p0 = rng.normal(scale=2.0, size=sig.dim)
             cos = rng.uniform(-1, 1, size=s)
             cos *= rng.uniform(0, 0.99) / max(1.0, np.linalg.norm(cos))
             direction = rng.normal(size=2 * n)
-            T0 = initial_tangent(p0, cos, direction)
-            assert np.abs(ms.eta(p0, T0) - cos).max() < 1e-12
-            assert ms.metric(p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
+            T0 = initial_tangent(sig, p0, cos, direction)
+            assert np.abs(ms.eta_comps(sig, p0, T0) - cos).max() < 1e-12
+            assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_initial_tangent_errors():
     sig = SpaceSignature(1, 2)
-    p0 = origin(sig)
+    p0 = np.zeros(sig.dim)
     with pytest.raises(InfeasibleAngleError):
-        initial_tangent(p0, [0.9, 0.9])
+        initial_tangent(sig, p0, [0.9, 0.9])
     with pytest.raises(DegenerateDirectionError):
-        initial_tangent(p0, [0.1, 0.1], direction=[0.0, 0.0])
+        initial_tangent(sig, p0, [0.1, 0.1], direction=[0.0, 0.0])
     with pytest.raises(ValueError):
-        initial_tangent(p0, [0.1])  # wrong number of cosines
+        initial_tangent(sig, p0, [0.1])  # wrong number of cosines
     # no direction needed when the contact part vanishes
-    T0 = initial_tangent(p0, [1.0 / np.sqrt(2.0)] * 2, direction=[0.0, 0.0])
-    assert ms.metric(p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
+    T0 = initial_tangent(sig, p0, [1.0 / np.sqrt(2.0)] * 2, direction=[0.0, 0.0])
+    assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -210,8 +232,8 @@ def test_geodesic_straight_line_in_z():
 def test_first_sample_is_exact_initial_data():
     setup = slant_setup(1, 1, 2.0, 0.5)
     traj = integrate(setup, IntegratorConfig(t_end=0.1, step=1e-3))
-    assert np.all(traj.points[0] == setup.p0.coords)
-    assert np.all(traj.velocities[0] == setup.T0.comps)
+    assert np.all(traj.points[0] == setup.p0)
+    assert np.all(traj.velocities[0] == setup.T0)
     assert traj.times[0] == 0.0
 
 
@@ -250,10 +272,10 @@ def _random_setups(rng, sig, count):
     """Setups of mixed sign of q, each from its own random non-origin point."""
     setups = []
     for k in range(count):
-        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
+        p0 = rng.normal(scale=1.5, size=sig.dim)
         cos = rng.uniform(-1, 1, size=sig.s)
         cos *= rng.uniform(0, 0.95) / max(1.0, np.linalg.norm(cos))
-        T0 = initial_tangent(p0, cos, rng.normal(size=2 * sig.n))
+        T0 = initial_tangent(sig, p0, cos, rng.normal(size=2 * sig.n))
         q = rng.uniform(0.3, 3.0) * (-1.0) ** k
         setups.append(MagneticSetup(sig, q, p0, T0))
     return setups
@@ -331,8 +353,8 @@ def _slant_cases(rng, sig):
              (2.0 * sig.s * lam0, lam0)]
     setups = []
     for q, ct in cases:
-        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
-        T0 = initial_tangent(p0, [ct] * sig.s, rng.normal(size=2 * sig.n))
+        p0 = rng.normal(scale=1.5, size=sig.dim)
+        T0 = initial_tangent(sig, p0, [ct] * sig.s, rng.normal(size=2 * sig.n))
         setups.append(MagneticSetup(sig, q, p0, T0))
     return setups
 
@@ -438,7 +460,7 @@ def test_exact_flow_conserves_first_integrals():
         traj = exact_flow(setup, times)
         assert speed_drift(traj) <= 1e-13
         assert angle_drift(traj) <= 1e-13
-        assert np.array_equal(traj.points[0], setup.p0.coords)
+        assert np.array_equal(traj.points[0], setup.p0)
         # the exact accelerations solve the Lorentz equation
         assert residual(traj, setup.q) <= 1e-10
 
@@ -451,7 +473,7 @@ def test_exact_flow_reproduces_the_closed_form_families(n, s):
     for k, (q, ct) in enumerate([(2.0, 0.3), (-1.5, -0.2), (2.0 * s * 0.25, 0.25)]):
         params = random_params(sig, q, ct, seed=[n, s, k])
         paper = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
-        setup = MagneticSetup(sig, params.q, paper.point_at(0), paper.tangent_at(0))
+        setup = MagneticSetup(sig, params.q, paper.points[0], paper.velocities[0])
         exact = exact_flow(setup, times)
         for got, want in ((exact.points, paper.points), (exact.velocities, paper.velocities),
                           (exact.accelerations, paper.accelerations)):
@@ -467,11 +489,11 @@ def test_exact_flow_near_vanishing_rotation(w):
     setups = []
     for n, s in [(1, 1), (2, 2), (3, 1), (1, 3)]:
         sig = SpaceSignature(n, s)
-        p0 = ms.Point(sig, rng.normal(scale=1.5, size=sig.dim))
+        p0 = rng.normal(scale=1.5, size=sig.dim)
         cos = rng.uniform(-1, 1, size=s)
-        T0 = initial_tangent(p0, 0.6 * cos / max(1.0, np.linalg.norm(cos)),
+        T0 = initial_tangent(sig, p0, 0.6 * cos / max(1.0, np.linalg.norm(cos)),
                              rng.normal(size=2 * n))
-        eta_sum = float(np.sum(ms.eta_comps(sig, p0.coords, T0.comps)))
+        eta_sum = float(np.sum(ms.eta_comps(sig, p0, T0)))
         setups.append(MagneticSetup(sig, 2.0 * eta_sum - w, p0, T0))
     for setup, rk4 in zip(setups, integrate_many(setups, cfg)):
         exact = exact_flow(setup, cfg.times)
