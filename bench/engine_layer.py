@@ -9,14 +9,18 @@ Cases (each a ``layer`` with its unit of work):
 * ``dynamics.exact_flow``: one 2001-sample trajectory for every (n, s) in
   {1, 2, 3}^2, in microseconds per sample (skipped for a source without it);
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
-* ``dynamics.integrate_many``: n = s = 2 at B = 1, 64 (1000 steps) and 1024
-  (100 steps), microseconds per row-step;
+* ``dynamics.integrate_many``: n = s = 2 at B = 1, 3, 5, 64 (1000 steps) and
+  1024 (100 steps), microseconds per row-step; 3 and 5 are the batch sizes of
+  verify's curve and classification suites;
 * ``sweep.setup``, ``sweep.trajectory`` and ``sweep.frenet_row``: the three
   stages of the benchmark's ``sweep-grid`` seed-1 sweep (32 cells of 2001
   samples; ``perfbench/inputs.py`` writes the same grid), in milliseconds
   per cell.  The trajectory stage runs the engine that source's
   ``run_sweep`` uses: ``exact_flow`` per cell where ``magcurves.sweep`` has
-  it, else one ``integrate_many`` batch of all cells.
+  it, else one ``integrate_many`` batch of all cells;
+* ``verify.curve_suite`` and ``verify.classification_suite``: one call of
+  each as ``magcurves verify`` makes it at its defaults (seed 0, 5
+  classification cases), in milliseconds per call.
 
 Each case runs ``--repeats`` times, round robin with the others, after one
 warm-up round; the record keeps the best time and the spread (worst / best
@@ -71,7 +75,7 @@ def _sweep_spec():
 def cases() -> list[tuple[dict, int, object]]:
     """(description, units of work per run, callable) for every case."""
     from magcurves import IntegratorConfig, dynamics, integrate, integrate_many
-    from magcurves import sweep
+    from magcurves import sweep, verify
 
     out = []
     times = STEP * np.arange(SAMPLES)
@@ -84,7 +88,7 @@ def cases() -> list[tuple[dict, int, object]]:
     cfg = IntegratorConfig(t_end=steps * STEP, step=STEP)
     out.append(({"layer": "dynamics.integrate", "n": 2, "s": 2, "unit": "us/step"},
                 steps, functools.partial(integrate, _setup(2, 2, [2, 2]), cfg)))
-    for batch, steps in ((1, 1000), (64, 1000), (1024, 100)):
+    for batch, steps in ((1, 1000), (3, 1000), (5, 1000), (64, 1000), (1024, 100)):
         cfg = IntegratorConfig(t_end=steps * STEP, step=STEP)
         setups = [_setup(2, 2, [2, 2, b]) for b in range(batch)]
         out.append(({"layer": "dynamics.integrate_many", "n": 2, "s": 2, "B": batch,
@@ -118,6 +122,11 @@ def cases() -> list[tuple[dict, int, object]]:
                              ("sweep.frenet_row", frenet_row_stage, {})):
         out.append(({"layer": layer, "cells": len(cells), "samples": spec.integrator.n_samples,
                      **extra, "unit": "ms/cell"}, len(cells), fn))
+
+    out.append(({"layer": "verify.curve_suite", "unit": "ms/call"}, 1,
+                functools.partial(verify.curve_suite, 0)))
+    out.append(({"layer": "verify.classification_suite", "cases": 5, "unit": "ms/call"}, 1,
+                functools.partial(verify.classification_suite, 0, 5)))
     return out
 
 

@@ -10,12 +10,13 @@ which in coordinates becomes the first-order system on states
     coords' = v
     v'^k    = -Gamma^k_{ij} v^i v^j - q (phi v)^k
 
-integrated here with classical fixed-step fourth-order Runge-Kutta, one
-trajectory at a time (``integrate``) or as a batch of any mix of signatures
-under one config, stepped together (``integrate_many``), with the same bits
-either way.  The integrator never renormalizes the velocity: drift in the
-speed and in the contact angles eta^a(T) (both first integrals of the exact
-flow) is the accuracy diagnostic reported to callers.
+integrated here with classical fixed-step fourth-order Runge-Kutta.  One
+right-hand side takes a single state (``integrate``) or a padded batch of
+any mix of signatures under one config, stepped together
+(``integrate_many``), with the same bits either way.  The integrator never
+renormalizes the velocity: drift in the speed and in the contact angles
+eta^a(T) (both first integrals of the exact flow) is the accuracy
+diagnostic reported to callers.
 
 The system is also solved exactly (``exact_flow``): the first integrals make
 w = 2 sum_a eta^a(T) - q constant, so each (x_i', y_i') pair rotates at the
@@ -188,7 +189,8 @@ def check_angles(cosines) -> float:
     pass; a larger sum, or NaN, raises InfeasibleAngleError.
     """
     cos = np.asarray(cosines, dtype=float)
-    a_sum = float(np.sum(cos * cos))
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, and rejected below
+        a_sum = float(np.sum(cos * cos))
     if not a_sum <= 1.0 + _FEASIBILITY_SLACK:
         raise InfeasibleAngleError(
             f"sum of squared cosines exceeds 1 by {a_sum - 1.0:.3g} "
@@ -239,49 +241,26 @@ def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.n
     return comps
 
 
-def _rhs(sig: ms.SpaceSignature, q: float, state: np.ndarray) -> np.ndarray:
-    # Fused form of -Gamma(v, v) - q phi(v): with w = sum(vz) - q - s (y . vx)
-    # the acceleration is (vy w, -vx w, vx . vy + (y . vy) w).  Agrees with
-    # gamma_bilinear/phi_comps; kept lean because RK4 calls it four times per step.
-    n, d = sig.n, sig.dim
-    y = state[n:2 * n]
-    vx = state[d:d + n]
-    vy = state[d + n:d + 2 * n]
-    w = np.sum(state[d + 2 * n:]) - q - sig.s * np.dot(y, vx)
-    out = np.empty_like(state)
-    out[:d] = state[d:]
-    out[d:d + n] = vy * w
-    out[d + n:d + 2 * n] = -vx * w
-    out[d + 2 * n:] = np.dot(vx, vy) + np.dot(y, vy) * w
-    return out
-
-
-def _rhs_rows(n: int, q: np.ndarray, s: np.ndarray, reeb: np.ndarray,
-              state: np.ndarray) -> np.ndarray:
-    # _rhs applied to each row of a (B, 2 D) state padded to D = 2 n + S, n
-    # and S the largest in the batch, with columns x | y | z | vx | vy | vz.
-    # q and s are per row, and reeb (B, S) is 1 on a row's own Reeb slots and
-    # 0 on the padding, so padded vz stays 0 and never enters w; padded x and
-    # y stay 0 by themselves.  Each dot product is a stacked (1, n) @ (n, 1)
-    # matmul, which per row gives the bits of _rhs's np.dot (the padding adds
-    # exact zeros; integrate_many says up to which widths); sum(-1) and einsum
-    # round differently.  _rhs stays separate because a shape-generic version
-    # is slower at B = 1.
-    d = state.shape[1] // 2
-    y = state[:, n:2 * n]
-    vx = state[:, d:d + n]
-    vy = state[:, d + n:d + 2 * n]
-
-    def dot(a, b):
-        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-    w = np.sum(state[:, d + 2 * n:], axis=1) - q - s * dot(y, vx)
-    out = np.empty_like(state)
-    out[:, :d] = state[:, d:]
-    out[:, d:d + n] = vy * w[:, None]
-    out[:, d + n:d + 2 * n] = -vx * w[:, None]
-    out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None] * reeb
-    return out
+def _rhs(n: int, q, s, reeb: np.ndarray, state: np.ndarray) -> np.ndarray:
+    # Fused form of -Gamma(v, v) - q phi(v) on a (2 D,) state or a (B, 2 D)
+    # batch, columns x | y | z | vx | vy | vz: with w = sum(vz) - q - s (y . vx)
+    # the acceleration is (vy w, -vx w, (vx . vy + (y . vy) w) reeb).  Agrees
+    # with gamma_bilinear/phi_comps.  A batch is padded to D = 2 n + S, n and S
+    # the largest in it; q and s are per row, and reeb is 1 on a row's own
+    # Reeb slots (on all of a single state's) and 0 on the padding, so padded
+    # vz stays 0 and never enters w; padded x and y stay 0 by themselves.
+    # np.vecdot adds like np.dot's BLAS ddot and add.reduce like np.sum, so a
+    # single state and each row of a batch get the same bits (the padding adds
+    # exact zeros; integrate_many says up to which widths).  Few numpy calls,
+    # since RK4 calls it four times per step on small batches.
+    d = state.shape[-1] // 2
+    y = state[..., n:2 * n]
+    vx = state[..., d:d + n]
+    vy = state[..., d + n:d + 2 * n]
+    w = np.add.reduce(state[..., d + 2 * n:], axis=-1) - q - s * np.vecdot(y, vx)
+    az = (np.vecdot(vx, vy) + np.vecdot(y, vy) * w)[..., None]
+    w = w[..., None]
+    return np.concatenate((state[..., d:], vy * w, -vx * w, az * reeb), axis=-1)
 
 
 def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
@@ -296,6 +275,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
     the later rows do.
     """
     h = cfg.step
+    half, sixth = 0.5 * h, h / 6.0
     stride = cfg.record_every
     record(0, state)
     diverged = np.zeros(math.prod(state.shape[:-1]), dtype=int)  # per row: first nonfinite step
@@ -304,11 +284,11 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
         for k in range(1, cfg.n_steps + 1):
             k1 = rhs(state)
-            k2 = rhs(state + (0.5 * h) * k1)
-            k3 = rhs(state + (0.5 * h) * k2)
+            k2 = rhs(state + half * k1)
+            k3 = rhs(state + half * k2)
             k4 = rhs(state + h * k3)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(state)):
+            state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(state).all():
                 finite = np.all(np.isfinite(state).reshape(len(diverged), -1), axis=1)
                 diverged[~finite & (diverged == 0)] = k
                 if diverged[0]:
@@ -333,7 +313,8 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     recorded point and velocity are exactly p0 and T0.  A nonfinite state
     aborts with DivergenceError carrying the last valid time.
     """
-    d = setup.sig.dim
+    sig = setup.sig
+    d = sig.dim
     cfg.check_fits(2 * d + 1, "the recorded samples")
     pts = np.empty((cfg.n_samples, d))
     vel = np.empty((cfg.n_samples, d))
@@ -343,13 +324,14 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
         vel[i] = state[d:]
 
     state = np.concatenate([setup.p0, setup.T0])
-    times = _rk4(functools.partial(_rhs, setup.sig, setup.q), state, cfg, record)
-    return Trajectory(setup.sig, times, pts, vel, q=setup.q)
+    rhs = functools.partial(_rhs, sig.n, setup.q, sig.s, np.ones(sig.s))
+    times = _rk4(rhs, state, cfg, record)
+    return Trajectory(sig, times, pts, vel, q=setup.q)
 
 
 def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     """``integrate`` for several setups of any mix of signatures and one
-    config, stepped together.
+    config, stepped together through the same right-hand side.
 
     Each setup keeps its own signature, q, p0 and T0, and each returned
     trajectory has the same bits as ``integrate`` gives for its setup alone.
@@ -359,8 +341,12 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     s = 7.  From n = 16 BLAS ddot, and from s = 8 numpy's sum, add in blocks,
     so a wider mixed batch can differ from ``integrate`` in the last bits.
     If any setup diverges, raises the DivergenceError that ``integrate``
-    raises for the first diverging setup in list order.  For a single setup
-    ``integrate`` is faster.
+    raises for the first diverging setup in list order.
+
+    A step costs about the same for a few rows as for one, so the cost per
+    row falls with B: at n = s = 2 one row-step takes 87, 29 and 17 us at
+    B = 1, 3 and 5 (``bench/engine_layer.py``, 2-vCPU Xeon, numpy 2.4).  For
+    a single setup ``integrate`` is faster, at 72 us per step.
     """
     setups = list(setups)
     if not setups:
@@ -398,7 +384,7 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
 
     q = np.array([st.q for st in setups])
     s_rows = np.array([st.sig.s for st in setups], dtype=float)
-    times = _rk4(functools.partial(_rhs_rows, n, q, s_rows, reeb), state, cfg, record)
+    times = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, cfg, record)
     return [
         Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, m, -1), q=st.q)
         for st, o in zip(setups, offsets)

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -106,6 +107,24 @@ def test_conflicting_angle_keys_rejected(tmp_path, capsys):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "exactly one" in stderr
+
+
+@pytest.mark.parametrize("command", ["integrate", "classify"])
+def test_overflowing_cosine_exits_2_without_warning(tmp_path, capsys, command):
+    # cos^2 overflows to inf, which check_angles rejects like any sum above 1
+    cfg = write_json(tmp_path / "run.json", {
+        "n": 1, "s": 1, "q": 1.0, "cos_theta": 1e200, "t_end": 1.0, "step": 1e-3,
+    })
+    argv = [command, "--config", cfg]
+    if command == "integrate":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.count("\n") == 1
+    assert "angles are not realizable" in stderr
 
 
 # ---------------------------------------------------------------------------

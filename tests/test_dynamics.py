@@ -20,7 +20,7 @@ from magcurves.closed_form import (
     sample_case_a,
     sample_case_b,
 )
-from magcurves.dynamics import _rhs, _rhs_rows, _rotation_integrals, exact_flow
+from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
 from conftest import SIG_GRID, integrate_slant, slant_setup
 
@@ -142,7 +142,7 @@ def test_magnetic_rhs_is_lorentz_equation():
             p = rng.normal(scale=2.0, size=sig.dim)
             T = rng.normal(size=sig.dim)
             q = rng.uniform(0.5, 3.0)
-            flat = _rhs(sig, q, np.concatenate([p, T]))
+            flat = _rhs(sig.n, q, sig.s, np.ones(sig.s), np.concatenate([p, T]))
             assert np.all(flat[:sig.dim] == T)
             cov = flat[sig.dim:] + ms.gamma_bilinear(sig, p, T, T)
             assert np.abs(cov - lorentz_force(sig, p, T, q)).max() < 1e-13
@@ -153,7 +153,7 @@ def test_rhs_along_reeb_combination():
     sig = SpaceSignature(1, 2)
     state = np.zeros(2 * sig.dim)
     state[sig.dim + 2:] = 2.0 / np.sqrt(2.0)
-    out = _rhs(sig, 5.0, state)
+    out = _rhs(sig.n, 5.0, sig.s, np.ones(sig.s), state)
     assert np.abs(out[sig.dim:]).max() == 0.0
 
 
@@ -287,28 +287,111 @@ def _padded_columns(sig, n_max):
     return np.r_[0:n, n_max:n_max + n, 2 * n_max:2 * n_max + s]
 
 
-def test_rhs_rows_matches_rhs_bitwise():
-    # one mixed batch of every (n, s) in the grid, padded to n = s = 3
-    rng = np.random.default_rng(11)
-    sigs = [SpaceSignature(*SIG_GRID[k]) for k in rng.integers(len(SIG_GRID), size=40)]
-    n_max, s_max = 3, 3
+def _padded_batch(rng, sigs, n_max, s_max):
+    """Random states of sigs padded to n_max and s_max, as integrate_many
+    lays them out, with q, s and the Reeb mask per row and each row's own
+    columns."""
     d = 2 * n_max + s_max
-    states = np.zeros((40, 2 * d))
-    reeb = np.zeros((40, s_max))
+    states = np.zeros((len(sigs), 2 * d))
+    reeb = np.zeros((len(sigs), s_max))
     own = []
     for b, sig in enumerate(sigs):
         cols = np.r_[_padded_columns(sig, n_max), d + _padded_columns(sig, n_max)]
         states[b, cols] = rng.normal(scale=2.0, size=2 * sig.dim)
         reeb[b, :sig.s] = 1.0
         own.append(cols)
-    q = rng.normal(size=40)
+    q = rng.normal(size=len(sigs))
     s = np.array([sig.s for sig in sigs], dtype=float)
-    rows = _rhs_rows(n_max, q, s, reeb, states)
+    return states, q, s, reeb, own
+
+
+def test_rhs_rows_matches_rhs_bitwise():
+    # one mixed batch of every (n, s) in the grid, padded to n = s = 3: each
+    # row has the bits of the same rhs on that row's unpadded state
+    rng = np.random.default_rng(11)
+    sigs = [SpaceSignature(*SIG_GRID[k]) for k in rng.integers(len(SIG_GRID), size=40)]
+    states, q, s, reeb, own = _padded_batch(rng, sigs, 3, 3)
+    rows = _rhs(3, q, s, reeb, states)
     for b, sig in enumerate(sigs):
-        assert np.array_equal(rows[b, own[b]], _rhs(sig, q[b], states[b, own[b]]))
-        padding = np.ones(2 * d, dtype=bool)
+        one = _rhs(sig.n, q[b], sig.s, np.ones(sig.s), states[b, own[b]])
+        assert np.array_equal(rows[b, own[b]], one)
+        padding = np.ones(states.shape[1], dtype=bool)
         padding[own[b]] = False
         assert np.all(rows[b, padding] == 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the single and batched right-hand sides that _rhs replaced, kept as the
+# reference for its bits
+# ---------------------------------------------------------------------------
+
+def reference_rhs(sig, q, state):
+    n, d = sig.n, sig.dim
+    y = state[n:2 * n]
+    vx = state[d:d + n]
+    vy = state[d + n:d + 2 * n]
+    w = np.sum(state[d + 2 * n:]) - q - sig.s * np.dot(y, vx)
+    out = np.empty_like(state)
+    out[:d] = state[d:]
+    out[d:d + n] = vy * w
+    out[d + n:d + 2 * n] = -vx * w
+    out[d + 2 * n:] = np.dot(vx, vy) + np.dot(y, vy) * w
+    return out
+
+
+def reference_rhs_rows(n, q, s, reeb, state):
+    d = state.shape[1] // 2
+    y = state[:, n:2 * n]
+    vx = state[:, d:d + n]
+    vy = state[:, d + n:d + 2 * n]
+
+    def dot(a, b):
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+    w = np.sum(state[:, d + 2 * n:], axis=1) - q - s * dot(y, vx)
+    out = np.empty_like(state)
+    out[:, :d] = state[:, d:]
+    out[:, d:d + n] = vy * w[:, None]
+    out[:, d + n:d + 2 * n] = -vx * w[:, None]
+    out[:, d + 2 * n:] = (dot(vx, vy) + dot(y, vy) * w)[:, None] * reeb
+    return out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# n from 16 and s from 8 are the widths where BLAS ddot and numpy's pairwise
+# sum add in blocks
+WIDE_SIGS = [(1, 1), (3, 2), (7, 7), (8, 8), (15, 9), (16, 1), (17, 12), (24, 12)]
+
+
+@pytest.mark.parametrize("n,s", WIDE_SIGS)
+def test_rhs_matches_reference_on_single_states(n, s):
+    sig = SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s])
+    for k in range(30):
+        state = rng.normal(scale=2.0, size=2 * sig.dim)
+        if k % 3 == 0:  # signed zeros and overflow
+            state[rng.integers(len(state), size=3)] = rng.choice([0.0, -0.0, 1e300, -1e300], 3)
+        q = rng.normal()
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _rhs(n, q, float(s), np.ones(s), state)
+            want = reference_rhs(sig, q, state)
+        assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("n_max,s_max", WIDE_SIGS)
+def test_rhs_matches_reference_on_padded_batches(n_max, s_max):
+    rng = np.random.default_rng([n_max, s_max, 1])
+    for batch in (1, 3, 5, 40):
+        sigs = [SpaceSignature(int(rng.integers(1, n_max + 1)), int(rng.integers(1, s_max + 1)))
+                for _ in range(batch)]
+        states, q, s, reeb, _ = _padded_batch(rng, sigs, n_max, s_max)
+        assert_same_bits(_rhs(n_max, q, s, reeb, states),
+                         reference_rhs_rows(n_max, q, s, reeb, states))
 
 
 @pytest.mark.parametrize("n,s", SIG_GRID)
