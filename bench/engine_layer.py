@@ -8,6 +8,14 @@ Cases (each a ``layer`` with its unit of work):
 
 * ``dynamics.exact_flow``: one 2001-sample trajectory for every (n, s) in
   {1, 2, 3}^2, in microseconds per sample (skipped for a source without it);
+* ``dynamics._rhs``: the RK4 right-hand side at n = s = 2, on one state and
+  on a padded batch of 5 (verify's classification batch), 1000 calls,
+  microseconds per call;
+* ``frenet.apparatus`` and ``classify.trajectory``: ``frenet_apparatus`` and
+  ``classify_trajectory`` on the 2001-sample exact trajectory of every (n, s)
+  in {1, 2, 3}^2 and of (9, 1), whose component sums are 8 or more wide,
+  in microseconds per sample (skipped, like ``exact_flow``, for a source
+  without it);
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
 * ``dynamics.integrate_many``: n = s = 2 at B = 1, 3, 5, 64 (1000 steps) and
   1024 (100 steps), microseconds per row-step; 3 and 5 are the batch sizes of
@@ -41,6 +49,8 @@ import numpy as np
 from io_layer import ROOT, git_state, machine
 
 GRID = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
+FRENET_GRID = GRID + [(9, 1)]
+RHS_CALLS = 1000
 SAMPLES = 2001
 STEP = 1e-3
 SWEEP_SEED = 1
@@ -84,6 +94,27 @@ def cases() -> list[tuple[dict, int, object]]:
             out.append(({"layer": "dynamics.exact_flow", "n": n, "s": s, "unit": "us/sample"},
                         SAMPLES,
                         functools.partial(dynamics.exact_flow, _setup(n, s, [n, s]), times)))
+
+    def rhs_calls(args):
+        for _ in range(RHS_CALLS):
+            dynamics._rhs(*args)
+
+    rng = np.random.default_rng(2)
+    for batch, args in ((1, (2, 1.5, 2, np.ones(2), rng.normal(size=12))),
+                        (5, (2, rng.normal(size=5), np.full(5, 2.0), np.ones((5, 2)),
+                             rng.normal(size=(5, 12))))):
+        out.append(({"layer": "dynamics._rhs", "n": 2, "s": 2, "B": batch, "unit": "us/call"},
+                    RHS_CALLS, functools.partial(rhs_calls, args)))
+
+    from magcurves import classify_trajectory, frenet_apparatus
+    for n, s in FRENET_GRID if hasattr(dynamics, "exact_flow") else []:
+        traj = dynamics.exact_flow(_setup(n, s, [n, s]), times)
+        series = frenet_apparatus(traj)
+        out.append(({"layer": "frenet.apparatus", "n": n, "s": s, "unit": "us/sample"},
+                    SAMPLES, functools.partial(frenet_apparatus, traj)))
+        out.append(({"layer": "classify.trajectory", "n": n, "s": s, "unit": "us/sample"},
+                    SAMPLES, functools.partial(classify_trajectory, traj, series)))
+
     steps = 1000
     cfg = IntegratorConfig(t_end=steps * STEP, step=STEP)
     out.append(({"layer": "dynamics.integrate", "n": 2, "s": 2, "unit": "us/step"},

@@ -298,7 +298,9 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     """
     s = traj.sig.s
     etas = traj.etas()
-    cosines = etas.mean(axis=0)
+    # numpy adds over the sample axis in an order that follows the layout;
+    # a C-ordered copy fixes it (classify --traj prints these last bits)
+    cosines = np.ascontiguousarray(etas).mean(axis=0)
     angle_dev = float(np.max(np.abs(etas - cosines)))  # about the mean, not etas[0]
     speed_dev = speed_drift(traj)
     q_hat, res = fit_field_strength(traj)

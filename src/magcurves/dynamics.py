@@ -138,6 +138,15 @@ class Trajectory:
     second derivatives (the closed-form samplers); integrated trajectories
     leave it None so that residual checks reconstruct accelerations
     independently by finite differences.
+
+    ``points``, ``velocities`` and ``accelerations`` have shape (N, dim) and
+    are stored column-major (F-contiguous; copied only when given in another
+    layout), so each coordinate's series is contiguous and numpy's inner
+    loops run along the samples.  This is the one place that fixes the
+    layout.  Sums over the components give the same bits in every layout
+    (``model_space._rowsum``).  numpy orders a sum over the sample axis by
+    the layout, so each such sum (``classify_trajectory``'s mean angles)
+    runs on a C-ordered copy.
     """
 
     sig: ms.SpaceSignature
@@ -161,13 +170,13 @@ class Trajectory:
                 f"points/velocities must have shape {want}, got {pts.shape} and {vel.shape}"
             )
         object.__setattr__(self, "times", np.ascontiguousarray(times))
-        object.__setattr__(self, "points", np.ascontiguousarray(pts))
-        object.__setattr__(self, "velocities", np.ascontiguousarray(vel))
+        object.__setattr__(self, "points", np.asfortranarray(pts))
+        object.__setattr__(self, "velocities", np.asfortranarray(vel))
         if self.accelerations is not None:
             acc = np.asarray(self.accelerations, dtype=float)
             if acc.shape != want:
                 raise ValueError(f"accelerations must have shape {want}, got {acc.shape}")
-            object.__setattr__(self, "accelerations", np.ascontiguousarray(acc))
+            object.__setattr__(self, "accelerations", np.asfortranarray(acc))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -316,8 +325,8 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     sig = setup.sig
     d = sig.dim
     cfg.check_fits(2 * d + 1, "the recorded samples")
-    pts = np.empty((cfg.n_samples, d))
-    vel = np.empty((cfg.n_samples, d))
+    pts = np.empty((cfg.n_samples, d), order="F")
+    vel = np.empty((cfg.n_samples, d), order="F")
 
     def record(i, state):
         pts[i] = state[:d]
@@ -341,7 +350,8 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     s = 7.  From n = 16 BLAS ddot, and from s = 8 numpy's sum, add in blocks,
     so a wider mixed batch can differ from ``integrate`` in the last bits.
     If any setup diverges, raises the DivergenceError that ``integrate``
-    raises for the first diverging setup in list order.
+    raises for the first diverging setup in list order.  The samples are
+    recorded straight into each trajectory's column-major arrays.
 
     A step costs about the same for a few rows as for one, so the cost per
     row falls with B: at n = s = 2 one row-step takes 87, 29 and 17 us at
@@ -359,11 +369,11 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     state = np.zeros((len(setups), 2 * d))
     reeb = np.zeros((len(setups), s))
     # Each row records straight into its own unpadded block of buf, points
-    # then velocities, each a C-contiguous (m, dim) array: strided views of a
-    # padded record give classify_trajectory other last bits, and copying
-    # them out would hold both at once.  The value at flat state index src
-    # goes to buf[dst + i * step] at sample i.
-    src, dst, step, offsets = [], [], [], []
+    # then velocities, each a (dim, m) block of component series whose
+    # transpose is the column-major (m, dim) array that Trajectory keeps, so
+    # nothing is copied afterwards.  The value at flat state index src goes
+    # to buf[dst + i] at sample i.
+    src, dst, offsets = [], [], []
     size = 0
     for row, st in enumerate(setups):
         k, r, dim = st.sig.n, st.sig.s, st.sig.dim
@@ -372,21 +382,20 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
         state[row, d + cols] = st.T0
         reeb[row, :r] = 1.0
         src.append(row * 2 * d + np.r_[cols, d + cols])
-        dst.append(size + np.r_[0:dim, m * dim:m * dim + dim])
-        step.append(np.full(2 * dim, dim))
+        dst.append(size + m * np.arange(2 * dim))
         offsets.append(size)
         size += 2 * m * dim
-    src, dst, step = np.concatenate(src), np.concatenate(dst), np.concatenate(step)
+    src, dst = np.concatenate(src), np.concatenate(dst)
     buf = np.empty(size)
 
     def record(i, rows):
-        buf[dst + i * step] = rows.reshape(-1)[src]
+        buf[dst + i] = rows.reshape(-1)[src]
 
     q = np.array([st.q for st in setups])
     s_rows = np.array([st.sig.s for st in setups], dtype=float)
     times = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, cfg, record)
     return [
-        Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, m, -1), q=st.q)
+        Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, -1, m).mT, q=st.q)
         for st, o in zip(setups, offsets)
     ]
 
@@ -445,6 +454,10 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
     path.  The accelerations are exact: (vy w, -vx w, vx . vy + (y . vy) w).
     A nonfinite sample raises DivergenceError with the time of the last
     finite one.
+
+    Every block is computed as (components, N) rows, so each operation runs
+    along the samples, and the returned arrays are column-major views of
+    them, with the bits of the same formulas on C-ordered (N, dim) arrays.
     """
     sig = setup.sig
     n = sig.n
@@ -455,22 +468,27 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
     eta = ms.eta_comps(sig, p0, v0)
     w = 2.0 * float(np.sum(eta)) - setup.q
 
+    def dot(b):  # per sample, the sum over the components of b's rows
+        return ms._rowsum(b.T)
+
+    a_, b_ = a[:, None], b[:, None]
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
-        cos, sin, S, C, G = (f[:, None] for f in _rotation_integrals(w * t))
-        tc = t[:, None]
-        X = tc * (a * S + b * C)
-        Y = tc * (b * S - a * C)
-        y = y0 + Y
-        vx = a * cos + b * sin
-        vy = b * cos - a * sin
-        y_vx = np.sum(y * vx, axis=1, keepdims=True)
-        # t (t G), not t^2 G: t^2 overflows long before t^2 G ~ t / w does
-        int_y_vx = (X @ y0)[:, None] + 0.5 * (
-            np.sum(X * Y, axis=1, keepdims=True) + (a @ a + b @ b) * (tc * (tc * G)))
-        pts = np.concatenate([x0 + X, y, z0 + 2.0 * eta * tc + int_y_vx], axis=1)
-        vel = np.concatenate([vx, vy, 2.0 * eta + y_vx], axis=1)
-        az = np.sum(vx * vy, axis=1, keepdims=True) + np.sum(y * vy, axis=1, keepdims=True) * w
-        acc = np.concatenate([vy * w, vx * -w, np.repeat(az, sig.s, axis=1)], axis=1)
+        cos, sin, S, C, G = _rotation_integrals(w * t)
+        X = t * (a_ * S + b_ * C)
+        Y = t * (b_ * S - a_ * C)
+        y = y0[:, None] + Y
+        vx = a_ * cos + b_ * sin
+        vy = b_ * cos - a_ * sin
+        # gemv adds in another order for a column-major X, so it gets the
+        # C-ordered (N, n) copy; t (t G), not t^2 G: t^2 overflows long
+        # before t^2 G ~ t / w does
+        int_y_vx = np.ascontiguousarray(X.T) @ y0 + 0.5 * (
+            dot(X * Y) + (a @ a + b @ b) * (t * (t * G)))
+        two_eta = (2.0 * eta)[:, None]
+        pts = np.concatenate([x0[:, None] + X, y, z0[:, None] + two_eta * t + int_y_vx]).T
+        vel = np.concatenate([vx, vy, two_eta + dot(y * vx)]).T
+        az = dot(vx * vy) + dot(y * vy) * w
+        acc = np.concatenate([vy * w, vx * -w, np.broadcast_to(az, (sig.s, len(t)))]).T
 
     finite = np.all(np.isfinite(pts), axis=1) & np.all(np.isfinite(vel), axis=1)
     if not np.all(finite):

@@ -28,6 +28,13 @@ every operation takes the signature alongside them.  ``eta_comps``,
 leading batch axes; ``metric_matrix``, ``frame_matrix`` and the Christoffel
 helpers take one point and check it (length 2n + s, finite).  The Reeb field
 xi_a is the constant array with 2 in slot z_a.
+
+Layout and reduction order.  Sampled curves are stored column-major: an
+(N, 2n + s) array of samples is F-contiguous, so each coordinate's series
+is contiguous (``dynamics.Trajectory`` fixes this).  The batched operations
+take any layout and give the same bits for all of them: every sum over the
+component axis is ``_rowsum``, whose order of additions does not depend on
+how the array is laid out, and their outputs follow the inputs' layout.
 """
 from __future__ import annotations
 
@@ -97,13 +104,36 @@ def _as_coords(sig: SpaceSignature, values, what: str) -> np.ndarray:
 # array-level structure tensors (batched over leading axes)
 # ---------------------------------------------------------------------------
 
+_COLUMN_ADD_WIDTH = 8  # numpy's np.sum adds a contiguous row pairwise from here
+
+
+def _rowsum(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Sum over the last axis with the bits of np.sum on a C-contiguous copy
+    of a, whatever a's layout.
+
+    Below width 8 the sum is 0.0 + a[..., 0] + a[..., 1] + ..., in that
+    order, which is what np.sum does on a contiguous row that short, signed
+    zeros and NaN included; each add then runs over the long axes, so a
+    column-major array is not walked row by row.  From width 8 on np.sum
+    adds pairwise, and it runs on a C-contiguous copy, where that pairing is
+    the same for every layout.
+    """
+    if a.shape[-1] < _COLUMN_ADD_WIDTH:
+        out = 0.0 + a[..., 0]
+        for k in range(1, a.shape[-1]):
+            out = out + a[..., k]
+    else:
+        out = np.sum(np.ascontiguousarray(a), axis=-1)
+    return out[..., None] if keepdims else out
+
+
 def eta_comps(sig: SpaceSignature, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
     """All s contact forms on v: eta^a(v) = (v_{z_a} - sum_i y_i v_{x_i}) / 2."""
     coords = np.asarray(coords, dtype=float)
     v = np.asarray(v, dtype=float)
     n = sig.n
     y = coords[..., n:2 * n]
-    y_vx = np.sum(y * v[..., :n], axis=-1, keepdims=True)
+    y_vx = _rowsum(y * v[..., :n], keepdims=True)
     return 0.5 * (v[..., 2 * n:] - y_vx)
 
 
@@ -121,7 +151,7 @@ def phi_comps(sig: SpaceSignature, coords: np.ndarray, v: np.ndarray) -> np.ndar
     out = np.empty_like(v)
     out[..., :n] = vy
     out[..., n:2 * n] = -v[..., :n]
-    out[..., 2 * n:] = np.sum(vy * y, axis=-1, keepdims=True)
+    out[..., 2 * n:] = _rowsum(vy * y, keepdims=True)
     return out
 
 
@@ -130,8 +160,8 @@ def inner(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np.ndarray)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = sig.n
-    etas = np.sum(eta_comps(sig, coords, u) * eta_comps(sig, coords, v), axis=-1)
-    flat = 0.25 * np.sum(u[..., :2 * n] * v[..., :2 * n], axis=-1)
+    etas = _rowsum(eta_comps(sig, coords, u) * eta_comps(sig, coords, v))
+    flat = 0.25 * _rowsum(u[..., :2 * n] * v[..., :2 * n])
     return etas + flat
 
 
@@ -214,14 +244,15 @@ def gamma_bilinear(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np
     y = coords[..., n:2 * n]
     ux, uy, uz = u[..., :n], u[..., n:2 * n], u[..., 2 * n:]
     vx, vy, vz = v[..., :n], v[..., n:2 * n], v[..., 2 * n:]
-    y_ux = np.sum(y * ux, axis=-1, keepdims=True)
-    y_vx = np.sum(y * vx, axis=-1, keepdims=True)
-    y_uy = np.sum(y * uy, axis=-1, keepdims=True)
-    y_vy = np.sum(y * vy, axis=-1, keepdims=True)
-    suz = np.sum(uz, axis=-1, keepdims=True)
-    svz = np.sum(vz, axis=-1, keepdims=True)
-    cross = np.sum(ux * vy, axis=-1, keepdims=True) + np.sum(vx * uy, axis=-1, keepdims=True)
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape, coords.shape), dtype=float)
+    y_ux = _rowsum(y * ux, keepdims=True)
+    y_vx = _rowsum(y * vx, keepdims=True)
+    y_uy = _rowsum(y * uy, keepdims=True)
+    y_vy = _rowsum(y * vy, keepdims=True)
+    suz = _rowsum(uz, keepdims=True)
+    svz = _rowsum(vz, keepdims=True)
+    cross = _rowsum(ux * vy, keepdims=True) + _rowsum(vx * uy, keepdims=True)
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape, coords.shape),
+                   order="F" if v.ndim > 1 and v.flags.f_contiguous else "C")
     out[..., :n] = 0.5 * s * (y_ux * vy + y_vx * uy) - 0.5 * (uy * svz + vy * suz)
     out[..., n:2 * n] = -0.5 * s * (ux * y_vx + vx * y_ux) + 0.5 * (ux * svz + vx * suz)
     out[..., 2 * n:] = (0.5 * s * (y_ux * y_vy + y_vx * y_uy)

@@ -12,6 +12,20 @@ from magcurves import (
 SIG_GRID = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
 
 
+def assert_same_bits(got, want, nan_sign=True):
+    """Equal shapes and bits: equal values, NaN where NaN, equal signs.
+
+    With nan_sign False the signs of NaNs are not compared: when both
+    operands of a binary op are NaN, the sign of the result follows operand
+    order in numpy's inner loop, which differs between memory layouts.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    signed = np.ones(want.size, dtype=bool) if nan_sign else ~np.isnan(want).ravel()
+    assert np.array_equal(np.signbit(got).ravel()[signed], np.signbit(want).ravel()[signed])
+
+
 def slant_setup(n, s, q, cos_theta, direction=None):
     sig = SpaceSignature(n, s)
     p0 = np.zeros(sig.dim)

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from magcurves import (
     CurveKind,
     IntegratorConfig,
+    MagneticSetup,
     SpaceSignature,
     Trajectory,
+    angle_drift,
     check_circle_existence,
     classify_trajectory,
     fit_field_strength,
@@ -23,11 +25,15 @@ from magcurves import (
     rho,
     sample_case_b,
     CaseBParams,
+    exact_flow,
+    residual,
+    speed_drift,
 )
+from magcurves import model_space as ms
 from magcurves.cli import main
 from magcurves.errors import InconsistentCaseError, InfeasibleAngleError
 from magcurves.sweep import SweepSpec
-from conftest import slant_setup
+from conftest import assert_same_bits, slant_setup
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +313,42 @@ def test_classify_case_b_closed_form():
     assert cls.kind is want.kind
     assert cls.kappa1 == pytest.approx(want.kappa1, abs=1e-3)
     assert cls.kappa2 == pytest.approx(want.kappa2, abs=1e-3)
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (9, 1)])
+def test_sample_layout_does_not_change_any_bit(n, s):
+    # Trajectory keeps every sample array column-major, so C-ordered,
+    # F-ordered and strided samples give the same bits downstream, with the
+    # exact accelerations and with finite differences
+    sig = SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s, 3])
+    p0 = rng.normal(size=sig.dim)
+    cos = np.full(s, 0.4 / math.sqrt(s)) + rng.uniform(-0.05, 0.05, size=s)
+    setup = MagneticSetup(sig, 1.7, p0, initial_tangent(sig, p0, cos, rng.normal(size=2 * n)))
+    exact = exact_flow(setup, IntegratorConfig(t_end=1.0, step=1e-3).times)
+
+    def layouts(a):
+        wide = np.zeros((len(a), 2 * a.shape[1]))
+        wide[:, ::2] = a
+        return np.ascontiguousarray(a), np.asfortranarray(a), wide[:, ::2]
+
+    for acc in (layouts(exact.accelerations), (None,) * 3):
+        results = []
+        for pts, vel, a in zip(layouts(exact.points), layouts(exact.velocities), acc):
+            traj = Trajectory(sig, exact.times, pts, vel, q=setup.q, accelerations=a)
+            assert traj.points.flags.f_contiguous and traj.velocities.flags.f_contiguous
+            series = frenet_apparatus(traj)
+            results.append((series, classify_trajectory(traj, series).to_json(),
+                            residual(traj, setup.q), speed_drift(traj), angle_drift(traj)))
+        for series, *values in results[1:]:
+            for name in ("kappa1", "kappa2", "kappa3", "frames", "defined_order"):
+                assert_same_bits(getattr(series, name), getattr(results[0][0], name))
+            assert values == list(results[0][1:])
+        # the mean angles are summed over C-ordered rows, whatever the layout
+        # (for s >= 2 a sum down each contiguous column has other last bits)
+        etas = ms.eta_comps(sig, np.ascontiguousarray(exact.points),
+                            np.ascontiguousarray(exact.velocities))
+        assert json.loads(results[0][1])["measured"]["cosines"] == etas.mean(axis=0).tolist()
 
 
 def test_classify_rejects_non_unit_speed_line():

@@ -22,7 +22,7 @@ from magcurves.closed_form import (
 )
 from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
-from conftest import SIG_GRID, integrate_slant, slant_setup
+from conftest import SIG_GRID, assert_same_bits, integrate_slant, slant_setup
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +357,6 @@ def reference_rhs_rows(n, q, s, reeb, state):
     return out
 
 
-def assert_same_bits(got, want):
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-
-
 # n from 16 and s from 8 are the widths where BLAS ddot and numpy's pairwise
 # sum add in blocks
 WIDE_SIGS = [(1, 1), (3, 2), (7, 7), (8, 8), (15, 9), (16, 1), (17, 12), (24, 12)]
@@ -456,7 +450,7 @@ def test_integrate_many_mixed_signatures_bitwise(sigs):
         assert traj.sig == setup.sig and traj.q == setup.q
         assert np.array_equal(traj.times, one.times)
         for got, want in ((traj.points, one.points), (traj.velocities, one.velocities)):
-            assert got.flags.c_contiguous
+            assert got.flags.f_contiguous
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -603,3 +597,55 @@ def test_exact_flow_overflow_raises_divergence():
     with pytest.raises(DivergenceError) as err:
         exact_flow(setup, times)
     assert err.value.t_last == 1e154
+
+
+def reference_exact_flow(setup, times):
+    """exact_flow as computed on C-ordered (N, dim) blocks, kept as the
+    reference for the bits of the component-row version: (points,
+    velocities, accelerations)."""
+    sig = setup.sig
+    n = sig.n
+    t = np.asarray(times, dtype=float)
+    p0, v0 = setup.p0, setup.T0
+    x0, y0, z0 = p0[:n], p0[n:2 * n], p0[2 * n:]
+    a, b = v0[:n], v0[n:2 * n]
+    eta = 0.5 * (v0[2 * n:] - np.sum(y0 * a, axis=-1, keepdims=True))
+    w = 2.0 * float(np.sum(eta)) - setup.q
+    cos, sin, S, C, G = (f[:, None] for f in _rotation_integrals(w * t))
+    tc = t[:, None]
+    X = tc * (a * S + b * C)
+    Y = tc * (b * S - a * C)
+    y = y0 + Y
+    vx = a * cos + b * sin
+    vy = b * cos - a * sin
+    y_vx = np.sum(y * vx, axis=1, keepdims=True)
+    int_y_vx = (X @ y0)[:, None] + 0.5 * (
+        np.sum(X * Y, axis=1, keepdims=True) + (a @ a + b @ b) * (tc * (tc * G)))
+    pts = np.concatenate([x0 + X, y, z0 + 2.0 * eta * tc + int_y_vx], axis=1)
+    vel = np.concatenate([vx, vy, 2.0 * eta + y_vx], axis=1)
+    az = np.sum(vx * vy, axis=1, keepdims=True) + np.sum(y * vy, axis=1, keepdims=True) * w
+    acc = np.concatenate([vy * w, vx * -w, np.repeat(az, sig.s, axis=1)], axis=1)
+    return pts, vel, acc
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (3, 2), (4, 1), (7, 7), (8, 8), (9, 1), (16, 8)])
+def test_exact_flow_matches_reference_bitwise(n, s):
+    # the component rows, _rowsum and the C-ordered gemv give the bits of
+    # the row-major formulas, for the widths where np.sum and BLAS add in
+    # blocks too; w = 0 and signed zeros in p0 and T0 included
+    sig = SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s, 2])
+    setups = _random_setups(rng, sig, 3)
+    p0 = rng.normal(scale=1.5, size=sig.dim)
+    p0[rng.integers(sig.dim, size=2)] = -0.0
+    T0 = initial_tangent(sig, p0, np.full(s, 0.3 / np.sqrt(s)), [0.0] * (2 * n - 1) + [1.0])
+    T0[T0 == 0.0] = -0.0
+    eta_sum = float(np.sum(ms.eta_comps(sig, p0, T0)))
+    setups.append(MagneticSetup(sig, 2.0 * eta_sum, p0, T0))  # w = 0
+    for setup, samples in zip(setups, (2001, 5, 731, 1200)):
+        times = IntegratorConfig(t_end=samples * 1e-3, step=1e-3).times
+        got = exact_flow(setup, times)
+        for arr, want in zip((got.points, got.velocities, got.accelerations),
+                             reference_exact_flow(setup, times)):
+            assert arr.flags.f_contiguous
+            assert_same_bits(arr, want)

@@ -35,8 +35,9 @@ def test_csv_round_trip(tmp_path, circle_traj):
     assert np.array_equal(back.points, circle_traj.points)
     assert np.array_equal(back.velocities, circle_traj.velocities)
     assert back.q is None  # CSV carries no strength
-    # read columns are copied out of the table, one layout for classify
-    assert all(a.flags.c_contiguous for a in (back.times, back.points, back.velocities))
+    # read columns are copied out of the table into the one sample layout
+    assert back.times.flags.c_contiguous
+    assert all(a.flags.f_contiguous for a in (back.points, back.velocities))
 
 
 def test_json_round_trip(tmp_path, circle_traj):
@@ -46,7 +47,8 @@ def test_json_round_trip(tmp_path, circle_traj):
     assert back.q == circle_traj.q
     assert np.array_equal(back.points, circle_traj.points)
     assert np.array_equal(back.velocities, circle_traj.velocities)
-    assert all(a.flags.c_contiguous for a in (back.times, back.points, back.velocities))
+    assert back.times.flags.c_contiguous
+    assert all(a.flags.f_contiguous for a in (back.points, back.velocities))
 
 
 def test_write_dispatch_by_suffix(tmp_path, circle_traj):

@@ -3,7 +3,7 @@ import pytest
 
 from magcurves import model_space as ms
 from magcurves.verify import _nabla_phi_sides
-from conftest import SIG_GRID
+from conftest import SIG_GRID, assert_same_bits
 
 
 def rand_vec(sig, rng, scale=2.0):
@@ -347,3 +347,134 @@ def test_nabla_phi_identity(n, s):
         phi2x = ms.phi_comps(sig, p, ms.phi_comps(sig, p, X))
         assert np.abs(rhs - phi2x).max() < 1e-12
         assert np.abs(lhs - rhs).max() < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# component sums in every layout: the row-major functions that the ordered
+# column adds replaced, kept as the reference for their bits
+# ---------------------------------------------------------------------------
+
+def reference_eta_comps(sig, coords, v):
+    n = sig.n
+    y = coords[..., n:2 * n]
+    y_vx = np.sum(y * v[..., :n], axis=-1, keepdims=True)
+    return 0.5 * (v[..., 2 * n:] - y_vx)
+
+
+def reference_phi_comps(sig, coords, v):
+    n = sig.n
+    y = coords[..., n:2 * n]
+    vy = v[..., n:2 * n]
+    out = np.empty_like(v)
+    out[..., :n] = vy
+    out[..., n:2 * n] = -v[..., :n]
+    out[..., 2 * n:] = np.sum(vy * y, axis=-1, keepdims=True)
+    return out
+
+
+def reference_inner(sig, coords, u, v):
+    n = sig.n
+    etas = np.sum(reference_eta_comps(sig, coords, u) * reference_eta_comps(sig, coords, v),
+                  axis=-1)
+    flat = 0.25 * np.sum(u[..., :2 * n] * v[..., :2 * n], axis=-1)
+    return etas + flat
+
+
+def reference_gamma_bilinear(sig, coords, u, v):
+    n, s = sig.n, sig.s
+    y = coords[..., n:2 * n]
+    ux, uy, uz = u[..., :n], u[..., n:2 * n], u[..., 2 * n:]
+    vx, vy, vz = v[..., :n], v[..., n:2 * n], v[..., 2 * n:]
+    y_ux = np.sum(y * ux, axis=-1, keepdims=True)
+    y_vx = np.sum(y * vx, axis=-1, keepdims=True)
+    y_uy = np.sum(y * uy, axis=-1, keepdims=True)
+    y_vy = np.sum(y * vy, axis=-1, keepdims=True)
+    suz = np.sum(uz, axis=-1, keepdims=True)
+    svz = np.sum(vz, axis=-1, keepdims=True)
+    cross = np.sum(ux * vy, axis=-1, keepdims=True) + np.sum(vx * uy, axis=-1, keepdims=True)
+    out = np.empty(np.broadcast_shapes(u.shape, v.shape, coords.shape), dtype=float)
+    out[..., :n] = 0.5 * s * (y_ux * vy + y_vx * uy) - 0.5 * (uy * svz + vy * suz)
+    out[..., n:2 * n] = -0.5 * s * (ux * y_vx + vx * y_ux) + 0.5 * (ux * svz + vx * suz)
+    out[..., 2 * n:] = (0.5 * s * (y_ux * y_vy + y_vx * y_uy)
+                        - 0.5 * cross
+                        - 0.5 * (y_uy * svz + y_vy * suz))
+    return out
+
+
+SPECIAL_VALUES = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1e300, -1e300, 5e-324])
+
+
+def _special_array(rng, shape):
+    """Random values over many scales, a tenth of them replaced by signed
+    zeros, NaN, infinities, huge and subnormal values."""
+    a = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    mask = rng.random(shape) < 0.1
+    a[mask] = rng.choice(SPECIAL_VALUES, size=int(mask.sum()))
+    return a
+
+
+# widths from 8 on take _rowsum's np.sum fallback: 2n for n >= 4, n >= 8, s = 8
+LAYOUT_SIGS = [(1, 1), (2, 3), (3, 7), (4, 1), (7, 8), (8, 2), (9, 1), (16, 8)]
+
+
+@pytest.mark.parametrize("n,s", LAYOUT_SIGS)
+@pytest.mark.parametrize("lead", [(), (37,), (3, 37)], ids=["d", "N-d", "B-N-d"])
+def test_component_sums_match_reference_in_every_layout(n, s, lead):
+    # C- and F-ordered inputs both give the bits the reference gives on
+    # C-ordered arrays, special values included; the sign of a NaN made from
+    # two NaNs follows the layout (see assert_same_bits)
+    sig = ms.SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s, len(lead)])
+    p, u, v = (_special_array(rng, lead + (sig.dim,)) for _ in range(3))
+    with np.errstate(all="ignore"):
+        want = {
+            "eta": reference_eta_comps(sig, p, v),
+            "phi": reference_phi_comps(sig, p, v),
+            "inner": reference_inner(sig, p, u, v),
+            "gamma": reference_gamma_bilinear(sig, p, u, v),
+        }
+        for order in "CF":
+            pc, uc, vc = (np.asarray(a, order=order) for a in (p, u, v))
+            got = {
+                "eta": ms.eta_comps(sig, pc, vc),
+                "phi": ms.phi_comps(sig, pc, vc),
+                "inner": ms.inner(sig, pc, uc, vc),
+                "gamma": ms.gamma_bilinear(sig, pc, uc, vc),
+            }
+            for name in want:
+                assert_same_bits(got[name], want[name], nan_sign=order == "C")
+            if lead:  # outputs follow the inputs' layout
+                for name in ("phi", "gamma"):
+                    assert got[name].flags[f"{order}_CONTIGUOUS"]
+
+
+def test_rowsum_matches_np_sum_and_falls_back_from_width_8(monkeypatch):
+    rng = np.random.default_rng(8)
+    real_sum = np.sum
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real_sum(*args, **kwargs)
+
+    for width in range(1, 13):
+        a = _special_array(rng, (500, width))
+        with np.errstate(all="ignore"):
+            want = real_sum(a, axis=-1)
+            for order in "CF":
+                calls.clear()
+                monkeypatch.setattr(np, "sum", spy)
+                got = ms._rowsum(np.asarray(a, order=order))
+                kept = ms._rowsum(np.asarray(a, order=order), keepdims=True)
+                monkeypatch.setattr(np, "sum", real_sum)
+                assert_same_bits(got, want)
+                assert_same_bits(kept, want[:, None])
+                # column adds below width 8, np.sum on a C-ordered copy from 8 on
+                assert bool(calls) == (width >= 8)
+            if width >= 8:
+                # ordered column adds would differ there: numpy adds pairwise
+                cols = 0.0 + a[:, 0]
+                for k in range(1, width):
+                    cols = cols + a[:, k]
+                finite = np.isfinite(want)
+                assert not np.array_equal(cols[finite], want[finite])
