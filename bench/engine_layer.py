@@ -17,9 +17,10 @@ Cases (each a ``layer`` with its unit of work):
   in microseconds per sample (skipped, like ``exact_flow``, for a source
   without it);
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
-* ``dynamics.integrate_many``: n = s = 2 at B = 1, 3, 5, 64 (1000 steps) and
-  1024 (100 steps), microseconds per row-step; 3 and 5 are the batch sizes of
-  verify's curve and classification suites;
+* ``dynamics.integrate_many``: n = s = 2 at B = 1, 3, 5, 8, 64 (1000 steps)
+  and 1024 (100 steps), microseconds per row-step; 3 and 5 are the batch
+  sizes of verify's curve and classification suites run on their own, 8 that
+  of ``verify.run_all``, which steps both suites' trajectories together;
 * ``sweep.setup``, ``sweep.trajectory`` and ``sweep.frenet_row``: the three
   stages of the benchmark's ``sweep-grid`` seed-1 sweep (32 cells of 2001
   samples; ``perfbench/inputs.py`` writes the same grid), in milliseconds
@@ -27,8 +28,10 @@ Cases (each a ``layer`` with its unit of work):
   ``run_sweep`` uses: ``exact_flow`` per cell where ``magcurves.sweep`` has
   it, else one ``integrate_many`` batch of all cells;
 * ``verify.curve_suite`` and ``verify.classification_suite``: one call of
-  each as ``magcurves verify`` makes it at its defaults (seed 0, 5
-  classification cases), in milliseconds per call.
+  each on its own at ``magcurves verify``'s defaults (seed 0, 5
+  classification cases), and ``verify.run_all``: one whole report at those
+  defaults (200 structure samples, 50 connection points), in milliseconds
+  per call.
 
 Each case runs ``--repeats`` times, round robin with the others, after one
 warm-up round; the record keeps the best time and the spread (worst / best
@@ -119,7 +122,8 @@ def cases() -> list[tuple[dict, int, object]]:
     cfg = IntegratorConfig(t_end=steps * STEP, step=STEP)
     out.append(({"layer": "dynamics.integrate", "n": 2, "s": 2, "unit": "us/step"},
                 steps, functools.partial(integrate, _setup(2, 2, [2, 2]), cfg)))
-    for batch, steps in ((1, 1000), (3, 1000), (5, 1000), (64, 1000), (1024, 100)):
+    for batch, steps in ((1, 1000), (3, 1000), (5, 1000), (8, 1000), (64, 1000),
+                        (1024, 100)):
         cfg = IntegratorConfig(t_end=steps * STEP, step=STEP)
         setups = [_setup(2, 2, [2, 2, b]) for b in range(batch)]
         out.append(({"layer": "dynamics.integrate_many", "n": 2, "s": 2, "B": batch,
@@ -158,6 +162,8 @@ def cases() -> list[tuple[dict, int, object]]:
                 functools.partial(verify.curve_suite, 0)))
     out.append(({"layer": "verify.classification_suite", "cases": 5, "unit": "ms/call"}, 1,
                 functools.partial(verify.classification_suite, 0, 5)))
+    out.append(({"layer": "verify.run_all", "samples": 200, "points": 50, "cases": 5,
+                 "unit": "ms/call"}, 1, functools.partial(verify.run_all, 0, 200, 50, 5)))
     return out
 
 

@@ -354,7 +354,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except DivergenceError as exc:
-        print(f"divergence: {exc} (last valid time {exc.t_last!r})", file=sys.stderr)
+        print(f"divergence: {exc}", file=sys.stderr)  # the message states t_last
         return EXIT_DIVERGED
     except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -354,9 +354,10 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     recorded straight into each trajectory's column-major arrays.
 
     A step costs about the same for a few rows as for one, so the cost per
-    row falls with B: at n = s = 2 one row-step takes 87, 29 and 17 us at
-    B = 1, 3 and 5 (``bench/engine_layer.py``, 2-vCPU Xeon, numpy 2.4).  For
-    a single setup ``integrate`` is faster, at 72 us per step.
+    row falls with B: at n = s = 2 one row-step takes 79, 31, 19 and 11 us at
+    B = 1, 3, 5 and 8 (``bench/engine_layer.py``, 2-vCPU Xeon, numpy 2.4;
+    8 is ``verify.run_all``'s one batch).  For a single setup ``integrate``
+    is faster, at 66 us per step.
     """
     setups = list(setups)
     if not setups:

@@ -106,6 +106,7 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
         )
 
     P, V = traj.points, traj.velocities
+    gamma_v = ms._gamma_along(sig, P, V)  # the (P, V) sums, taken once for all levels
 
     def rate(field: np.ndarray) -> np.ndarray:
         # nabla_T field: fourth-order five-point difference of the components
@@ -113,7 +114,7 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
         # level) plus the exact connection term
         out = np.full_like(field, np.nan)
         out[2:-2] = (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
-        return out + ms.gamma_bilinear(sig, P, V, field)
+        return out + gamma_v(field)
 
     def trim(arr: np.ndarray, level: int) -> np.ndarray:
         k = _TRIM * level

@@ -237,28 +237,43 @@ def gamma_bilinear(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np
     Agrees with ``christoffel_array`` contracted twice; this form avoids
     building the dim^3 tensor in the integration and curvature hot paths.
     """
+    return _gamma_along(sig, coords, u)(v)
+
+
+def _gamma_along(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray):
+    """The map v -> gamma_bilinear(sig, coords, u, v).
+
+    The sums that depend only on coords and u (y . ux, y . uy, sum uz) are
+    taken once, here, for callers that contract one (coords, u) with several
+    v; each call gives the bits of ``gamma_bilinear``.
+    """
     coords = np.asarray(coords, dtype=float)
     u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
     n, s = sig.n, sig.s
     y = coords[..., n:2 * n]
-    ux, uy, uz = u[..., :n], u[..., n:2 * n], u[..., 2 * n:]
-    vx, vy, vz = v[..., :n], v[..., n:2 * n], v[..., 2 * n:]
+    ux, uy = u[..., :n], u[..., n:2 * n]
     y_ux = _rowsum(y * ux, keepdims=True)
-    y_vx = _rowsum(y * vx, keepdims=True)
     y_uy = _rowsum(y * uy, keepdims=True)
-    y_vy = _rowsum(y * vy, keepdims=True)
-    suz = _rowsum(uz, keepdims=True)
-    svz = _rowsum(vz, keepdims=True)
-    cross = _rowsum(ux * vy, keepdims=True) + _rowsum(vx * uy, keepdims=True)
-    out = np.empty(np.broadcast_shapes(u.shape, v.shape, coords.shape),
-                   order="F" if v.ndim > 1 and v.flags.f_contiguous else "C")
-    out[..., :n] = 0.5 * s * (y_ux * vy + y_vx * uy) - 0.5 * (uy * svz + vy * suz)
-    out[..., n:2 * n] = -0.5 * s * (ux * y_vx + vx * y_ux) + 0.5 * (ux * svz + vx * suz)
-    out[..., 2 * n:] = (0.5 * s * (y_ux * y_vy + y_vx * y_uy)
-                        - 0.5 * cross
-                        - 0.5 * (y_uy * svz + y_vy * suz))
-    return out
+    suz = _rowsum(u[..., 2 * n:], keepdims=True)
+    shape = np.broadcast_shapes(u.shape, coords.shape)
+
+    def contract(v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        vx, vy, vz = v[..., :n], v[..., n:2 * n], v[..., 2 * n:]
+        y_vx = _rowsum(y * vx, keepdims=True)
+        y_vy = _rowsum(y * vy, keepdims=True)
+        svz = _rowsum(vz, keepdims=True)
+        cross = _rowsum(ux * vy, keepdims=True) + _rowsum(vx * uy, keepdims=True)
+        out = np.empty(np.broadcast_shapes(shape, v.shape),
+                       order="F" if v.ndim > 1 and v.flags.f_contiguous else "C")
+        out[..., :n] = 0.5 * s * (y_ux * vy + y_vx * uy) - 0.5 * (uy * svz + vy * suz)
+        out[..., n:2 * n] = -0.5 * s * (ux * y_vx + vx * y_ux) + 0.5 * (ux * svz + vx * suz)
+        out[..., 2 * n:] = (0.5 * s * (y_ux * y_vy + y_vx * y_uy)
+                            - 0.5 * cross
+                            - 0.5 * (y_uy * svz + y_vy * suz))
+        return out
+
+    return contract
 
 
 def frame_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:

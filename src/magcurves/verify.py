@@ -3,14 +3,19 @@ classification invariants.
 
 Each suite returns a list of check records; ``run_all`` aggregates them
 into a machine-readable report that is byte-identical across runs for a
-fixed seed.  ``metric_perturbation`` deliberately corrupts the metric used
+fixed seed.  The curve and classification suites integrate their curves at
+one fine step, and ``run_all`` steps all of those curves in one RK4 batch
+(``_run_plans``), with the bits that each suite gets on its own.  ``metric_perturbation`` deliberately corrupts the metric used
 inside the structure suite; it exists as a negative control so callers can
 confirm the suite actually fails when the geometry is wrong.
 """
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,6 +31,7 @@ from .closed_form import random_params, residual, sample_case_a
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
+    Trajectory,
     angle_drift,
     initial_tangent,
     integrate,
@@ -196,19 +202,14 @@ def structure_suite(seed: int = 0, samples: int = 1000,
 # connection table
 # ---------------------------------------------------------------------------
 
-def _frame_field_rate(sig: ms.SpaceSignature, coords: np.ndarray, gamma: np.ndarray,
-                      frame: np.ndarray, e_idx: int, f_idx: int) -> np.ndarray:
-    """nabla of the f-th frame field along the e-th, from coordinate
-    Christoffels plus the derivative of the frame coefficients.
+def _frame_derivative(sig: ms.SpaceSignature, coords: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Derivative of the frame matrix's coefficients along the direction e.
 
     Frame coefficients are linear in the coordinates, so the central
     difference is exact for any step; a large step minimizes rounding.
     """
     h = 0.25
-    e = frame[:, e_idx]
-    fp = ms.frame_matrix(sig, coords + h * e)[:, f_idx]
-    fm = ms.frame_matrix(sig, coords - h * e)[:, f_idx]
-    return (fp - fm) / (2 * h) + np.einsum("kij,i,j->k", gamma, e, frame[:, f_idx])
+    return (ms.frame_matrix(sig, coords + h * e) - ms.frame_matrix(sig, coords - h * e)) / (2 * h)
 
 
 def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
@@ -234,8 +235,14 @@ def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
             sum_xi = np.zeros(d)
             sum_xi[2 * n:] = 2.0
 
-            def rate(e_idx, f_idx, c=c, gamma=gamma, F=F):
-                return _frame_field_rate(sig, c, gamma, F, e_idx, f_idx)
+            # nabla of the f-th frame field along the e-th: the derivative of
+            # its coefficients plus the coordinate Christoffels; dF[e] holds
+            # the coefficient derivatives of every frame field along e
+            dF = [_frame_derivative(sig, c, F[:, k]) for k in range(d)]
+
+            def rate(e_idx, f_idx, gamma=gamma, F=F, dF=dF):
+                return dF[e_idx][:, f_idx] + np.einsum("kij,i,j->k", gamma, F[:, e_idx],
+                                                       F[:, f_idx])
 
             for i in range(n):
                 for j in range(n):
@@ -283,8 +290,49 @@ def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
 
 
 # ---------------------------------------------------------------------------
-# trajectories and curvatures
+# the fine-step trajectories of the curve and classification suites
 # ---------------------------------------------------------------------------
+
+_FINE_STEP = 1e-3
+_CURVE_T_END = 5.0
+_CLASSIFICATION_T_END = 2.0
+
+
+class _Plan(NamedTuple):
+    """One suite's share of the fine-step RK4 run: the setups it needs
+    integrated under cfg, and finish(trajectories) -> the suite's records."""
+
+    setups: list[MagneticSetup]
+    cfg: IntegratorConfig
+    finish: Callable[[list[Trajectory]], list[CheckRecord]]
+
+
+def _run_plans(plans: list[_Plan]) -> list[list[CheckRecord]]:
+    """The records of every plan, with all their setups stepped in one
+    ``integrate_many`` batch under the longest config.
+
+    Each plan gets its own trajectories cut back to its own samples.  RK4
+    rows never mix, and every plan's config records each step of
+    ``_FINE_STEP``, so a shorter config's times are a prefix of the longest
+    one's and every cut trajectory has the bits of a run under its own
+    config (the batch stays within the widths where ``integrate_many`` keeps
+    each row's bits).  Running a row past its own config cannot raise a new
+    DivergenceError in verify: every verify setup has h|w| below 0.01, far
+    inside RK4's stability limit of 2 sqrt(2).
+    """
+    setups = [st for p in plans for st in p.setups]
+    trajs = []
+    if setups:
+        cfg = max((p.cfg for p in plans if p.setups), key=lambda c: c.n_samples)
+        trajs = integrate_many(setups, cfg)
+    out = []
+    for p in plans:
+        m = p.cfg.n_samples
+        own, trajs = trajs[:len(p.setups)], trajs[len(p.setups):]
+        out.append(p.finish([Trajectory(t.sig, t.times[:m], t.points[:m], t.velocities[:m],
+                                        q=t.q) for t in own]))
+    return out
+
 
 def _slant_setup(n: int, s: int, q: float, cos_theta: float,
                  direction=None) -> MagneticSetup:
@@ -293,20 +341,20 @@ def _slant_setup(n: int, s: int, q: float, cos_theta: float,
     return MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [cos_theta] * s, direction))
 
 
-def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
-    """Integrator conservation/convergence, closed-form agreement, and the
-    curvature relations of the canonical circle and helix cases."""
-    out: list[CheckRecord] = []
-
+def _curve_plan(seed: int, t_end: float) -> _Plan:
     # the circle, the Legendre helix and the closed form's matched initial
-    # data share one batched run; the closed form is sampled on the
-    # integrator's own recorded times
+    # data; the closed form is sampled on the integrator's own recorded times
     params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
-    cfg = IntegratorConfig(t_end=t_end, step=1e-3)
+    cfg = IntegratorConfig(t_end=t_end, step=_FINE_STEP)
     exact = sample_case_a(params, cfg.times)
     setup_cf = MagneticSetup(exact.sig, 2.0, exact.points[0], exact.velocities[0])
-    traj, traj_h, traj_cf = integrate_many(
-        [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), setup_cf], cfg)
+    setups = [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), setup_cf]
+    return _Plan(setups, cfg, functools.partial(_curve_checks, exact))
+
+
+def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecord]:
+    traj, traj_h, traj_cf = trajs
+    out: list[CheckRecord] = []
 
     # canonical slant circle: n=1, s=1, q=2, cos theta = 1/2
     out.append(_record("curves", "speed_drift", speed_drift(traj), 1e-8))
@@ -344,6 +392,12 @@ def curve_suite(seed: int = 0, t_end: float = 5.0) -> list[CheckRecord]:
     return out
 
 
+def curve_suite(seed: int = 0, t_end: float = _CURVE_T_END) -> list[CheckRecord]:
+    """Integrator conservation/convergence, closed-form agreement, and the
+    curvature relations of the canonical circle and helix cases."""
+    return _run_plans([_curve_plan(seed, t_end)])[0]
+
+
 # ---------------------------------------------------------------------------
 # classification consistency
 # ---------------------------------------------------------------------------
@@ -359,8 +413,8 @@ def _random_admissible(rng, s: int) -> tuple[float, float]:
             return q, ct
 
 
-def classification_suite(seed: int = 0, cases: int = 10,
-                         t_end: float = 2.0) -> list[CheckRecord]:
+def _classification_plan(seed: int, cases: int, t_end: float) -> _Plan:
+    # the formula checks first, then the case draws, in one random stream
     rng = np.random.default_rng(seed)
     out: list[CheckRecord] = []
 
@@ -435,8 +489,13 @@ def classification_suite(seed: int = 0, cases: int = 10,
         n = int(rng.integers(1, 3))
         q, ct = _random_admissible(rng, s)
         drawn.append((s, q, ct, _slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
-    cfg = IntegratorConfig(t_end=t_end, step=1e-3)
-    trajs = integrate_many([setup for *_, setup in drawn], cfg) if drawn else []
+    cfg = IntegratorConfig(t_end=t_end, step=_FINE_STEP)
+    return _Plan([setup for *_, setup in drawn], cfg,
+                 functools.partial(_classification_checks, out, drawn))
+
+
+def _classification_checks(before: list[CheckRecord], drawn: list,
+                           trajs: list[Trajectory]) -> list[CheckRecord]:
     kind_mismatches = 0
     curv_err = 0.0
     for (s, q, ct, _), traj in zip(drawn, trajs):
@@ -448,10 +507,18 @@ def classification_suite(seed: int = 0, cases: int = 10,
         else:
             curv_err = max(curv_err, abs(got.kappa1 - want.kappa1),
                            abs(got.kappa2 - want.kappa2))
-    out.append(_record("classification", "empirical_kind_agreement",
-                       float(kind_mismatches), 0.0))
-    out.append(_record("classification", "empirical_curvature_agreement", curv_err, 1e-3))
-    return out
+    return before + [
+        _record("classification", "empirical_kind_agreement", float(kind_mismatches), 0.0),
+        _record("classification", "empirical_curvature_agreement", curv_err, 1e-3),
+    ]
+
+
+def classification_suite(seed: int = 0, cases: int = 10,
+                         t_end: float = _CLASSIFICATION_T_END) -> list[CheckRecord]:
+    """The predicted classes against the general curvature formulas, the
+    inversion round trips, the circle boundary and the s = 1 reduction, and
+    the classes measured on ``cases`` integrated random slant curves."""
+    return _run_plans([_classification_plan(seed, cases, t_end)])[0]
 
 
 def run_all(seed: int = 0, samples: int = 200, points: int = 50, cases: int = 5,
@@ -460,8 +527,10 @@ def run_all(seed: int = 0, samples: int = 200, points: int = 50, cases: int = 5,
     checks: list[CheckRecord] = []
     checks += structure_suite(seed, samples, metric_perturbation)
     checks += connection_suite(seed, points)
-    checks += curve_suite(seed)
-    checks += classification_suite(seed, cases)
+    # the curve and classification suites' trajectories share one RK4 batch
+    for records in _run_plans([_curve_plan(seed, _CURVE_T_END),
+                               _classification_plan(seed, cases, _CLASSIFICATION_T_END)]):
+        checks += records
     return {
         "seed": seed,
         "samples": samples,

@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -10,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import magcurves
 from magcurves import (
     MagneticSetup,
     SpaceSignature,
@@ -84,6 +88,27 @@ def test_integrate_divergence_exits_3(tmp_path, capsys):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 3
     assert "last valid time" in stderr
+
+
+def test_divergence_message_states_last_valid_time_once(tmp_path, capsys):
+    cfg = write_json(tmp_path / "run.json", {
+        "n": 1, "s": 1, "q": 1e6, "cos_theta": 0.5, "t_end": 1.0, "step": 1e-3,
+    })
+    code, _, stderr = run_cli(capsys, "integrate", "--config", cfg,
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 3
+    assert stderr.count("last valid time") == 1
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(magcurves.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "magcurves", "verify", "--seed", "0",
+                           "--samples", "20", "--points", "9", "--cases", "1"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["passed"] is True
 
 
 def test_integrate_theta_in_radians(tmp_path, capsys):

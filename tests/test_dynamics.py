@@ -455,6 +455,23 @@ def test_integrate_many_mixed_signatures_bitwise(sigs):
             assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_longer_run_starts_with_the_shorter_run(record_every):
+    # a batch run under a longer config, cut to the samples of a shorter one
+    # with the same step, has the shorter run's bits on a mixed batch
+    rng = np.random.default_rng(21)
+    setups = [st for n, s in [(1, 1), (2, 3), (1, 2), (3, 1)]
+              for st in _slant_cases(rng, SpaceSignature(n, s))[:2]]
+    short = IntegratorConfig(t_end=0.12, step=1e-3, record_every=record_every)
+    long_ = IntegratorConfig(t_end=0.3, step=1e-3, record_every=record_every)
+    m = short.n_samples
+    assert m < long_.n_samples
+    for cut, want in zip(integrate_many(setups, long_), integrate_many(setups, short)):
+        assert_same_bits(cut.times[:m], want.times)
+        assert_same_bits(cut.points[:m], want.points)
+        assert_same_bits(cut.velocities[:m], want.velocities)
+
+
 def test_integrate_many_mixed_raises_first_diverging_setup():
     # setup 1 (n = 2, s = 2) diverges at t = 0.05, setup 2 (n = 1, s = 3)
     # sooner, at t = 0.03; the error is setup 1's, as integrate raises it

@@ -1,8 +1,10 @@
 import json
 
+import pytest
+
 from magcurves import integrate
 from magcurves import verify
-from magcurves.verify import run_all, structure_suite
+from magcurves.verify import classification_suite, curve_suite, run_all, structure_suite
 
 
 def test_report_shape_and_pass():
@@ -34,3 +36,30 @@ def test_batched_runs_match_per_setup_integrate(monkeypatch):
     monkeypatch.setattr(verify, "integrate_many",
                         lambda setups, cfg: [integrate(st, cfg) for st in setups])
     assert [run_all(seed, **small) for seed in range(3)] == batched
+
+
+def _bits(records):
+    return [(r.suite, r.name, float.hex(r.max_err), r.tol, r.passed) for r in records]
+
+
+@pytest.mark.parametrize("seed,cases", [(0, 5), (1, 5), (2, 5), (0, 0), (1, 1)])
+def test_run_all_matches_standalone_suites(seed, cases):
+    # one batch for both suites gives the bits of each suite run on its own
+    report = run_all(seed, samples=10, points=9, cases=cases)
+    merged = [verify.CheckRecord(**c) for c in report["checks"]
+              if c["suite"] in ("curves", "classification")]
+    alone = curve_suite(seed) + classification_suite(seed, cases)
+    assert _bits(merged) == _bits(alone)
+
+
+def test_run_all_steps_one_fine_batch(monkeypatch):
+    calls = []
+    real = verify.integrate_many
+
+    def spy(setups, cfg):
+        calls.append((len(setups), cfg.step, cfg.n_steps))
+        return real(setups, cfg)
+
+    monkeypatch.setattr(verify, "integrate_many", spy)
+    run_all(0, samples=10, points=9, cases=5)
+    assert calls == [(3 + 5, 1e-3, 5000)]
