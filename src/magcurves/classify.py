@@ -273,12 +273,10 @@ def _v2_alignment(traj: Trajectory, series: FrenetSeries) -> float | None:
     sig = traj.sig
     keep = slice(2, len(traj) - 2)
     pts = traj.points[keep]
-    v1 = series.frames[:, 0]
-    v2 = series.frames[:, 1]
-    phit = ms.phi_comps(sig, pts, v1)
+    phit = ms.phi_comps(sig, pts, series.v1)
     with np.errstate(invalid="ignore", divide="ignore"):
         scale = ms.norm(sig, pts, phit)
-        vals = ms.inner(sig, pts, v2, phit) / scale
+        vals = ms.inner(sig, pts, series.v2, phit) / scale
     vals = vals[np.isfinite(vals)]
     if len(vals) == 0:
         return None

@@ -61,7 +61,8 @@ def _lambda_vanishes(q: float, s: int, cos_theta: float) -> bool:
 
 def _check_amplitudes(c: np.ndarray, s: int, cos_theta: float):
     target = 4.0 * (1.0 - s * cos_theta * cos_theta)
-    got = float(np.sum(c * c))
+    with np.errstate(over="ignore"):  # an overflowing sum is inf, and rejected below
+        got = float(np.sum(c * c))
     if abs(got - target) > _CONSTRAINT_TOL:
         raise InvalidParamsError(
             f"sum of c_i^2 must equal 4(1 - s cos^2 theta) = {target!r}, got {got!r}"

@@ -406,32 +406,40 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
 # closed forms lose no digits to cancellation.
 _SERIES_BAND = 1.0
 _SERIES_TERMS = 9
+# row k - 1 holds the coefficients (-1)^j / (2j + k)! of the series of S, C / z
+# and G / z in z^2, j = 0 .. _SERIES_TERMS - 1
+_SERIES_COEFFS = np.array([[(-1) ** j / math.factorial(2 * j + k) for j in range(_SERIES_TERMS)]
+                           for k in (1, 2, 3)])
 
 
 def _rotation_integrals(z: np.ndarray):
     """cos z, sin z and the entire functions S = sin z / z, C = (1 - cos z)/z
-    and G = (z - sin z)/z^2 (phi-functions of -i z: t phi_1(-i w t) is
-    t (S - i C) at z = w t).
+    and G = (z - sin z)/z^2 of a 1-d array z (phi-functions of -i z:
+    t phi_1(-i w t) is t (S - i C) at z = w t).
 
     At z = w t they give t S = int_0^t cos(w r) dr, t C = int_0^t sin(w r) dr
     and t^2 G = int_0^t r C(w r) dr without dividing by w, so w = 0 is an
     ordinary value.
     """
     small = np.abs(z) < _SERIES_BAND
-    zs = np.where(small, z, 0.0)
-    zz = zs * zs
+    zs = z[small]  # the series are summed only where they are used
 
-    def series(k):  # sum_j (-1)^j z^(2j) / (2j + k)!, by Horner in z^2
-        acc = np.zeros_like(zz)
-        for j in reversed(range(_SERIES_TERMS)):
-            acc = acc * zz + (-1) ** j / math.factorial(2 * j + k)
-        return acc
+    # the three series sum_j (-1)^j z^(2j) / (2j + k)!, k = 1, 2, 3, by one
+    # Horner loop in z^2 over a (3, len(zs)) accumulator; tiling z^2 keeps
+    # every operand the accumulator's shape
+    zz = np.tile(zs * zs, (3, 1))
+    series = np.zeros_like(zz)
+    for j in reversed(range(_SERIES_TERMS)):
+        series = series * zz + _SERIES_COEFFS[:, j, None]
 
     zl = np.where(small, 1.0, z)  # the closed forms are taken only where |z| >= 1
     cos, sin = np.cos(z), np.sin(z)
-    S = np.where(small, series(1), sin / zl)
-    C = np.where(small, zs * series(2), (1.0 - cos) / zl)
-    G = np.where(small, zs * series(3), (zl - sin) / zl / zl)
+    S = sin / zl
+    C = (1.0 - cos) / zl
+    G = (zl - sin) / zl / zl
+    S[small] = series[0]
+    C[small] = zs * series[1]
+    G[small] = zs * series[2]
     return cos, sin, S, C, G
 
 

@@ -13,10 +13,13 @@ Gamma(T, V), at the trajectory's own grid step.  Every differentiation
 level trims two samples from each end (the five-point stencil's reach);
 quantities are NaN where trimmed or where the preceding curvature falls
 below its level's degeneracy threshold (no frame vector is normalized out
-of noise).
+of noise).  The curvatures and v_1..v_3 are computed in every call; the
+stacked frames, v_4 among them, and the defined order are built on first
+access, since the classification reads only curvatures, v_1 and v_2.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,13 +43,21 @@ _TRIM = 2       # samples dropped from each end per differentiation level
 _GRID_RTOL = 1e-9
 
 
+def _unit(field: np.ndarray, kappa: np.ndarray, eps: float) -> np.ndarray:
+    """field / kappa per sample where kappa > eps, NaN elsewhere."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((kappa > eps)[:, None], field / kappa[:, None], np.nan)
+
+
 @dataclass(frozen=True)
 class FrenetSeries:
-    """Curvature and frame series on the trimmed interior grid.
+    """Curvature series and Frenet vectors on the trimmed interior grid.
 
-    ``frames`` has shape (len(times), 4, dim) holding v_1..v_4 in coordinate
-    components, NaN where undefined; ``defined_order[t]`` counts the frame
-    vectors defined at that sample.
+    ``v1``, ``v2``, ``v3`` and ``k3v4`` = kappa3 v_4 are (len(times), dim)
+    arrays of coordinate components, NaN where undefined.  ``frames`` has
+    shape (len(times), 4, dim) holding v_1..v_4, and ``defined_order[t]``
+    counts the frame vectors defined at that sample; both are built on
+    first access and then kept.
     """
 
     sig: ms.SpaceSignature
@@ -54,8 +65,26 @@ class FrenetSeries:
     kappa1: np.ndarray
     kappa2: np.ndarray
     kappa3: np.ndarray
-    frames: np.ndarray
-    defined_order: np.ndarray
+    v1: np.ndarray
+    v2: np.ndarray
+    v3: np.ndarray
+    k3v4: np.ndarray
+
+    # cached_property writes the instance __dict__ directly, past the
+    # frozen dataclass's __setattr__
+    @functools.cached_property
+    def frames(self) -> np.ndarray:
+        v4 = _unit(self.k3v4, self.kappa3, _EPS_LEVEL[2])
+        return np.stack([self.v1, self.v2, self.v3, v4], axis=1)
+
+    @functools.cached_property
+    def defined_order(self) -> np.ndarray:
+        lvl2 = self.kappa1 > _EPS_LEVEL[0]
+        lvl3 = lvl2 & (self.kappa2 > _EPS_LEVEL[1])
+        lvl4 = lvl3 & (self.kappa3 > _EPS_LEVEL[2])
+        defined = np.ones(len(self.times), dtype=int)
+        defined += lvl2.astype(int) + lvl3.astype(int) + lvl4.astype(int)
+        return defined
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -125,40 +154,29 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
     def gnorm(field: np.ndarray) -> np.ndarray:
         return ms.norm(sig, P, field)
 
-    def unit(field: np.ndarray, kappa: np.ndarray, eps: float) -> np.ndarray:
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where((kappa > eps)[:, None], field / kappa[:, None], np.nan)
-        return out
-
     with np.errstate(invalid="ignore"):
         ntt = trim(rate(V), 1)
         kappa1 = gnorm(ntt)
-        v2 = unit(ntt, kappa1, _EPS_LEVEL[0])
+        v2 = _unit(ntt, kappa1, _EPS_LEVEL[0])
 
         k2v3 = trim(rate(v2) + kappa1[:, None] * V, 2)
         kappa2 = gnorm(k2v3)
-        v3 = unit(k2v3, kappa2, _EPS_LEVEL[1])
+        v3 = _unit(k2v3, kappa2, _EPS_LEVEL[1])
 
         k3v4 = trim(rate(v3) + kappa2[:, None] * v2, 3)
         kappa3 = gnorm(k3v4)
-        v4 = unit(k3v4, kappa3, _EPS_LEVEL[2])
 
     keep = slice(_TRIM, N - _TRIM)
-    frames = np.stack([V[keep], v2[keep], v3[keep], v4[keep]], axis=1)
-    defined = np.ones(N, dtype=int)
-    lvl2 = kappa1 > _EPS_LEVEL[0]
-    lvl3 = lvl2 & (kappa2 > _EPS_LEVEL[1])
-    lvl4 = lvl3 & (kappa3 > _EPS_LEVEL[2])
-    defined += lvl2.astype(int) + lvl3.astype(int) + lvl4.astype(int)
-
     return FrenetSeries(
         sig=sig,
         times=traj.times[keep],
         kappa1=kappa1[keep],
         kappa2=kappa2[keep],
         kappa3=kappa3[keep],
-        frames=frames,
-        defined_order=defined[keep],
+        v1=V[keep],
+        v2=v2[keep],
+        v3=v3[keep],
+        k3v4=k3v4[keep],
     )
 
 

@@ -1,4 +1,4 @@
-"""Flat-file formats for trajectories and curvature series.
+"""Flat-file formats for trajectories.
 
 Trajectory CSV column order is fixed:
 
@@ -10,7 +10,7 @@ column names, then one line per sample; cells are separated by commas
 with no spaces and never quoted, and every line, the last included, ends
 in ``\\r\\n``.  Each number is ``repr`` of a Python float (the shortest
 decimal that round-trips, with ``nan``, ``inf`` and ``-inf`` for the
-non-finite values); the Frenet ``order`` column is a plain integer.
+non-finite values).
 
 The JSON mirror keys the same column names, each to a list of numbers,
 plus the metadata n, s, q; its numbers are ``repr`` floats too (``NaN``
@@ -29,7 +29,6 @@ import numpy as np
 from . import model_space as ms
 from .dynamics import Trajectory
 from .errors import typed_number
-from .frenet import FrenetSeries
 
 __all__ = [
     "trajectory_columns",
@@ -37,7 +36,6 @@ __all__ = [
     "write_trajectory_json",
     "write_trajectory",
     "read_trajectory",
-    "write_frenet_csv",
 ]
 
 # Rows formatted and written per block: the text held in memory stays the
@@ -65,20 +63,13 @@ def _trajectory_table(traj: Trajectory) -> np.ndarray:
     return np.column_stack([traj.times, traj.points, traj.velocities, speeds, etas])
 
 
-def _write_csv(path, header: list[str], n_rows: int, rows) -> None:
-    """Write the header and rows(start, stop), a list of rows of Python
-    floats and ints, in the module's CSV format, _BLOCK_ROWS at a time."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = rows(start, start + _BLOCK_ROWS)
-            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
-
-
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     table = _trajectory_table(traj)
-    _write_csv(path, trajectory_columns(traj.sig), len(table),
-               lambda start, stop: table[start:stop].tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(trajectory_columns(traj.sig)) + "\r\n")
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = table[start:start + _BLOCK_ROWS].tolist()
+            fh.write("".join([",".join(map(repr, row)) + "\r\n" for row in block]))
 
 
 def write_trajectory_json(traj: Trajectory, path) -> None:
@@ -190,9 +181,3 @@ def read_trajectory(path, fmt: str | None = None) -> Trajectory:
     d = sig.dim
     return Trajectory(sig, table[:, 0], table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d], q=q)
 
-
-def write_frenet_csv(series: FrenetSeries, path) -> None:
-    cols = [series.times, series.kappa1, series.kappa2, series.kappa3,
-            series.defined_order.astype(int)]
-    _write_csv(path, ["t", "kappa1", "kappa2", "kappa3", "order"], len(series.times),
-               lambda start, stop: zip(*[c[start:stop].tolist() for c in cols]))

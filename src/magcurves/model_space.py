@@ -75,18 +75,6 @@ class SpaceSignature:
     def dim(self) -> int:
         return 2 * self.n + self.s
 
-    @property
-    def x_slice(self) -> slice:
-        return slice(0, self.n)
-
-    @property
-    def y_slice(self) -> slice:
-        return slice(self.n, 2 * self.n)
-
-    @property
-    def z_slice(self) -> slice:
-        return slice(2 * self.n, self.dim)
-
 
 def _as_coords(sig: SpaceSignature, values, what: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
@@ -160,7 +148,9 @@ def inner(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np.ndarray)
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     n = sig.n
-    etas = _rowsum(eta_comps(sig, coords, u) * eta_comps(sig, coords, v))
+    eta_u = eta_comps(sig, coords, u)
+    eta_v = eta_u if v is u else eta_comps(sig, coords, v)  # once for a norm
+    etas = _rowsum(eta_u * eta_v)
     flat = 0.25 * _rowsum(u[..., :2 * n] * v[..., :2 * n])
     return etas + flat
 

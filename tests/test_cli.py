@@ -100,13 +100,18 @@ def test_divergence_message_states_last_valid_time_once(tmp_path, capsys):
     assert stderr.count("last valid time") == 1
 
 
-def test_python_dash_m_runs_the_cli():
+def run_module(*argv):
+    """``python -m magcurves argv`` in a fresh interpreter, warnings shown."""
     src = str(Path(magcurves.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "magcurves", "verify", "--seed", "0",
-                           "--samples", "20", "--points", "9", "--cases", "1"],
+    return subprocess.run([sys.executable, "-W", "default", "-m", "magcurves", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_module("verify", "--seed", "0", "--samples", "20", "--points", "9",
+                      "--cases", "1")
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout)["passed"] is True
 
@@ -189,6 +194,19 @@ def test_closed_form_bad_amplitudes_exit_2(tmp_path, capsys):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert "4(1 - s cos^2 theta)" in stderr  # constraint echoed
+
+
+def test_closed_form_overflowing_amplitudes_exit_2_without_warning(tmp_path):
+    # c^2 overflows to inf, which the amplitude constraint rejects
+    cfg = write_json(tmp_path / "cf.json", {
+        "n": 1, "s": 1, "case": "a", "q": 2.0, "cos_theta": 0.5, "c": [1e200],
+    })
+    done = run_module("closed-form", "--config", cfg, "--out", str(tmp_path / "x.csv"))
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("invalid configuration: ")
+    assert done.stderr.count("\n") == 1
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
 
 
 def test_closed_form_default_amplitudes(tmp_path, capsys):

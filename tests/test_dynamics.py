@@ -1,3 +1,8 @@
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +27,7 @@ from magcurves.closed_form import (
 )
 from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
+from magcurves.sweep import SweepSpec, _cell_setup
 from conftest import SIG_GRID, assert_same_bits, integrate_slant, slant_setup
 
 
@@ -605,6 +611,57 @@ def test_rotation_integrals_join_at_the_series_band():
     assert np.allclose(G, (z - np.sin(z)) / z ** 2, rtol=4e-15, atol=0.0)
     _, _, S0, C0, G0 = _rotation_integrals(np.array([0.0]))
     assert (S0[0], C0[0], G0[0]) == (1.0, 0.0, 0.0)
+
+
+def reference_rotation_integrals(z):
+    """_rotation_integrals with one Horner loop per series over every
+    sample, kept as the reference for the bits of the single loop over the
+    three series at the samples that use them."""
+    small = np.abs(z) < 1.0
+    zs = np.where(small, z, 0.0)
+    zz = zs * zs
+
+    def series(k):
+        acc = np.zeros_like(zz)
+        for j in reversed(range(9)):
+            acc = acc * zz + (-1) ** j / math.factorial(2 * j + k)
+        return acc
+
+    zl = np.where(small, 1.0, z)
+    cos, sin = np.cos(z), np.sin(z)
+    S = np.where(small, series(1), sin / zl)
+    C = np.where(small, zs * series(2), (1.0 - cos) / zl)
+    G = np.where(small, zs * series(3), (zl - sin) / zl / zl)
+    return cos, sin, S, C, G
+
+
+def sweep_grid_wt(monkeypatch, seeds):
+    """The w t grids of every cell of the benchmark's sweep-grid workload,
+    from its own config generator (which puts src on sys.path)."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    for seed in seeds:
+        sweep = SweepSpec(**inputs.sweep_config(np.random.default_rng([seed, 0]), seed))
+        for index, cell in enumerate(sweep.cells()):
+            setup = _cell_setup(sweep, index, *cell)
+            w = 2.0 * float(np.sum(ms.eta_comps(setup.sig, setup.p0, setup.T0))) - setup.q
+            yield w * sweep.integrator.times
+
+
+def test_rotation_integrals_match_the_three_loop_reference(monkeypatch):
+    below_one = 1.0 - 2.0 ** -53
+    special = np.array([0.0, -0.0, 1e-300, 0.5, below_one, 1.0, 1.5, 1e3, np.inf, np.nan])
+    grids = [np.concatenate([special, -special])]
+    grids += list(sweep_grid_wt(monkeypatch, range(1, 7)))
+    assert len(grids) == 1 + 6 * 32
+    for z in grids:
+        with np.errstate(invalid="ignore"):  # sin and cos of inf
+            got, want = _rotation_integrals(z), reference_rotation_integrals(z)
+        for a, b in zip(got, want):
+            assert_same_bits(a, b)
 
 
 def test_exact_flow_overflow_raises_divergence():

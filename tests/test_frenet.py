@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 
 from magcurves import (
+    IntegratorConfig,
+    MagneticSetup,
     SpaceSignature,
     Trajectory,
+    exact_flow,
     frenet_apparatus,
+    initial_tangent,
+    integrate_many,
     osculating_order,
     rho,
 )
 from magcurves import model_space as ms
 from magcurves.errors import InsufficientDataError, InvalidGridError
-from magcurves.frenet import EPS_GEO
+from magcurves.frenet import _EPS_LEVEL, EPS_GEO
+from conftest import SIG_GRID, assert_same_bits
 
 
 def interior(arr):
@@ -169,3 +175,92 @@ def test_osculating_order_thresholds(circle_traj):
     assert osculating_order(series, 1e-3) == 2
     assert osculating_order(series, 1e-12) >= 3
     assert EPS_GEO == 1e-9
+
+
+# ---------------------------------------------------------------------------
+# frames and defined order on first access: the eager build they replaced,
+# kept as the reference for their bits
+# ---------------------------------------------------------------------------
+
+def reference_frenet_apparatus(traj):
+    """frenet_apparatus with v_4 normalized and the frames stacked in every
+    call: (kappa1, kappa2, kappa3, frames, defined_order)."""
+    sig = traj.sig
+    N = len(traj)
+    h = float(np.diff(traj.times)[0])
+    P, V = traj.points, traj.velocities
+    gamma_v = ms._gamma_along(sig, P, V)
+
+    def rate(field):
+        out = np.full_like(field, np.nan)
+        out[2:-2] = (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
+        return out + gamma_v(field)
+
+    def trim(arr, level):
+        arr[:2 * level] = np.nan
+        arr[-2 * level:] = np.nan
+        return arr
+
+    def unit(field, kappa, eps):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            out = np.where((kappa > eps)[:, None], field / kappa[:, None], np.nan)
+        return out
+
+    with np.errstate(invalid="ignore"):
+        ntt = trim(rate(V), 1)
+        kappa1 = ms.norm(sig, P, ntt)
+        v2 = unit(ntt, kappa1, _EPS_LEVEL[0])
+        k2v3 = trim(rate(v2) + kappa1[:, None] * V, 2)
+        kappa2 = ms.norm(sig, P, k2v3)
+        v3 = unit(k2v3, kappa2, _EPS_LEVEL[1])
+        k3v4 = trim(rate(v3) + kappa2[:, None] * v2, 3)
+        kappa3 = ms.norm(sig, P, k3v4)
+        v4 = unit(k3v4, kappa3, _EPS_LEVEL[2])
+
+    keep = slice(2, N - 2)
+    frames = np.stack([V[keep], v2[keep], v3[keep], v4[keep]], axis=1)
+    defined = np.ones(N, dtype=int)
+    lvl2 = kappa1 > _EPS_LEVEL[0]
+    lvl3 = lvl2 & (kappa2 > _EPS_LEVEL[1])
+    lvl4 = lvl3 & (kappa3 > _EPS_LEVEL[2])
+    defined += lvl2.astype(int) + lvl3.astype(int) + lvl4.astype(int)
+    return kappa1[keep], kappa2[keep], kappa3[keep], frames, defined[keep]
+
+
+def _frame_setups(n, s):
+    """A non-slant curve from a random point, a slant circle and a Reeb
+    geodesic: defined orders 3, 2 and 1."""
+    sig = SpaceSignature(n, s)
+    rng = np.random.default_rng([n, s, 4])
+    p0 = rng.normal(scale=1.5, size=sig.dim)
+    cos = rng.uniform(-1.0, 1.0, size=s)
+    cos *= 0.8 / max(1.0, float(np.linalg.norm(cos)))
+    direction = rng.normal(size=2 * n)
+    return [MagneticSetup(sig, 1.7, p0, initial_tangent(sig, p0, cos, direction)),
+            MagneticSetup(sig, 2.0, p0, initial_tangent(sig, p0, [0.5] * s, direction)),
+            MagneticSetup(sig, 1.0, p0, initial_tangent(sig, p0, [s ** -0.5] * s, direction))]
+
+
+@pytest.mark.parametrize("n, s", SIG_GRID + [(9, 1)])
+def test_frames_and_order_match_the_eager_build(n, s):
+    # exact-flow samples carry accelerations, RK4 samples do not; a curve
+    # that is not magnetic, with each coordinate at its own frequency, has
+    # v_4 defined
+    setups = _frame_setups(n, s)
+    cfg = IntegratorConfig(t_end=0.4, step=1e-3)
+    trajs = [exact_flow(st, cfg.times) for st in setups] + integrate_many(setups, cfg)
+    freqs = 1.0 + np.arange(SpaceSignature(n, s).dim)
+    phase = np.outer(cfg.times, freqs)
+    trajs.append(Trajectory(setups[0].sig, cfg.times, np.sin(phase), freqs * np.cos(phase)))
+    orders = set()
+    for traj in trajs:
+        series = frenet_apparatus(traj)
+        want = reference_frenet_apparatus(traj)
+        for name, ref in zip(("kappa1", "kappa2", "kappa3", "frames", "defined_order"), want):
+            got = getattr(series, name)
+            assert got.dtype == ref.dtype, name
+            assert got.flags.c_contiguous == ref.flags.c_contiguous, name
+            assert_same_bits(got, ref)
+        assert series.frames is series.frames  # built once, then kept
+        orders.update(series.defined_order.tolist())
+    assert orders == {1, 2, 3, 4}

@@ -4,13 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from magcurves import SpaceSignature, Trajectory, frenet_apparatus
-from magcurves.frenet import FrenetSeries
+from magcurves import SpaceSignature, Trajectory
 from magcurves.io import (
     _trajectory_table,
     read_trajectory,
     trajectory_columns,
-    write_frenet_csv,
     write_trajectory,
     write_trajectory_csv,
     write_trajectory_json,
@@ -77,18 +75,6 @@ def test_header_mismatch_rejected(tmp_path):
         read_trajectory(path)
 
 
-def test_frenet_csv(tmp_path, circle_traj):
-    series = frenet_apparatus(circle_traj)
-    path = tmp_path / "frenet.csv"
-    write_frenet_csv(series, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,kappa1,kappa2,kappa3,order"
-    assert len(lines) == len(series.times) + 1
-    first = lines[1].split(",")
-    assert float(first[1]) == series.kappa1[0]
-    assert first[3] == "nan"  # kappa3 undefined on a circle
-
-
 # ---------------------------------------------------------------------------
 # golden bytes: the writers against the per-cell reference they replaced
 # ---------------------------------------------------------------------------
@@ -118,15 +104,6 @@ def reference_trajectory_json(traj, path):
     with open(path, "w") as fh:
         json.dump(doc, fh)
         fh.write("\n")
-
-
-def reference_frenet_csv(series, path):
-    reference_csv(path, ["t", "kappa1", "kappa2", "kappa3", "order"], [
-        [repr(float(series.times[i])), repr(float(series.kappa1[i])),
-         repr(float(series.kappa2[i])), repr(float(series.kappa3[i])),
-         int(series.defined_order[i])]
-        for i in range(len(series.times))
-    ])
 
 
 def special_trajectory(n, s, rows):
@@ -165,18 +142,6 @@ def test_writers_match_reference_bytes(tmp_path, n, s, rows):
         back = read_trajectory(got)
         assert back.sig == traj.sig
         assert_same_bits(back, traj)
-
-
-@pytest.mark.parametrize("rows", [1, 2001])
-def test_frenet_writer_matches_reference_bytes(tmp_path, rows):
-    sig = SpaceSignature(1, 1)
-    values = np.resize(SPECIAL, (4, rows))
-    series = FrenetSeries(sig, 0.1 * np.arange(rows), values[1], values[2], values[3],
-                          frames=np.zeros((rows, 4, sig.dim)),
-                          defined_order=np.resize([1, 2, 3, 4], rows))
-    write_frenet_csv(series, tmp_path / "got.csv")
-    reference_frenet_csv(series, tmp_path / "want.csv")
-    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 @pytest.mark.parametrize("ending", ["\n", "\r"])

@@ -431,6 +431,7 @@ def test_component_sums_match_reference_in_every_layout(n, s, lead):
             "eta": reference_eta_comps(sig, p, v),
             "phi": reference_phi_comps(sig, p, v),
             "inner": reference_inner(sig, p, u, v),
+            "inner_uu": reference_inner(sig, p, u, u),  # eta(u) taken once
             "gamma": reference_gamma_bilinear(sig, p, u, v),
         }
         for order in "CF":
@@ -439,6 +440,7 @@ def test_component_sums_match_reference_in_every_layout(n, s, lead):
                 "eta": ms.eta_comps(sig, pc, vc),
                 "phi": ms.phi_comps(sig, pc, vc),
                 "inner": ms.inner(sig, pc, uc, vc),
+                "inner_uu": ms.inner(sig, pc, uc, uc),
                 "gamma": ms.gamma_bilinear(sig, pc, uc, vc),
             }
             for name in want:
