@@ -27,6 +27,10 @@ Cases (each a ``layer`` with its unit of work):
   per cell.  The trajectory stage runs the engine that source's
   ``run_sweep`` uses: ``exact_flow`` per cell where ``magcurves.sweep`` has
   it, else one ``integrate_many`` batch of all cells;
+* ``closed_form.sample``: ``sample_case_a``/``sample_case_b`` on the 8
+  configs of the benchmark's ``exact-roundtrip`` seed-1 workload (case a and
+  case b for 4 signatures, 2001 samples each; parsed as ``closed-form``
+  parses them), in microseconds per sample;
 * ``verify.curve_suite`` and ``verify.classification_suite``: one call of
   each on its own at ``magcurves verify``'s defaults (seed 0, 5
   classification cases), and ``verify.run_all``: one whole report at those
@@ -57,6 +61,17 @@ RHS_CALLS = 1000
 SAMPLES = 2001
 STEP = 1e-3
 SWEEP_SEED = 1
+ROUNDTRIP_SEED = 1
+
+
+def _perfbench_inputs():
+    """perfbench/inputs.py, the benchmark's seeded input generator (loaded by
+    path, so that the magcurves already imported is the one used)."""
+    spec = importlib.util.spec_from_file_location("perfbench_inputs",
+                                                  ROOT / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs
 
 
 def _setup(n: int, s: int, seed):
@@ -72,14 +87,9 @@ def _setup(n: int, s: int, seed):
 
 
 def _sweep_spec():
-    """The sweep-grid spec of seed 1, from perfbench/inputs.py's generator
-    (loaded by path, so that the magcurves already imported is the one used)."""
+    """The sweep-grid spec of seed 1, from perfbench/inputs.py's generator."""
     from magcurves.sweep import SweepSpec
-    spec = importlib.util.spec_from_file_location("perfbench_inputs",
-                                                  ROOT / "perfbench" / "inputs.py")
-    inputs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(inputs)
-    doc = inputs.sweep_config(np.random.default_rng([SWEEP_SEED, 0]), SWEEP_SEED)
+    doc = _perfbench_inputs().sweep_config(np.random.default_rng([SWEEP_SEED, 0]), SWEEP_SEED)
     return SweepSpec(q_values=doc["q_values"], cos_theta_values=doc["cos_theta_values"],
                      n_values=doc["n_values"], s_values=doc["s_values"], tol=doc["tol"],
                      seed=doc["seed"], t_end=doc["t_end"], step=doc["step"])
@@ -157,6 +167,17 @@ def cases() -> list[tuple[dict, int, object]]:
                              ("sweep.frenet_row", frenet_row_stage, {})):
         out.append(({"layer": layer, "cells": len(cells), "samples": spec.integrator.n_samples,
                      **extra, "unit": "ms/cell"}, len(cells), fn))
+
+    from magcurves import cli
+    runs = []
+    for doc in _perfbench_inputs().roundtrip_configs(
+            np.random.default_rng([ROUNDTRIP_SEED, 1]), ROUNDTRIP_SEED):
+        params = cli._closed_form_params(doc)
+        sample = cli.sample_case_a if isinstance(params, cli.CaseAParams) else cli.sample_case_b
+        runs.append(functools.partial(sample, params,
+                                      IntegratorConfig(doc["t_end"], doc["step"]).times))
+    out.append(({"layer": "closed_form.sample", "configs": len(runs), "unit": "us/sample"},
+                sum(len(run.args[1]) for run in runs), lambda: [run() for run in runs]))
 
     out.append(({"layer": "verify.curve_suite", "unit": "ms/call"}, 1,
                 functools.partial(verify.curve_suite, 0)))

@@ -27,6 +27,7 @@ from .classify import (
 from .closed_form import (
     CaseAParams,
     CaseBParams,
+    _amplitude_radius,
     _lambda_vanishes,
     residual,
     sample_case_a,
@@ -162,7 +163,7 @@ def _closed_form_params(doc: dict):
     if case not in ("a", "b"):
         raise ConfigError(f"case must be 'a' or 'b', got {case!r}")
 
-    radius = 2.0 * math.sqrt(max(0.0, 1.0 - s * ct * ct))
+    radius = _amplitude_radius(s, ct)
     clen = n if case == "a" else 2 * n
 
     def vec(key: str, length: int) -> np.ndarray:
@@ -271,20 +272,17 @@ def _cmd_sweep(args) -> int:
             return default
         raise ConfigError(f"sweep config is missing {names[0]!r}")
 
-    try:
-        spec = SweepSpec(
-            q_values=grid("q_values", "q"),
-            cos_theta_values=grid("cos_theta_values", "cos_theta"),
-            n_values=grid("n_values", "n", default=(1,)),
-            s_values=grid("s_values", "s", default=(1,)),
-            tol=_field(doc, "tol", default=1e-3),
-            seed=_field(doc, "seed", Integral, default=0),
-            t_end=_field(doc, "t_end", default=10.0),
-            step=_field(doc, "step", default=1e-3),
-            record_every=_field(doc, "record_every", Integral, default=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    spec = SweepSpec(
+        q_values=grid("q_values", "q"),
+        cos_theta_values=grid("cos_theta_values", "cos_theta"),
+        n_values=grid("n_values", "n", default=(1,)),
+        s_values=grid("s_values", "s", default=(1,)),
+        tol=_field(doc, "tol", default=1e-3),
+        seed=_field(doc, "seed", Integral, default=0),
+        t_end=_field(doc, "t_end", default=10.0),
+        step=_field(doc, "step", default=1e-3),
+        record_every=_field(doc, "record_every", Integral, default=1),
+    )
     rows = run_sweep(spec)
     write_sweep_csv(rows, args.out)
     bad = sum(not in_tolerance(r, spec.tol) for r in rows)

@@ -1,4 +1,5 @@
-"""Exact slant normal magnetic trajectories from their parametric equations.
+"""The paper's two families of slant normal magnetic trajectories, by
+their free constants.
 
 With contact angle theta and strength q, the x/y behaviour of a slant
 normal magnetic trajectory is governed by lambda = -q + 2 s cos(theta):
@@ -20,19 +21,26 @@ normal magnetic trajectory is governed by lambda = -q + 2 s cos(theta):
                   + sum_i c_i (c_{n+i} t^2 / 2 + d_{n+i} t) + h_a
 
 Unit speed pins the c-amplitudes to sum c_i^2 = 4 (1 - s cos^2(theta)).
-Velocities and accelerations are produced from the exact derivative
-formulas, never finite differences, so these samplers can serve as
-integration oracles.
+Both families solve the Lorentz equation, so each is the exact flow from
+its own point and tangent at t = 0: ``setup()`` evaluates the equations
+there, and ``sample_case_a``/``sample_case_b`` run ``exact_flow`` from that
+setup, with its exact velocities and accelerations.  The equations at every
+t are the tests' oracle (``tests/oracles.py``).
+
+Case a is ill-conditioned near lambda = 0: the circle centres sit at c/lambda,
+and the rounding of T0 grows with them.  A parameter set whose T0 misses
+unit speed by more than 1e-12 is refused by ``setup()`` (ValueError).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory, check_angles
-from .errors import InvalidParamsError, WrongCaseError
+from .dynamics import MagneticSetup, Trajectory, check_angles, exact_flow
+from .errors import InvalidParamsError
 from .frenet import covariant_tt
 
 __all__ = [
@@ -57,6 +65,12 @@ def lambda_(q: float, s: int, cos_theta: float) -> float:
 def _lambda_vanishes(q: float, s: int, cos_theta: float) -> bool:
     """Whether (q, theta) is in the straight-line family (case b), within 1e-12."""
     return abs(lambda_(q, s, cos_theta)) <= _LAMBDA_ZERO_BAND
+
+
+def _amplitude_radius(s: int, cos_theta: float) -> float:
+    """2 sqrt(1 - s cos^2 theta), the radius of the sphere of c-amplitudes
+    (0 at the geodesic angles, where rounding may leave 1 - s cos^2 < 0)."""
+    return 2.0 * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
 
 
 def _check_amplitudes(c: np.ndarray, s: int, cos_theta: float):
@@ -101,13 +115,25 @@ class CaseAParams:
         object.__setattr__(self, "h", _vector(self.h, s, "h"))
         _check_amplitudes(self.c, s, self.cos_theta)
         if _lambda_vanishes(self.q, s, self.cos_theta):
-            raise WrongCaseError(
+            raise InvalidParamsError(
                 "lambda = -q + 2 s cos(theta) vanishes; use the straight-line family (case b)"
             )
 
     @property
     def lam(self) -> float:
         return lambda_(self.q, self.sig.s, self.cos_theta)
+
+    def setup(self) -> MagneticSetup:
+        """The trajectory's point and unit tangent at t = 0 (phases f = a)."""
+        lam, a, c, d = self.lam, self.a, self.c, self.d
+        sin, cos = np.sin(a), np.cos(a)
+        x = (c / -lam) * sin + self.b
+        y = (c / lam) * cos + d
+        z = -np.sum((c * c / (4.0 * lam * lam)) * (np.sin(2.0 * a) + 2.0 * a)
+                    + (c * d / lam) * sin) + self.h
+        vz = 2.0 * self.cos_theta + np.sum((c * c / lam) * cos ** 2 + c * d * cos)
+        T0 = np.concatenate([c * cos, c * sin, np.full(self.sig.s, vz)])
+        return MagneticSetup(self.sig, self.q, np.concatenate([x, y, z]), T0)
 
     def as_dict(self) -> dict:
         return {
@@ -150,6 +176,13 @@ class CaseBParams:
     def q(self) -> float:
         return 2.0 * self.sig.s * self.cos_theta
 
+    def setup(self) -> MagneticSetup:
+        """The trajectory's point and unit tangent at t = 0."""
+        n, c = self.sig.n, self.c
+        vz = 2.0 * self.cos_theta + np.sum(c[:n] * self.d[n:])
+        T0 = np.concatenate([c, np.full(self.sig.s, vz)])
+        return MagneticSetup(self.sig, self.q, np.concatenate([self.d, self.h]), T0)
+
     def as_dict(self) -> dict:
         return {
             "case": "b",
@@ -165,60 +198,12 @@ class CaseBParams:
 
 def sample_case_a(params: CaseAParams, times) -> Trajectory:
     """Exact samples of the oscillatory family at the given times."""
-    sig = params.sig
-    n, s = sig.n, sig.s
-    t = np.asarray(times, dtype=float)[:, None]
-    lam = params.lam
-    a, b, c, d, h = params.a, params.b, params.c, params.d, params.h
-    ct = params.cos_theta
-
-    f = -lam * t + a
-    gx = (c / -lam) * np.sin(f) + b
-    gy = (c / lam) * np.cos(f) + d
-    zcore = 2.0 * t[:, 0] * ct - np.sum(
-        (c * c / (4.0 * lam * lam)) * (np.sin(2.0 * f) + 2.0 * f)
-        + (c * d / lam) * np.sin(f),
-        axis=1,
-    )
-    pts = np.concatenate([gx, gy, zcore[:, None] + h], axis=1)
-
-    vx = c * np.cos(f)
-    vy = c * np.sin(f)
-    vz = 2.0 * ct + np.sum((c * c / lam) * np.cos(f) ** 2 + c * d * np.cos(f), axis=1)
-    vel = np.concatenate([vx, vy, np.repeat(vz[:, None], s, axis=1)], axis=1)
-
-    ax = lam * c * np.sin(f)
-    ay = -lam * c * np.cos(f)
-    az = np.sum(c * c * np.sin(2.0 * f) + lam * c * d * np.sin(f), axis=1)
-    acc = np.concatenate([ax, ay, np.repeat(az[:, None], s, axis=1)], axis=1)
-
-    return Trajectory(sig, t[:, 0], pts, vel, q=params.q, accelerations=acc)
+    return exact_flow(params.setup(), times)
 
 
 def sample_case_b(params: CaseBParams, times) -> Trajectory:
     """Exact samples of the straight-line family at the given times."""
-    sig = params.sig
-    n, s = sig.n, sig.s
-    t = np.asarray(times, dtype=float)[:, None]
-    c, d, h = params.c, params.d, params.h
-    ct = params.cos_theta
-
-    gxy = c * t + d
-    zcore = 2.0 * t[:, 0] * ct + np.sum(
-        c[:n] * (c[n:] * t * t / 2.0 + d[n:] * t), axis=1
-    )
-    pts = np.concatenate([gxy, zcore[:, None] + h], axis=1)
-
-    vz = 2.0 * ct + np.sum(c[:n] * (c[n:] * t + d[n:]), axis=1)
-    vel = np.concatenate(
-        [np.broadcast_to(c, gxy.shape).copy(), np.repeat(vz[:, None], s, axis=1)], axis=1
-    )
-
-    az = float(np.sum(c[:n] * c[n:]))
-    acc = np.zeros_like(pts)
-    acc[:, 2 * n:] = az
-
-    return Trajectory(sig, t[:, 0], pts, vel, q=params.q, accelerations=acc)
+    return exact_flow(params.setup(), times)
 
 
 def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> CaseAParams | CaseBParams:
@@ -234,7 +219,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
     check_angles(np.full(sig.s, cos_theta))
     rng = np.random.default_rng(seed)
     n, s = sig.n, sig.s
-    radius = 2.0 * np.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
+    radius = _amplitude_radius(s, cos_theta)
 
     def sphere(k: int) -> np.ndarray:
         if radius == 0.0:

@@ -134,10 +134,10 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled curve: times plus per-sample coordinates and velocities.
 
-    ``accelerations`` is filled only by generators that know the exact
-    second derivatives (the closed-form samplers); integrated trajectories
-    leave it None so that residual checks reconstruct accelerations
-    independently by finite differences.
+    ``accelerations`` is filled only by ``exact_flow`` (which also samples the
+    closed-form families), from its exact second derivatives; integrated
+    trajectories leave it None so that residual checks reconstruct
+    accelerations independently by finite differences.
 
     ``points``, ``velocities`` and ``accelerations`` have shape (N, dim) and
     are stored column-major (F-contiguous; copied only when given in another

@@ -18,10 +18,6 @@ class InvalidParamsError(ValueError):
     """Closed-form parameter set violates one of its constraints."""
 
 
-class WrongCaseError(InvalidParamsError):
-    """Parameter set belongs to the other closed-form family."""
-
-
 class InvalidGridError(ValueError):
     """Trajectory time grid is not uniform."""
 

@@ -25,9 +25,9 @@ test oracles and in the curvature-from-samples code.
 Points and tangent vectors are plain float arrays of length 2n + s, and
 every operation takes the signature alongside them.  ``eta_comps``,
 ``phi_comps``, ``inner``, ``norm`` and ``gamma_bilinear`` accept arbitrary
-leading batch axes; ``metric_matrix``, ``frame_matrix`` and the Christoffel
-helpers take one point and check it (length 2n + s, finite).  The Reeb field
-xi_a is the constant array with 2 in slot z_a.
+leading batch axes; ``frame_matrix`` and the Christoffel helpers take one
+point and check it (length 2n + s, finite).  The Reeb field xi_a is the
+constant array with 2 in slot z_a.
 
 Layout and reduction order.  Sampled curves are stored column-major: an
 (N, 2n + s) array of samples is F-contiguous, so each coordinate's series
@@ -44,7 +44,6 @@ import numpy as np
 
 __all__ = [
     "SpaceSignature",
-    "metric_matrix",
     "inverse_metric_matrix",
     "metric_derivatives",
     "christoffel_array",
@@ -157,20 +156,6 @@ def inner(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np.ndarray)
 
 def norm(sig: SpaceSignature, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.sqrt(inner(sig, coords, v, v))
-
-
-def metric_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
-    """Coordinate components g_{ab} at a single point, as a (dim, dim) matrix."""
-    coords = _as_coords(sig, coords, "point")
-    n, s, d = sig.n, sig.s, sig.dim
-    y = coords[n:2 * n]
-    g = np.zeros((d, d))
-    g[:n, :n] = 0.25 * np.eye(n) + (s / 4.0) * np.outer(y, y)
-    g[n:2 * n, n:2 * n] = 0.25 * np.eye(n)
-    g[2 * n:, 2 * n:] = 0.25 * np.eye(s)
-    g[:n, 2 * n:] = -0.25 * y[:, None]
-    g[2 * n:, :n] = -0.25 * y[None, :]
-    return g
 
 
 def inverse_metric_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:

@@ -342,13 +342,12 @@ def _slant_setup(n: int, s: int, q: float, cos_theta: float,
 
 
 def _curve_plan(seed: int, t_end: float) -> _Plan:
-    # the circle, the Legendre helix and the closed form's matched initial
-    # data; the closed form is sampled on the integrator's own recorded times
+    # the circle, the Legendre helix and a closed-form trajectory, which is
+    # sampled on the integrator's own recorded times
     params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
     cfg = IntegratorConfig(t_end=t_end, step=_FINE_STEP)
     exact = sample_case_a(params, cfg.times)
-    setup_cf = MagneticSetup(exact.sig, 2.0, exact.points[0], exact.velocities[0])
-    setups = [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), setup_cf]
+    setups = [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), params.setup()]
     return _Plan(setups, cfg, functools.partial(_curve_checks, exact))
 
 

@@ -23,12 +23,11 @@ from magcurves import (
     predict_class,
     random_params,
     residual,
-    sample_case_a,
-    sample_case_b,
     speed_drift,
 )
 from magcurves.verify import connection_suite, structure_suite
 from conftest import integrate_angles, integrate_slant, slant_setup
+from oracles import paper_equations
 
 
 def report(num, name, **details):
@@ -169,7 +168,7 @@ def test_criterion_7_closed_form_oracle_equivalence():
 
     def check(params, q):
         nonlocal worst_res
-        exact = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
+        exact = paper_equations(params, times)
         worst_res = max(worst_res, residual(exact, q))
         setup = MagneticSetup(exact.sig, q, exact.points[0], exact.velocities[0])
         members.append((setup, exact.points))

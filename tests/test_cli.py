@@ -24,7 +24,10 @@ from magcurves import sweep as sweep_mod
 from magcurves.dynamics import exact_flow
 from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
+from magcurves.closed_form import random_params, residual
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
+from conftest import SIG_GRID
+from oracles import paper_equations
 
 
 def write_json(path, doc):
@@ -217,6 +220,44 @@ def test_closed_form_default_amplitudes(tmp_path, capsys):
                               "--out", str(tmp_path / "d.csv"))
     assert code == 0
     assert json.loads(stdout)["case"] == "a"
+
+
+def test_closed_form_configs_that_pass_the_paper_equations_exit_0(tmp_path, capsys):
+    # closed-form used to sample the paper's equations, and exited 0 when
+    # their Lorentz residual was at most 1e-10.  Every such config, here case
+    # a at both signs of lambda and at lambda = +-0.01, and case b, for each
+    # (n, s), still exits 0
+    times = np.arange(2001) * 1e-3
+    for n, s in SIG_GRID:
+        sig = SpaceSignature(n, s)
+        ct = 0.3 / math.sqrt(s)
+        for k, lam in enumerate((-1.2, 0.8, -1e-2, 1e-2, 0.0)):
+            params = random_params(sig, -lam + 2 * s * ct, ct, seed=[n, s, k])
+            assert residual(paper_equations(params, times), params.q) <= 1e-10
+            doc = dict(params.as_dict(), t_end=2.0, step=1e-3)
+            cfg = write_json(tmp_path / "cf.json", doc)
+            code, stdout, stderr = run_cli(capsys, "closed-form", "--config", cfg,
+                                           "--out", str(tmp_path / "cf.csv"))
+            assert code == 0, (doc, stdout, stderr)
+
+
+@pytest.mark.parametrize("doc", [
+    dict(random_params(SpaceSignature(1, 1), 0.6 + 1e-6, 0.3, seed=0).as_dict(), t_end=1.0),
+    {"n": 1, "s": 1, "case": "a", "q": 2.0, "cos_theta": 0.3, "d": [1e5], "t_end": 1.0},
+    {"n": 1, "s": 1, "case": "a", "q": 2.0, "cos_theta": 0.3, "b": [1e5], "d": [1e5],
+     "t_end": 1.0},
+])
+def test_closed_form_ill_conditioned_case_a_exit_2(tmp_path, capsys, doc):
+    # lambda near 0 or a large d puts T0 off unit speed by more than 1e-12 of
+    # rounding; the run stops before it writes anything
+    cfg = write_json(tmp_path / "cf.json", doc)
+    out = tmp_path / "cf.csv"
+    code, stdout, stderr = run_cli(capsys, "closed-form", "--config", cfg, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("invalid configuration: T0 must be unit speed")
+    assert stderr.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -532,10 +573,13 @@ def test_sweep_inadmissible_cell_exit_2(tmp_path, capsys):
     cfg = write_json(tmp_path / "sweep.json", {
         "q_values": [2.0], "cos_theta_values": [0.9], "s_values": [2],
     })
-    code, _, stderr = run_cli(capsys, "sweep", "--config", cfg,
-                              "--out", str(tmp_path / "x.csv"))
+    code, stdout, stderr = run_cli(capsys, "sweep", "--config", cfg,
+                                   "--out", str(tmp_path / "x.csv"))
     assert code == 2
-    assert "inadmissible" in stderr
+    assert stdout == ""
+    assert stderr == ("invalid configuration: inadmissible cell s = 2, cos_theta = 0.9: "
+                      "sum of squared cosines exceeds 1 by 0.62 (slack 1e-12); "
+                      "angles are not realizable\n")
 
 
 # geodesic cells where cos(theta) = 1/sqrt(s) for s = 2 are exercised in

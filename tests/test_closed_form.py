@@ -5,7 +5,6 @@ from magcurves import (
     CaseAParams,
     CaseBParams,
     IntegratorConfig,
-    MagneticSetup,
     SpaceSignature,
     integrate,
     lambda_,
@@ -14,7 +13,9 @@ from magcurves import (
     sample_case_a,
     sample_case_b,
 )
-from magcurves.errors import InfeasibleAngleError, InvalidParamsError, WrongCaseError
+from magcurves.errors import InfeasibleAngleError, InvalidParamsError
+from conftest import SIG_GRID
+from oracles import paper_case_a, paper_equations
 
 SQRT3 = np.sqrt(3.0)
 
@@ -81,7 +82,7 @@ def test_case_a_rich_parameters():
 def test_case_a_rejects_lambda_zero():
     sig = SpaceSignature(1, 1)
     # q = 2 s cos(theta) makes lambda vanish
-    with pytest.raises(WrongCaseError):
+    with pytest.raises(InvalidParamsError, match="use the straight-line family"):
         CaseAParams(sig, q=1.0, cos_theta=0.5, a=[0.0], b=[0.0], c=[SQRT3], d=[0.0], h=[0.0])
 
 
@@ -209,6 +210,28 @@ def test_infeasible_angle_rejected():
 
 
 # ---------------------------------------------------------------------------
+# the samplers against the paper's equations
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,s", SIG_GRID)
+def test_samplers_match_the_paper_equations(n, s):
+    # case a at both signs of lambda, and case b (lambda = 0, q = 2 s cos theta);
+    # every free constant is nonzero, so a flipped sign in setup() shows
+    sig = SpaceSignature(n, s)
+    times = IntegratorConfig(t_end=5.0, step=1e-2).times
+    for k, (q, ct, lam_sign) in enumerate([(2.0, 0.3, -1.0), (-1.5, -0.2, 1.0),
+                                           (2.0 * s * 0.25, 0.25, 0.0)]):
+        params = random_params(sig, q, ct, seed=[n, s, k])
+        assert np.sign(lambda_(q, s, ct)) == lam_sign
+        sample = sample_case_a if isinstance(params, CaseAParams) else sample_case_b
+        got, want = sample(params, times), paper_equations(params, times)
+        assert np.array_equal(got.times, want.times) and got.q == want.q
+        for g, w in ((got.points, want.points), (got.velocities, want.velocities),
+                     (got.accelerations, want.accelerations)):
+            assert np.max(np.abs(g - w)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
 # random parameter generation
 # ---------------------------------------------------------------------------
 
@@ -262,12 +285,10 @@ def test_residual_fd_on_integrated_trajectory(circle_traj):
 # ---------------------------------------------------------------------------
 
 def test_closed_form_matches_rk4():
-    step = 1e-3
-    t_end = 10.0
-    times = step * np.arange(int(round(t_end / step)) + 1)
+    # the paper's equations against RK4 from the same t = 0 data
+    cfg = IntegratorConfig(t_end=10.0, step=1e-3)
     params = canonical_case_a()
-    exact = sample_case_a(params, times)
-    setup = MagneticSetup(exact.sig, params.q, exact.points[0], exact.velocities[0])
-    traj = integrate(setup, IntegratorConfig(t_end=t_end, step=step))
+    exact = paper_case_a(params, cfg.times)
+    traj = integrate(params.setup(), cfg)
     assert np.array_equal(traj.times, exact.times)
     assert np.abs(traj.points - exact.points).max() <= 1e-6

@@ -18,17 +18,12 @@ from magcurves import (
     speed_drift,
 )
 from magcurves import model_space as ms
-from magcurves.closed_form import (
-    CaseAParams,
-    random_params,
-    residual,
-    sample_case_a,
-    sample_case_b,
-)
+from magcurves.closed_form import random_params, residual
 from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
 from magcurves.sweep import SweepSpec, _cell_setup
 from conftest import SIG_GRID, assert_same_bits, integrate_slant, slant_setup
+from oracles import paper_equations
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +567,7 @@ def test_exact_flow_reproduces_the_closed_form_families(n, s):
     # case a at both signs of lambda, and case b (lambda = 0, q = 2 s cos theta)
     for k, (q, ct) in enumerate([(2.0, 0.3), (-1.5, -0.2), (2.0 * s * 0.25, 0.25)]):
         params = random_params(sig, q, ct, seed=[n, s, k])
-        paper = (sample_case_a if isinstance(params, CaseAParams) else sample_case_b)(params, times)
+        paper = paper_equations(params, times)
         setup = MagneticSetup(sig, params.q, paper.points[0], paper.velocities[0])
         exact = exact_flow(setup, times)
         for got, want in ((exact.points, paper.points), (exact.velocities, paper.velocities),
