@@ -17,7 +17,7 @@ from .dynamics import (
     speed_drift,
     angle_drift,
 )
-from .frenet import FrenetSeries, frenet_apparatus, osculating_order
+from .frenet import FrenetSeries, frenet_apparatus, osculating_order, residual
 from .closed_form import (
     CaseAParams,
     CaseBParams,
@@ -25,7 +25,6 @@ from .closed_form import (
     sample_case_a,
     sample_case_b,
     random_params,
-    residual,
 )
 from .classify import (
     CurveKind,
@@ -48,9 +47,9 @@ __all__ = [
     "initial_tangent", "integrate",
     "integrate_many", "exact_flow",
     "speed_drift", "angle_drift",
-    "FrenetSeries", "frenet_apparatus", "osculating_order",
+    "FrenetSeries", "frenet_apparatus", "osculating_order", "residual",
     "CaseAParams", "CaseBParams", "lambda_", "sample_case_a", "sample_case_b",
-    "random_params", "residual",
+    "random_params",
     "CurveKind", "CurveClass", "InverseResult", "predict_class",
     "order_bound_curvatures", "invert_q", "check_circle_existence", "rho",
     "fit_field_strength", "classify_trajectory",

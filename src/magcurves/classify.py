@@ -30,7 +30,7 @@ import numpy as np
 
 from . import model_space as ms
 from .dynamics import Trajectory, check_angles, speed_drift
-from .errors import InconsistentCaseError
+from .errors import InconsistentCaseError, typed_number
 from .frenet import FrenetSeries, _nanmedian, covariant_tt
 
 __all__ = [
@@ -184,8 +184,12 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
 
     ``eps`` is the orientation sign -sgn(g(phi T, v2)) and ``branch`` the
     sign of eta^a(v3); both depend on frame data absent from bare
-    curvatures, so the caller supplies them.
+    curvatures, so the caller supplies them.  The curvatures must be finite
+    real numbers and s a positive integer.
     """
+    kappa1 = typed_number("kappa1", kappa1)
+    kappa2 = typed_number("kappa2", kappa2)
+    ms.positive_int("s", s)
     if not kappa1 > 0:
         raise ValueError(
             "kappa1 must be positive; kappa1 = 0 is the geodesic case, "

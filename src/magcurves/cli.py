@@ -29,7 +29,6 @@ from .closed_form import (
     CaseBParams,
     _amplitude_radius,
     _lambda_vanishes,
-    residual,
     sample_case_a,
     sample_case_b,
 )
@@ -42,7 +41,7 @@ from .dynamics import (
     speed_drift,
 )
 from .errors import ConfigError, DivergenceError, check_memory, typed_number
-from .frenet import frenet_apparatus
+from .frenet import frenet_apparatus, residual
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
 from . import verify as verify_mod
@@ -217,7 +216,7 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify needs exactly one of --config or --traj")
     if args.config is not None:
         doc = _load_config(args.config)
-        s = _field(doc, "s", Integral)
+        s = ms.positive_int("s", _field(doc, "s", Integral))
         cosines = _resolve_cosines(doc, s)
         q = _field(doc, "q")
         if np.max(cosines) - np.min(cosines) > 0:

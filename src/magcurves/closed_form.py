@@ -41,7 +41,6 @@ import numpy as np
 from . import model_space as ms
 from .dynamics import MagneticSetup, Trajectory, check_angles, exact_flow
 from .errors import InvalidParamsError
-from .frenet import covariant_tt
 
 __all__ = [
     "CaseAParams",
@@ -50,7 +49,6 @@ __all__ = [
     "sample_case_a",
     "sample_case_b",
     "random_params",
-    "residual",
 ]
 
 _LAMBDA_ZERO_BAND = 1e-12
@@ -251,16 +249,3 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
         h=rng.uniform(-1.0, 1.0, size=s),
     )
 
-
-def residual(traj: Trajectory, q: float) -> float:
-    """max_t || nabla_T T + q phi T ||_g over the trajectory.
-
-    Uses the trajectory's exact accelerations when present; otherwise the
-    acceleration is reconstructed by second-order central differences of the
-    recorded velocities.
-    """
-    sl, ntt = covariant_tt(traj)
-    pts = traj.points[sl]
-    vel = traj.velocities[sl]
-    res = ntt + q * ms.phi_comps(traj.sig, pts, vel)
-    return float(np.max(ms.norm(traj.sig, pts, res)))

@@ -6,20 +6,19 @@ Along a unit-speed curve with tangent T = v_1, the Frenet recursion
     nabla_T v_2 = -k1 T   + k2 v_3
     nabla_T v_3 = -k2 v_2 + k3 v_4
 
-defines the curvatures k1, k2, k3 and frame vectors extracted here.  Each
-covariant rate nabla_T V is assembled from a fourth-order central
+defines the curvatures k1, k2, k3 and the frame vectors v_1..v_3 extracted
+here.  Each covariant rate nabla_T V is assembled from a fourth-order central
 difference of the component series plus the exact connection correction
 Gamma(T, V), at the trajectory's own grid step.  Every differentiation
 level trims two samples from each end (the five-point stencil's reach);
 quantities are NaN where trimmed or where the preceding curvature falls
 below its level's degeneracy threshold (no frame vector is normalized out
-of noise).  The curvatures and v_1..v_3 are computed in every call; the
-stacked frames, v_4 among them, and the defined order are built on first
-access, since the classification reads only curvatures, v_1 and v_2.
+of noise).  Normal magnetic curves have osculating order at most 3, so k3
+serves only to confirm that bound and v_4 is not formed.  The Lorentz
+residual reads the same nabla_T T and lives here too.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,17 +27,19 @@ from . import model_space as ms
 from .dynamics import Trajectory
 from .errors import InsufficientDataError, InvalidGridError
 
-__all__ = ["EPS_GEO", "FrenetSeries", "covariant_tt", "frenet_apparatus", "osculating_order"]
+__all__ = [
+    "EPS_GEO", "FrenetSeries", "covariant_tt", "frenet_apparatus", "osculating_order", "residual",
+]
 
 # Degeneracy thresholds: below these a curvature counts as zero and the next
 # frame vector is not normalized out of noise.  kappa1 is clean (exact
 # connection plus one fourth-order difference of integrated data, rounding
-# ceiling ~1e-11); each further level adds a normalization and another
-# difference, raising the ceiling to ~3e-9 (kappa2) and ~3e-7 (kappa3) at
-# desk-scale steps, so the thresholds step up accordingly.  All sit well
-# below the 1e-4 .. 1e-3 tolerances at which curvatures are compared.
+# ceiling ~1e-11); the next level adds a normalization and another
+# difference, raising the ceiling to ~3e-9 (kappa2) at desk-scale steps, so
+# its threshold steps up accordingly.  Both sit well below the
+# 1e-4 .. 1e-3 tolerances at which curvatures are compared.
 EPS_GEO = 1e-9
-_EPS_LEVEL = (EPS_GEO, 1e-7, 1e-5)
+_EPS_LEVEL = (EPS_GEO, 1e-7)
 _TRIM = 2       # samples dropped from each end per differentiation level
 _GRID_RTOL = 1e-9
 
@@ -53,11 +54,9 @@ def _unit(field: np.ndarray, kappa: np.ndarray, eps: float) -> np.ndarray:
 class FrenetSeries:
     """Curvature series and Frenet vectors on the trimmed interior grid.
 
-    ``v1``, ``v2``, ``v3`` and ``k3v4`` = kappa3 v_4 are (len(times), dim)
-    arrays of coordinate components, NaN where undefined.  ``frames`` has
-    shape (len(times), 4, dim) holding v_1..v_4, and ``defined_order[t]``
-    counts the frame vectors defined at that sample; both are built on
-    first access and then kept.
+    ``v1``, ``v2`` and ``v3`` are (len(times), dim) arrays of coordinate
+    components, NaN where undefined.  ``kappa3`` is the g-norm of
+    nabla_T v_3 + kappa2 v_2; v_4 itself is not formed.
     """
 
     sig: ms.SpaceSignature
@@ -68,23 +67,6 @@ class FrenetSeries:
     v1: np.ndarray
     v2: np.ndarray
     v3: np.ndarray
-    k3v4: np.ndarray
-
-    # cached_property writes the instance __dict__ directly, past the
-    # frozen dataclass's __setattr__
-    @functools.cached_property
-    def frames(self) -> np.ndarray:
-        v4 = _unit(self.k3v4, self.kappa3, _EPS_LEVEL[2])
-        return np.stack([self.v1, self.v2, self.v3, v4], axis=1)
-
-    @functools.cached_property
-    def defined_order(self) -> np.ndarray:
-        lvl2 = self.kappa1 > _EPS_LEVEL[0]
-        lvl3 = lvl2 & (self.kappa2 > _EPS_LEVEL[1])
-        lvl4 = lvl3 & (self.kappa3 > _EPS_LEVEL[2])
-        defined = np.ones(len(self.times), dtype=int)
-        defined += lvl2.astype(int) + lvl3.astype(int) + lvl4.astype(int)
-        return defined
 
 
 def _uniform_step(times: np.ndarray) -> float:
@@ -117,22 +99,30 @@ def covariant_tt(traj: Trajectory) -> tuple[slice, np.ndarray]:
     return sl, acc + ms.gamma_bilinear(sig, pts, vel, vel)
 
 
-def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> FrenetSeries:
-    """Curvatures k1..k3 and frame vectors v_1..v_4 along a sampled curve.
+def residual(traj: Trajectory, q: float) -> float:
+    """max_t || nabla_T T + q phi T ||_g over the trajectory.
 
-    Requires at least 5 samples on a uniform grid.  ``fd_step_hint``, when
-    given, must match the grid step (it guards against trajectories that
-    were resampled after integration).
+    Uses the trajectory's exact accelerations when present; otherwise the
+    acceleration is reconstructed by second-order central differences of the
+    recorded velocities.
+    """
+    sl, ntt = covariant_tt(traj)
+    pts = traj.points[sl]
+    vel = traj.velocities[sl]
+    res = ntt + q * ms.phi_comps(traj.sig, pts, vel)
+    return float(np.max(ms.norm(traj.sig, pts, res)))
+
+
+def frenet_apparatus(traj: Trajectory) -> FrenetSeries:
+    """Curvatures k1..k3 and frame vectors v_1..v_3 along a sampled curve.
+
+    Requires at least 5 samples on a uniform grid.
     """
     sig = traj.sig
     N = len(traj)
     if N < 5:
         raise InsufficientDataError(f"need at least 5 samples, got {N}")
     h = _uniform_step(traj.times)
-    if fd_step_hint is not None and abs(h - fd_step_hint) > _GRID_RTOL * max(1.0, abs(fd_step_hint)):
-        raise InvalidGridError(
-            f"grid step {h!r} does not match fd_step_hint {fd_step_hint!r}"
-        )
 
     P, V = traj.points, traj.velocities
     gamma_v = ms._gamma_along(sig, P, V)  # the (P, V) sums, taken once for all levels
@@ -163,8 +153,7 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
         kappa2 = gnorm(k2v3)
         v3 = _unit(k2v3, kappa2, _EPS_LEVEL[1])
 
-        k3v4 = trim(rate(v3) + kappa2[:, None] * v2, 3)
-        kappa3 = gnorm(k3v4)
+        kappa3 = gnorm(trim(rate(v3) + kappa2[:, None] * v2, 3))
 
     keep = slice(_TRIM, N - _TRIM)
     return FrenetSeries(
@@ -176,7 +165,6 @@ def frenet_apparatus(traj: Trajectory, fd_step_hint: float | None = None) -> Fre
         v1=V[keep],
         v2=v2[keep],
         v3=v3[keep],
-        k3v4=k3v4[keep],
     )
 
 

@@ -44,6 +44,7 @@ import numpy as np
 
 __all__ = [
     "SpaceSignature",
+    "positive_int",
     "inverse_metric_matrix",
     "metric_derivatives",
     "christoffel_array",
@@ -56,6 +57,14 @@ __all__ = [
 ]
 
 
+def positive_int(name: str, value):
+    """value, when it is a positive integer (bool is not); otherwise
+    ValueError naming name."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SpaceSignature:
     """Pair (n, s) fixing the model space of dimension 2n + s."""
@@ -65,10 +74,7 @@ class SpaceSignature:
 
     def __post_init__(self):
         for name in ("n", "s"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-                    and value >= 1):
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+            positive_int(name, getattr(self, name))
 
     @property
     def dim(self) -> int:

@@ -27,7 +27,7 @@ from .classify import (
     order_bound_curvatures,
     predict_class,
 )
-from .closed_form import random_params, residual, sample_case_a
+from .closed_form import random_params, sample_case_a
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
@@ -38,7 +38,7 @@ from .dynamics import (
     integrate_many,
     speed_drift,
 )
-from .frenet import _nanmedian, frenet_apparatus, osculating_order
+from .frenet import _nanmedian, frenet_apparatus, osculating_order, residual
 
 __all__ = [
     "CheckRecord",
@@ -294,8 +294,8 @@ def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
 # ---------------------------------------------------------------------------
 
 _FINE_STEP = 1e-3
-_CURVE_T_END = 5.0
-_CLASSIFICATION_T_END = 2.0
+_CURVE_CFG = IntegratorConfig(t_end=5.0, step=_FINE_STEP)
+_CLASSIFICATION_CFG = IntegratorConfig(t_end=2.0, step=_FINE_STEP)
 
 
 class _Plan(NamedTuple):
@@ -341,14 +341,13 @@ def _slant_setup(n: int, s: int, q: float, cos_theta: float,
     return MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [cos_theta] * s, direction))
 
 
-def _curve_plan(seed: int, t_end: float) -> _Plan:
+def _curve_plan(seed: int) -> _Plan:
     # the circle, the Legendre helix and a closed-form trajectory, which is
     # sampled on the integrator's own recorded times
     params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
-    cfg = IntegratorConfig(t_end=t_end, step=_FINE_STEP)
-    exact = sample_case_a(params, cfg.times)
+    exact = sample_case_a(params, _CURVE_CFG.times)
     setups = [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), params.setup()]
-    return _Plan(setups, cfg, functools.partial(_curve_checks, exact))
+    return _Plan(setups, _CURVE_CFG, functools.partial(_curve_checks, exact))
 
 
 def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecord]:
@@ -391,10 +390,10 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     return out
 
 
-def curve_suite(seed: int = 0, t_end: float = _CURVE_T_END) -> list[CheckRecord]:
+def curve_suite(seed: int = 0) -> list[CheckRecord]:
     """Integrator conservation/convergence, closed-form agreement, and the
     curvature relations of the canonical circle and helix cases."""
-    return _run_plans([_curve_plan(seed, t_end)])[0]
+    return _run_plans([_curve_plan(seed)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +411,7 @@ def _random_admissible(rng, s: int) -> tuple[float, float]:
             return q, ct
 
 
-def _classification_plan(seed: int, cases: int, t_end: float) -> _Plan:
+def _classification_plan(seed: int, cases: int) -> _Plan:
     # the formula checks first, then the case draws, in one random stream
     rng = np.random.default_rng(seed)
     out: list[CheckRecord] = []
@@ -488,8 +487,7 @@ def _classification_plan(seed: int, cases: int, t_end: float) -> _Plan:
         n = int(rng.integers(1, 3))
         q, ct = _random_admissible(rng, s)
         drawn.append((s, q, ct, _slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
-    cfg = IntegratorConfig(t_end=t_end, step=_FINE_STEP)
-    return _Plan([setup for *_, setup in drawn], cfg,
+    return _Plan([setup for *_, setup in drawn], _CLASSIFICATION_CFG,
                  functools.partial(_classification_checks, out, drawn))
 
 
@@ -512,12 +510,11 @@ def _classification_checks(before: list[CheckRecord], drawn: list,
     ]
 
 
-def classification_suite(seed: int = 0, cases: int = 10,
-                         t_end: float = _CLASSIFICATION_T_END) -> list[CheckRecord]:
+def classification_suite(seed: int = 0, cases: int = 10) -> list[CheckRecord]:
     """The predicted classes against the general curvature formulas, the
     inversion round trips, the circle boundary and the s = 1 reduction, and
     the classes measured on ``cases`` integrated random slant curves."""
-    return _run_plans([_classification_plan(seed, cases, t_end)])[0]
+    return _run_plans([_classification_plan(seed, cases)])[0]
 
 
 def run_all(seed: int = 0, samples: int = 200, points: int = 50, cases: int = 5,
@@ -527,8 +524,7 @@ def run_all(seed: int = 0, samples: int = 200, points: int = 50, cases: int = 5,
     checks += structure_suite(seed, samples, metric_perturbation)
     checks += connection_suite(seed, points)
     # the curve and classification suites' trajectories share one RK4 batch
-    for records in _run_plans([_curve_plan(seed, _CURVE_T_END),
-                               _classification_plan(seed, cases, _CLASSIFICATION_T_END)]):
+    for records in _run_plans([_curve_plan(seed), _classification_plan(seed, cases)]):
         checks += records
     return {
         "seed": seed,

@@ -341,7 +341,7 @@ def test_sample_layout_does_not_change_any_bit(n, s):
             results.append((series, classify_trajectory(traj, series).to_json(),
                             residual(traj, setup.q), speed_drift(traj), angle_drift(traj)))
         for series, *values in results[1:]:
-            for name in ("kappa1", "kappa2", "kappa3", "frames", "defined_order"):
+            for name in ("kappa1", "kappa2", "kappa3", "v1", "v2", "v3"):
                 assert_same_bits(getattr(series, name), getattr(results[0][0], name))
             assert values == list(results[0][1:])
         # the mean angles are summed over C-ordered rows, whatever the layout

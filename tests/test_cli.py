@@ -19,12 +19,13 @@ from magcurves import (
     SpaceSignature,
     initial_tangent,
     integrate,
+    random_params,
+    residual,
 )
 from magcurves import sweep as sweep_mod
 from magcurves.dynamics import exact_flow
 from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
-from magcurves.closed_form import random_params, residual
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
 from conftest import SIG_GRID
 from oracles import paper_equations
@@ -373,6 +374,14 @@ def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
     assert message in err
 
 
+@pytest.mark.parametrize("s", [0, -1])
+def test_classify_config_takes_s_as_a_positive_integer(tmp_path, capsys, s):
+    cfg = write_json(tmp_path / "c.json", {"q": 1.0, "s": s, "cos_theta": 0.2})
+    code, stdout, stderr = run_cli(capsys, "classify", "--config", cfg)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"invalid configuration: s must be a positive integer, got {s}\n"
+
+
 def test_classify_requires_one_input(capsys):
     code, _, stderr = run_cli(capsys, "classify")
     assert code == 2
@@ -388,6 +397,21 @@ def test_invert_command(capsys):
     code, _, stderr = run_cli(capsys, "invert", "--kappa1", "1", "--kappa2", "0.4",
                               "--s", "1", "--case", "iii")
     assert code == 2  # kappa2 != 0 under the circle case
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--kappa1", "1", "--s", "0", "--case", "iii"], "s must be a positive integer, got 0"),
+    (["--kappa1", "1", "--s", "-2", "--case", "iii"], "s must be a positive integer, got -2"),
+    (["--kappa1", "1", "--kappa2", "nan", "--s", "1", "--case", "iv"],
+     "kappa2 must be finite, got nan"),
+    (["--kappa1", "inf", "--s", "1", "--case", "iii"], "kappa1 must be finite, got inf"),
+    (["--kappa1", "1", "--kappa2", "inf", "--s", "1", "--case", "iv"],
+     "kappa2 must be finite, got inf"),
+])
+def test_invert_rejects_bad_numbers(capsys, argv, message):
+    code, stdout, stderr = run_cli(capsys, "invert", *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"invalid configuration: {message}\n"
 
 
 # ---------------------------------------------------------------------------

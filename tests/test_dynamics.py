@@ -15,10 +15,11 @@ from magcurves import (
     initial_tangent,
     integrate,
     integrate_many,
+    random_params,
+    residual,
     speed_drift,
 )
 from magcurves import model_space as ms
-from magcurves.closed_form import random_params, residual
 from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
 from magcurves.sweep import SweepSpec, _cell_setup
@@ -498,8 +499,6 @@ def test_integrate_many_rejects_bad_batches():
 
 
 def test_q_sign_symmetry_via_residuals():
-    from magcurves import residual
-
     # reflecting the contact direction through phi and negating q gives
     # another magnetic trajectory; both satisfy their own Lorentz equation
     u = np.array([0.7, -0.3])

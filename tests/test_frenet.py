@@ -31,7 +31,7 @@ def test_geodesic_order_one(geodesic_traj):
     series = frenet_apparatus(geodesic_traj)
     assert np.nanmax(series.kappa1) <= 1e-9
     assert osculating_order(series, 1e-6) == 1
-    assert np.all(series.defined_order == 1)
+    assert np.all(np.isnan(series.v2))
 
 
 def test_slant_circle_curvatures(circle_traj):
@@ -76,9 +76,8 @@ def test_frame_orthonormality(legendre_traj):
     pts = legendre_traj.points[2:-2]
     idx = np.linspace(0, len(series.times) - 1, 50).astype(int)
     for i in idx:
-        defined = series.frames[i][np.all(np.isfinite(series.frames[i]), axis=1)]
+        defined = [v[i] for v in (series.v1, series.v2, series.v3) if np.all(np.isfinite(v[i]))]
         r = len(defined)
-        assert r == series.defined_order[i]
         gram = np.array([[float(ms.inner(sig, pts[i], a, b)) for b in defined] for a in defined])
         assert np.abs(gram - np.eye(r)).max() < 1e-6
 
@@ -87,10 +86,8 @@ def test_v2_aligns_with_phi_tangent(helix_traj):
     series = frenet_apparatus(helix_traj)
     sig = helix_traj.sig
     pts = helix_traj.points[2:-2]
-    v1 = series.frames[:, 0]
-    v2 = series.frames[:, 1]
-    phit = ms.phi_comps(sig, pts, v1)
-    align = ms.inner(sig, pts, v2, phit) / ms.norm(sig, pts, phit)
+    phit = ms.phi_comps(sig, pts, series.v1)
+    align = ms.inner(sig, pts, series.v2, phit) / ms.norm(sig, pts, phit)
     align = align[np.isfinite(align)]
     assert np.abs(align + 1.0).max() < 1e-4  # -sgn(q) with q = 2 > 0
 
@@ -102,9 +99,8 @@ def test_v3_carries_the_reeb_sum(helix_traj):
     sig = helix_traj.sig
     ct = 0.3
     pts = helix_traj.points[2:-2]
-    v1 = series.frames[:, 0]
-    v3 = series.frames[:, 2]
-    w = -sig.s * ct * v1
+    v3 = series.v3
+    w = -sig.s * ct * series.v1
     w[:, 2 * sig.n:] += 2.0
     mask = np.all(np.isfinite(v3), axis=1)
     w_norm2 = ms.inner(sig, pts, w, w)[mask]
@@ -133,12 +129,6 @@ def test_rejects_nonuniform_grid(circle_traj):
     bad = Trajectory(sig, times, circle_traj.points[:10], circle_traj.velocities[:10])
     with pytest.raises(InvalidGridError):
         frenet_apparatus(bad)
-
-
-def test_fd_step_hint_mismatch(circle_traj):
-    with pytest.raises(InvalidGridError):
-        frenet_apparatus(circle_traj, fd_step_hint=2e-3)
-    frenet_apparatus(circle_traj, fd_step_hint=1e-3)  # matching hint is fine
 
 
 def test_trim_layout(circle_traj):
@@ -178,13 +168,13 @@ def test_osculating_order_thresholds(circle_traj):
 
 
 # ---------------------------------------------------------------------------
-# frames and defined order on first access: the eager build they replaced,
-# kept as the reference for their bits
+# a straight-line build of the curvatures and v_1..v_3, the reference for
+# their bits
 # ---------------------------------------------------------------------------
 
 def reference_frenet_apparatus(traj):
-    """frenet_apparatus with v_4 normalized and the frames stacked in every
-    call: (kappa1, kappa2, kappa3, frames, defined_order)."""
+    """frenet_apparatus as a straight-line build: (kappa1, kappa2, kappa3,
+    v1, v2, v3)."""
     sig = traj.sig
     N = len(traj)
     h = float(np.diff(traj.times)[0])
@@ -213,23 +203,15 @@ def reference_frenet_apparatus(traj):
         k2v3 = trim(rate(v2) + kappa1[:, None] * V, 2)
         kappa2 = ms.norm(sig, P, k2v3)
         v3 = unit(k2v3, kappa2, _EPS_LEVEL[1])
-        k3v4 = trim(rate(v3) + kappa2[:, None] * v2, 3)
-        kappa3 = ms.norm(sig, P, k3v4)
-        v4 = unit(k3v4, kappa3, _EPS_LEVEL[2])
+        kappa3 = ms.norm(sig, P, trim(rate(v3) + kappa2[:, None] * v2, 3))
 
     keep = slice(2, N - 2)
-    frames = np.stack([V[keep], v2[keep], v3[keep], v4[keep]], axis=1)
-    defined = np.ones(N, dtype=int)
-    lvl2 = kappa1 > _EPS_LEVEL[0]
-    lvl3 = lvl2 & (kappa2 > _EPS_LEVEL[1])
-    lvl4 = lvl3 & (kappa3 > _EPS_LEVEL[2])
-    defined += lvl2.astype(int) + lvl3.astype(int) + lvl4.astype(int)
-    return kappa1[keep], kappa2[keep], kappa3[keep], frames, defined[keep]
+    return kappa1[keep], kappa2[keep], kappa3[keep], V[keep], v2[keep], v3[keep]
 
 
 def _frame_setups(n, s):
     """A non-slant curve from a random point, a slant circle and a Reeb
-    geodesic: defined orders 3, 2 and 1."""
+    geodesic: v_1..v_3, v_1..v_2 and v_1 alone defined."""
     sig = SpaceSignature(n, s)
     rng = np.random.default_rng([n, s, 4])
     p0 = rng.normal(scale=1.5, size=sig.dim)
@@ -245,22 +227,23 @@ def _frame_setups(n, s):
 def test_frames_and_order_match_the_eager_build(n, s):
     # exact-flow samples carry accelerations, RK4 samples do not; a curve
     # that is not magnetic, with each coordinate at its own frequency, has
-    # v_4 defined
+    # kappa3 well above zero
     setups = _frame_setups(n, s)
     cfg = IntegratorConfig(t_end=0.4, step=1e-3)
     trajs = [exact_flow(st, cfg.times) for st in setups] + integrate_many(setups, cfg)
     freqs = 1.0 + np.arange(SpaceSignature(n, s).dim)
     phase = np.outer(cfg.times, freqs)
     trajs.append(Trajectory(setups[0].sig, cfg.times, np.sin(phase), freqs * np.cos(phase)))
-    orders = set()
+    defined_counts = set()
     for traj in trajs:
         series = frenet_apparatus(traj)
         want = reference_frenet_apparatus(traj)
-        for name, ref in zip(("kappa1", "kappa2", "kappa3", "frames", "defined_order"), want):
+        for name, ref in zip(("kappa1", "kappa2", "kappa3", "v1", "v2", "v3"), want):
             got = getattr(series, name)
             assert got.dtype == ref.dtype, name
             assert got.flags.c_contiguous == ref.flags.c_contiguous, name
             assert_same_bits(got, ref)
-        assert series.frames is series.frames  # built once, then kept
-        orders.update(series.defined_order.tolist())
-    assert orders == {1, 2, 3, 4}
+        frame = (series.v1, series.v2, series.v3)
+        defined_counts.update(sum(np.all(np.isfinite(v), axis=1) for v in frame).tolist())
+    assert defined_counts == {1, 2, 3}
+    assert np.nanmin(series.kappa3) > 1e-3  # the last curve, the one that is not magnetic
