@@ -31,10 +31,11 @@ Cases (each a ``layer`` with its unit of work):
   configs of the benchmark's ``exact-roundtrip`` seed-1 workload (case a and
   case b for 4 signatures, 2001 samples each; parsed as ``closed-form``
   parses them), in microseconds per sample;
-* ``verify.curve_suite`` and ``verify.classification_suite``: one call of
-  each on its own at ``magcurves verify``'s defaults (seed 0, 5
-  classification cases), and ``verify.run_all``: one whole report at those
-  defaults (200 structure samples, 50 connection points), in milliseconds
+* ``verify.structure_suite``, ``verify.connection_suite``,
+  ``verify.curve_suite`` and ``verify.classification_suite``: one call of
+  each on its own at ``magcurves verify``'s defaults (seed 0, 200 structure
+  samples, 50 connection points, 5 classification cases), and
+  ``verify.run_all``: one whole report at those defaults, in milliseconds
   per call.
 
 Each case runs ``--repeats`` times, round robin with the others, after one
@@ -179,6 +180,10 @@ def cases() -> list[tuple[dict, int, object]]:
     out.append(({"layer": "closed_form.sample", "configs": len(runs), "unit": "us/sample"},
                 sum(len(run.args[1]) for run in runs), lambda: [run() for run in runs]))
 
+    out.append(({"layer": "verify.structure_suite", "samples": 200, "unit": "ms/call"}, 1,
+                functools.partial(verify.structure_suite, 0, 200)))
+    out.append(({"layer": "verify.connection_suite", "points": 50, "unit": "ms/call"}, 1,
+                functools.partial(verify.connection_suite, 0, 50)))
     out.append(({"layer": "verify.curve_suite", "unit": "ms/call"}, 1,
                 functools.partial(verify.curve_suite, 0)))
     out.append(({"layer": "verify.classification_suite", "cases": 5, "unit": "ms/call"}, 1,

@@ -106,8 +106,9 @@ class InverseResult:
     cos_theta: float
 
     def __post_init__(self):
-        if any(q == 0 for q in self.q_candidates):
-            raise ValueError("inverse strengths must be nonzero")
+        if not all(q != 0 and math.isfinite(q) for q in self.q_candidates):
+            raise ValueError(f"inverse strengths must be finite and nonzero, "
+                             f"got {self.q_candidates!r}")
 
 
 def _sign(x: float) -> int:
@@ -146,7 +147,7 @@ def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
     check_angles(np.full(s, cos_theta))
     if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
         kind = CurveKind.GEODESIC
-    elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and abs(q) > math.sqrt(s):
+    elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and check_circle_existence(q, s):
         kind = CurveKind.SLANT_CIRCLE
     elif abs(cos_theta) <= _DISPATCH_BAND:
         kind = CurveKind.LEGENDRE_HELIX

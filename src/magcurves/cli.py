@@ -87,7 +87,9 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
 
 
 def _signature(doc: dict) -> ms.SpaceSignature:
-    return ms.SpaceSignature(_field(doc, "n", Integral), _field(doc, "s", Integral))
+    sig = ms.SpaceSignature(_field(doc, "n", Integral), _field(doc, "s", Integral))
+    check_memory(8 * sig.dim, "the coordinates of one point")  # before any default allocates
+    return sig
 
 
 def _resolve_cosines(doc: dict, s: int) -> np.ndarray:
@@ -246,6 +248,13 @@ def _cmd_invert(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    for flag, value, least in (("--seed", args.seed, 0), ("--samples", args.samples, 1),
+                               ("--points", args.points, 1), ("--cases", args.cases, 0)):
+        if value < least:
+            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+    if not math.isfinite(args.inject_metric_perturbation):
+        raise ConfigError("--inject-metric-perturbation must be finite, "
+                          f"got {args.inject_metric_perturbation!r}")
     report = verify_mod.run_all(
         seed=args.seed,
         samples=args.samples,

@@ -3,11 +3,16 @@ classification invariants.
 
 Each suite returns a list of check records; ``run_all`` aggregates them
 into a machine-readable report that is byte-identical across runs for a
-fixed seed.  The curve and classification suites integrate their curves at
-one fine step, and ``run_all`` steps all of those curves in one RK4 batch
-(``_run_plans``), with the bits that each suite gets on its own.  ``metric_perturbation`` deliberately corrupts the metric used
-inside the structure suite; it exists as a negative control so callers can
-confirm the suite actually fails when the geometry is wrong.
+fixed seed.  A record keeps the largest error of its check, and a NaN error
+is the largest, so it fails the check.  The structure suite reduces every
+identity once per signature, and the connection suite compares the whole
+frame table nabla_{F_e} F_f, the xi-xi block included, with the expected
+one.  The curve and classification suites integrate their curves at one
+fine step, and ``run_all`` steps all of those curves in one RK4 batch
+(``_run_plans``), with the bits that each suite gets on its own.
+``metric_perturbation`` deliberately corrupts the metric used inside the
+structure suite; it exists as a negative control so callers can confirm the
+suite actually fails when the geometry is wrong.
 """
 from __future__ import annotations
 
@@ -21,6 +26,8 @@ import numpy as np
 
 from . import model_space as ms
 from .classify import (
+    CurveKind,
+    _slant_class,
     check_circle_existence,
     classify_trajectory,
     invert_q,
@@ -61,8 +68,11 @@ class CheckRecord:
     passed: bool
 
 
-def _record(suite: str, name: str, err: float, tol: float) -> CheckRecord:
-    err = float(err)
+def _record(suite: str, name: str, errs, tol: float) -> CheckRecord:
+    """The check record of the largest of errs, a nonnegative error or an
+    array or list of them (0.0 for none).  A NaN among them is the largest,
+    so that it fails the check."""
+    err = float(np.max(errs, initial=0.0))
     return CheckRecord(suite, name, err, tol, bool(err <= tol))
 
 
@@ -98,6 +108,20 @@ def _nabla_phi_sides(sig: ms.SpaceSignature, p: np.ndarray, u: np.ndarray, v: np
     return lhs, rhs
 
 
+# name -> tolerance of every structure check, in report order; the
+# derivative identities are taken by central differences
+_STRUCTURE_TOLS = {
+    "phi_squared": 1e-12,
+    "phi_metric_compat": 1e-12,
+    "eta_xi_duality": 1e-12,
+    "phi_xi_kernel": 1e-12,
+    "eta_phi_kernel": 1e-12,
+    "eta_metric_dual": 1e-12,
+    "d_eta_fundamental": 1e-5,
+    "nabla_phi": 1e-5,
+}
+
+
 def structure_suite(seed: int = 0, samples: int = 1000,
                     metric_perturbation: float = 0.0) -> list[CheckRecord]:
     """Algebraic and finite-difference identities of the framed structure.
@@ -106,96 +130,55 @@ def structure_suite(seed: int = 0, samples: int = 1000,
     (n, s) in {1,2,3} x {1,2,3}.
     """
     rng = np.random.default_rng(seed)
-    out: list[CheckRecord] = []
-    errs = {
-        "phi_squared": 0.0,
-        "phi_metric_compat": 0.0,
-        "eta_xi_duality": 0.0,
-        "phi_xi_kernel": 0.0,
-        "eta_phi_kernel": 0.0,
-        "eta_metric_dual": 0.0,
-        "d_eta_fundamental": 0.0,
-        "nabla_phi": 0.0,
-    }
+    rows = []  # per signature, the largest error of every check
 
     for (n, s) in _SIG_GRID:
         sig = ms.SpaceSignature(n, s)
-        d = sig.dim
-        p = rng.normal(scale=2.0, size=(samples, d))
-        u = rng.normal(scale=2.0, size=(samples, d))
-        v = rng.normal(scale=2.0, size=(samples, d))
+        p, u, v = rng.normal(scale=2.0, size=(3, samples, sig.dim))
 
-        def g(a, b, pts=p):
-            base = ms.inner(sig, pts, a, b)
+        def g(a, b):
+            base = ms.inner(sig, p, a, b)
             if metric_perturbation:
                 base = base + metric_perturbation * a[..., 0] * b[..., 0]
             return base
 
         phiu = ms.phi_comps(sig, p, u)
+        phiv = ms.phi_comps(sig, p, v)
         eta_u = ms.eta_comps(sig, p, u)
         eta_v = ms.eta_comps(sig, p, v)
+        xis = 2.0 * np.eye(sig.dim)[2 * n:]  # row a is xi_a
 
-        # phi^2 = -I + sum eta^a (x) xi_a   (xi_a components: 2 in slot z_a)
-        phi2 = ms.phi_comps(sig, p, phiu)
-        expected = -u
-        expected[:, 2 * n:] += 2.0 * eta_u
-        errs["phi_squared"] = max(errs["phi_squared"], np.max(np.abs(phi2 - expected)))
-
-        # g(phi X, phi Y) = g(X, Y) - sum eta(X) eta(Y)
-        phiv = ms.phi_comps(sig, p, v)
-        lhs = g(phiu, phiv)
-        rhs = g(u, v) - np.sum(eta_u * eta_v, axis=-1)
-        errs["phi_metric_compat"] = max(errs["phi_metric_compat"], np.max(np.abs(lhs - rhs)))
-
-        # eta^a(xi_b) = delta, phi xi = 0
-        xis = np.zeros((s, d))
-        for a in range(s):
-            xis[a, 2 * n + a] = 2.0
-        eta_xi = ms.eta_comps(sig, p[:s], xis)
-        errs["eta_xi_duality"] = max(errs["eta_xi_duality"], np.max(np.abs(eta_xi - np.eye(s))))
-        errs["phi_xi_kernel"] = max(
-            errs["phi_xi_kernel"], np.max(np.abs(ms.phi_comps(sig, p[:s], xis)))
-        )
-
-        # eta(phi X) = 0 and eta^a(X) = g(X, xi_a)
-        errs["eta_phi_kernel"] = max(
-            errs["eta_phi_kernel"], np.max(np.abs(ms.eta_comps(sig, p, phiu)))
-        )
-        g_u_xi = np.stack(
-            [ms.inner(sig, p, u, np.broadcast_to(xis[a], u.shape)) for a in range(s)], axis=-1
-        )
-        errs["eta_metric_dual"] = max(errs["eta_metric_dual"], np.max(np.abs(eta_u - g_u_xi)))
-
+        # phi^2 = -I + sum eta^a (x) xi_a
+        phi_sq = -u
+        phi_sq[:, 2 * n:] += 2.0 * eta_u
         # d(eta^a)(X, Y) = g(X, phi Y) with the 1/2-alternation convention,
         # by central differences on constant-component fields
         h = 1e-5
         x_eta_v = (ms.eta_comps(sig, p + h * u, v) - ms.eta_comps(sig, p - h * u, v)) / (2 * h)
         y_eta_u = (ms.eta_comps(sig, p + h * v, u) - ms.eta_comps(sig, p - h * v, u)) / (2 * h)
-        deta = 0.5 * (x_eta_v - y_eta_u)
-        g_u_phiv = ms.inner(sig, p, u, phiv)
-        errs["d_eta_fundamental"] = max(
-            errs["d_eta_fundamental"], np.max(np.abs(deta - g_u_phiv[:, None]))
-        )
+        # the covariant derivative of phi against its closed form
+        nabla_phi, nabla_phi_rhs = _nabla_phi_sides(sig, p, u, v)
+        diff = nabla_phi - nabla_phi_rhs
 
-        # covariant derivative of phi against its closed form
-        lhs_np, rhs_np = _nabla_phi_sides(sig, p, u, v)
-        diff = lhs_np - rhs_np
-        err = np.max(np.sqrt(ms.inner(sig, p, diff, diff)))
-        errs["nabla_phi"] = max(errs["nabla_phi"], err)
+        errs = {
+            "phi_squared": np.abs(ms.phi_comps(sig, p, phiu) - phi_sq),
+            # g(phi X, phi Y) = g(X, Y) - sum eta(X) eta(Y)
+            "phi_metric_compat": np.abs(g(phiu, phiv)
+                                        - (g(u, v) - np.sum(eta_u * eta_v, axis=-1))),
+            # eta^a(xi_b) = delta, phi xi = 0
+            "eta_xi_duality": np.abs(ms.eta_comps(sig, p[:s], xis) - np.eye(s)),
+            "phi_xi_kernel": np.abs(ms.phi_comps(sig, p[:s], xis)),
+            # eta(phi X) = 0 and eta^a(X) = g(X, xi_a)
+            "eta_phi_kernel": np.abs(ms.eta_comps(sig, p, phiu)),
+            "eta_metric_dual": np.abs(eta_u - ms.inner(sig, p[:, None], u[:, None], xis)),
+            "d_eta_fundamental": np.abs(0.5 * (x_eta_v - y_eta_u)
+                                        - ms.inner(sig, p, u, phiv)[:, None]),
+            "nabla_phi": np.sqrt(ms.inner(sig, p, diff, diff)),
+        }
+        rows.append([np.max(errs[name]) for name in _STRUCTURE_TOLS])
 
-    tols = {
-        "phi_squared": 1e-12,
-        "phi_metric_compat": 1e-12,
-        "eta_xi_duality": 1e-12,
-        "phi_xi_kernel": 1e-12,
-        "eta_phi_kernel": 1e-12,
-        "eta_metric_dual": 1e-12,
-        "d_eta_fundamental": 1e-5,
-        "nabla_phi": 1e-5,
-    }
-    for name, err in errs.items():
-        out.append(_record("structure", name, err, tols[name]))
-    return out
+    return [_record("structure", name, err, tol)
+            for (name, tol), err in zip(_STRUCTURE_TOLS.items(), np.max(rows, axis=0))]
 
 
 # ---------------------------------------------------------------------------
@@ -212,81 +195,68 @@ def _frame_derivative(sig: ms.SpaceSignature, coords: np.ndarray, e: np.ndarray)
     return (ms.frame_matrix(sig, coords + h * e) - ms.frame_matrix(sig, coords - h * e)) / (2 * h)
 
 
+def _frame_table(sig: ms.SpaceSignature, F: np.ndarray) -> np.ndarray:
+    """The connection table of the frame F = (X_1..X_2n, xi_1..xi_s):
+    table[:, e, f] is nabla_{F_e} F_f.  Its nonzero entries are
+
+        nabla_{X_i} X_{n+i}  = -nabla_{X_{n+i}} X_i = sum_a xi_a,
+        nabla_{X_i} xi_a     = nabla_{xi_a} X_i     = -X_{n+i},
+        nabla_{X_{n+i}} xi_a = nabla_{xi_a} X_{n+i} = X_i;
+
+    every other pair, the xi-xi block included, is 0.
+    """
+    n = sig.n
+    xi = slice(2 * n, None)
+    table = np.zeros((sig.dim,) * 3)
+    for i in range(n):
+        table[xi, i, n + i] = 2.0
+        table[xi, n + i, i] = -2.0
+        table[:, i, xi] = table[:, xi, i] = -F[:, n + i, None]
+        table[:, n + i, xi] = table[:, xi, n + i] = F[:, i, None]
+    return table
+
+
 def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
     """The frame-by-frame connection table, metric compatibility, symmetry
     and the Reeb-field derivative rule, from the coordinate Christoffels."""
     rng = np.random.default_rng(seed)
-    out: list[CheckRecord] = []
-    table_err = 0.0
-    nabla_xi_err = 0.0
-    sym_err = 0.0
-    compat_err = 0.0
+    sym_err, table_err, nabla_xi_err, compat_err = [], [], [], []
 
     for (n, s) in _SIG_GRID:
         sig = ms.SpaceSignature(n, s)
         d = sig.dim
-        per_sig = max(1, points // len(_SIG_GRID))
-        for _ in range(per_sig):
+        coord_dirs = np.eye(d)
+        xis = 2.0 * coord_dirs[2 * n:]  # row a is xi_a
+        for _ in range(max(1, points // len(_SIG_GRID))):
             c = rng.normal(scale=2.0, size=d)
             gamma = ms.christoffel_array(sig, c)
-            sym_err = max(sym_err, np.max(np.abs(gamma - gamma.transpose(0, 2, 1))))
+            sym_err.append(np.max(np.abs(gamma - gamma.transpose(0, 2, 1))))
 
+            # nabla[:, e, f] = nabla_{F_e} F_f: the derivative of F_f's
+            # coefficients along F_e plus the coordinate Christoffels
             F = ms.frame_matrix(sig, c)
-            sum_xi = np.zeros(d)
-            sum_xi[2 * n:] = 2.0
-
-            # nabla of the f-th frame field along the e-th: the derivative of
-            # its coefficients plus the coordinate Christoffels; dF[e] holds
-            # the coefficient derivatives of every frame field along e
-            dF = [_frame_derivative(sig, c, F[:, k]) for k in range(d)]
-
-            def rate(e_idx, f_idx, gamma=gamma, F=F, dF=dF):
-                return dF[e_idx][:, f_idx] + np.einsum("kij,i,j->k", gamma, F[:, e_idx],
-                                                       F[:, f_idx])
-
-            for i in range(n):
-                for j in range(n):
-                    table_err = max(table_err, np.max(np.abs(rate(i, j))))
-                    table_err = max(table_err, np.max(np.abs(rate(n + i, n + j))))
-                    table_err = max(table_err, np.max(np.abs(
-                        rate(i, n + j) - (sum_xi if i == j else 0.0))))
-                    table_err = max(table_err, np.max(np.abs(
-                        rate(n + i, j) + (sum_xi if i == j else 0.0))))
-            for i in range(n):
-                for a in range(s):
-                    xi_idx = 2 * n + a
-                    table_err = max(table_err, np.max(np.abs(rate(i, xi_idx) + F[:, n + i])))
-                    table_err = max(table_err, np.max(np.abs(rate(xi_idx, i) + F[:, n + i])))
-                    table_err = max(table_err, np.max(np.abs(rate(n + i, xi_idx) - F[:, i])))
-                    table_err = max(table_err, np.max(np.abs(rate(xi_idx, n + i) - F[:, i])))
+            dF = np.stack([_frame_derivative(sig, c, F[:, e]) for e in range(d)], axis=1)
+            nabla = dF + np.einsum("kij,ie,jf->kef", gamma, F, F)
+            table_err.append(np.max(np.abs(nabla - _frame_table(sig, F))))
 
             # nabla_X xi_a = -phi X for constant-component X
             x = rng.normal(scale=2.0, size=d)
-            phix = ms.phi_comps(sig, c, x)
-            for a in range(s):
-                xi_c = np.zeros(d)
-                xi_c[2 * n + a] = 2.0
-                nab = np.einsum("kij,i,j->k", gamma, x, xi_c)
-                nabla_xi_err = max(nabla_xi_err, np.max(np.abs(nab + phix)))
+            nabla_xi = np.einsum("kij,i,aj->ak", gamma, x, xis)
+            nabla_xi_err.append(np.max(np.abs(nabla_xi + ms.phi_comps(sig, c, x))))
 
-            # metric compatibility along coordinate directions (step 1e-5)
+            # metric compatibility along the coordinate directions (step 1e-5)
             h = 1e-5
-            vws = rng.normal(scale=2.0, size=(2, d))
-            for k in range(d):
-                e = np.zeros(d)
-                e[k] = 1.0
-                gp = ms.inner(sig, c + h * e, vws[0], vws[1])
-                gm = ms.inner(sig, c - h * e, vws[0], vws[1])
-                lhs = (gp - gm) / (2 * h)
-                rhs = (ms.inner(sig, c, np.einsum("kij,i,j->k", gamma, e, vws[0]), vws[1])
-                       + ms.inner(sig, c, vws[0], np.einsum("kij,i,j->k", gamma, e, vws[1])))
-                compat_err = max(compat_err, abs(lhs - rhs))
+            v, w = rng.normal(scale=2.0, size=(2, d))
+            lhs = (ms.inner(sig, c + h * coord_dirs, v, w)
+                   - ms.inner(sig, c - h * coord_dirs, v, w)) / (2 * h)
+            rhs = (ms.inner(sig, c, np.einsum("kij,ei,j->ek", gamma, coord_dirs, v), w)
+                   + ms.inner(sig, c, v, np.einsum("kij,ei,j->ek", gamma, coord_dirs, w)))
+            compat_err.append(np.max(np.abs(lhs - rhs)))
 
-    out.append(_record("connection", "lower_index_symmetry", sym_err, 1e-14))
-    out.append(_record("connection", "frame_table", table_err, 1e-10))
-    out.append(_record("connection", "nabla_xi_is_minus_phi", nabla_xi_err, 1e-10))
-    out.append(_record("connection", "metric_compatibility", compat_err, 1e-5))
-    return out
+    return [_record("connection", "lower_index_symmetry", sym_err, 1e-14),
+            _record("connection", "frame_table", table_err, 1e-10),
+            _record("connection", "nabla_xi_is_minus_phi", nabla_xi_err, 1e-10),
+            _record("connection", "metric_compatibility", compat_err, 1e-5)]
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +341,7 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     coarse = _slant_setup(1, 1, 4.0, 0.2)
     d1 = speed_drift(integrate(coarse, IntegratorConfig(t_end=5.0, step=0.05)))
     d2 = speed_drift(integrate(coarse, IntegratorConfig(t_end=5.0, step=0.025)))
-    ratio = d1 / d2 if d2 > 0 else math.inf
+    ratio = d1 / d2 if d2 != 0 else math.inf  # a NaN drift gives a NaN ratio
     out.append(_record("curves", "rk4_drift_ratio", 12.0 - min(ratio, 12.0), 0.0))
 
     # Legendre helix with two Reeb directions: kappa1=|q|, kappa2=sqrt(2)
@@ -386,7 +356,7 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     # closed form against the integrator, matched initial data
     out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), 1e-10))
     out.append(_record("curves", "closed_form_vs_rk4",
-                       np.max(np.abs(traj_cf.points - exact.points)), 1e-6))
+                       np.abs(traj_cf.points - exact.points), 1e-6))
     return out
 
 
@@ -417,17 +387,17 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
     out: list[CheckRecord] = []
 
     # predicted curvatures match the general order-bound formulas
-    square_err = 0.0
+    square_err = []
     for s in (1, 2, 3):
         for _ in range(100):
             q, ct = _random_admissible(rng, s)
             cls = predict_class(q, ct, s)
             k1, k2 = order_bound_curvatures(q, [ct] * s)
-            square_err = max(square_err, abs(cls.kappa1 - k1), abs(cls.kappa2 - k2))
+            square_err += [abs(cls.kappa1 - k1), abs(cls.kappa2 - k2)]
     out.append(_record("classification", "slant_consistency_square", square_err, 1e-14))
 
     # invert/predict round trips over all branch choices
-    rt_err = 0.0
+    rt_err = []
     for s in (1, 2, 3):
         for _ in range(50):
             k1 = rng.uniform(0.1, 5.0)
@@ -435,26 +405,26 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
             for eps in (1, -1):
                 inv = invert_q(k1, 0.0, s, case="iii", eps=eps)
                 cls = predict_class(inv.q_candidates[0], inv.cos_theta, s)
-                rt_err = max(rt_err, abs(cls.kappa1 - k1), abs(cls.kappa2))
+                rt_err += [abs(cls.kappa1 - k1), abs(cls.kappa2)]
                 for branch in (1, -1):
                     if abs(eps * math.sqrt(s) + branch * k2) < 1e-6:
                         continue
                     inv = invert_q(k1, k2, s, case="iv", eps=eps, branch=branch)
                     cls = predict_class(inv.q_candidates[0], inv.cos_theta, s)
-                    rt_err = max(rt_err, abs(cls.kappa1 - k1), abs(cls.kappa2 - k2))
+                    rt_err += [abs(cls.kappa1 - k1), abs(cls.kappa2 - k2)]
             inv = invert_q(k1, math.sqrt(s), s, case="ii")
             for q in inv.q_candidates:
                 cls = predict_class(q, 0.0, s)
-                rt_err = max(rt_err, abs(cls.kappa1 - k1), abs(cls.kappa2 - math.sqrt(s)))
+                rt_err += [abs(cls.kappa1 - k1), abs(cls.kappa2 - math.sqrt(s))]
     out.append(_record("classification", "inversion_round_trip", rt_err, 1e-12))
 
-    # circle boundary: kappa2 formula vanishes at cos theta = 1/q, and the
-    # existence threshold is honored exactly at |q| = sqrt(s)
-    boundary_err = 0.0
+    # circle boundary: the slant helix's kappa2 vanishes at cos theta = 1/q,
+    # and the existence threshold is honored exactly at |q| = sqrt(s)
+    boundary_err = []
     for s in (1, 2, 3):
         for _ in range(50):
             q = rng.uniform(math.sqrt(s) + 0.1, 4.0) * rng.choice([-1.0, 1.0])
-            boundary_err = max(boundary_err, math.sqrt(s) * abs(1.0 - q * (1.0 / q)))
+            boundary_err.append(_slant_class(CurveKind.SLANT_HELIX, q, 1.0 / q, s).kappa2)
     out.append(_record("classification", "circle_kappa2_boundary", boundary_err, 1e-15))
     prop_ok = all(
         not check_circle_existence(math.sqrt(s), s)
@@ -466,17 +436,16 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
                        0.0 if prop_ok else 1.0, 0.0))
 
     # s = 1 reduces to the single-Reeb (Sasakian) formulas
-    sas_err = 0.0
+    sas_err = []
     for _ in range(100):
         theta = rng.uniform(0.2, math.pi - 0.2)
         q, _ct = _random_admissible(rng, 1)
         ct = math.cos(theta)
         if abs(1.0 - q * ct) < 0.05 or abs(ct - 1.0 / q) < 0.01 or abs(abs(ct) - 1.0) < 1e-9:
             continue
-        k1, k2 = order_bound_curvatures(q, [ct])
-        sas_err = max(sas_err,
-                      abs(abs(q) * math.sqrt(1.0 - ct * ct) - abs(q) * math.sin(theta)),
-                      abs(predict_class(q, ct, 1).kappa2 - abs(1.0 - q * ct)))
+        k1, _k2 = order_bound_curvatures(q, [ct])
+        sas_err += [abs(k1 - abs(q) * math.sin(theta)),
+                    abs(predict_class(q, ct, 1).kappa2 - abs(1.0 - q * ct))]
     out.append(_record("classification", "single_reeb_reduction", sas_err, 1e-14))
 
     # empirical agreement between measured and predicted classes; every case
@@ -494,7 +463,7 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
 def _classification_checks(before: list[CheckRecord], drawn: list,
                            trajs: list[Trajectory]) -> list[CheckRecord]:
     kind_mismatches = 0
-    curv_err = 0.0
+    curv_err = []
     for (s, q, ct, _), traj in zip(drawn, trajs):
         series = frenet_apparatus(traj)
         got = classify_trajectory(traj, series, tol=1e-3)
@@ -502,8 +471,7 @@ def _classification_checks(before: list[CheckRecord], drawn: list,
         if got.kind != want.kind:
             kind_mismatches += 1
         else:
-            curv_err = max(curv_err, abs(got.kappa1 - want.kappa1),
-                           abs(got.kappa2 - want.kappa2))
+            curv_err += [abs(got.kappa1 - want.kappa1), abs(got.kappa2 - want.kappa2)]
     return before + [
         _record("classification", "empirical_kind_agreement", float(kind_mismatches), 0.0),
         _record("classification", "empirical_curvature_agreement", curv_err, 1e-3),

@@ -257,6 +257,13 @@ def test_circle_existence_threshold():
         check_circle_existence(0.0, 1)
 
 
+def test_predict_class_takes_the_threshold_from_check_circle_existence(monkeypatch):
+    from magcurves import classify
+    assert predict_class(2.0, 0.5, 1).kind is CurveKind.SLANT_CIRCLE
+    monkeypatch.setattr(classify, "check_circle_existence", lambda q, s: False)
+    assert predict_class(2.0, 0.5, 1).kind is CurveKind.SLANT_HELIX
+
+
 def test_rho_values():
     assert rho(1.0 / math.sqrt(2.0), 2) == pytest.approx(0.0, abs=1e-7)
     assert rho(0.0, 1) == 1.0

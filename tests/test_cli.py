@@ -407,6 +407,11 @@ def test_invert_command(capsys):
     (["--kappa1", "inf", "--s", "1", "--case", "iii"], "kappa1 must be finite, got inf"),
     (["--kappa1", "1", "--kappa2", "inf", "--s", "1", "--case", "iv"],
      "kappa2 must be finite, got inf"),
+    # finite curvatures whose strength overflows
+    (["--kappa1", "1e200", "--s", "1", "--case", "iii"],
+     "inverse strengths must be finite and nonzero, got (inf,)"),
+    (["--kappa1", "1", "--kappa2", "1e308", "--s", "1", "--case", "iv"],
+     "inverse strengths must be finite and nonzero, got (inf,)"),
 ])
 def test_invert_rejects_bad_numbers(capsys, argv, message):
     code, stdout, stderr = run_cli(capsys, "invert", *argv)
@@ -436,6 +441,25 @@ def test_verify_negative_control(capsys):
     report = json.loads(stdout)
     failed = [c for c in report["checks"] if not c["passed"]]
     assert any(c["suite"] == "structure" for c in failed)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["--samples", "0"], "--samples must be at least 1, got 0"),
+    (["--points", "0"], "--points must be at least 1, got 0"),
+    (["--points", "-3"], "--points must be at least 1, got -3"),
+    (["--cases", "-1"], "--cases must be at least 0, got -1"),
+    (["--inject-metric-perturbation", "nan"],
+     "--inject-metric-perturbation must be finite, got nan"),
+    (["--inject-metric-perturbation=-inf"],
+     "--inject-metric-perturbation must be finite, got -inf"),
+])
+def test_verify_rejects_bad_flags(tmp_path, capsys, argv, message):
+    out = tmp_path / "report.json"
+    code, stdout, stderr = run_cli(capsys, "verify", "--out", str(out), *argv)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"invalid configuration: {message}\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -666,22 +690,28 @@ def test_malformed_config_types_exit_2(tmp_path, capsys, command, key, value):
 
 # Runs whose arrays would not fit in physical memory exit 2 before they
 # allocate: a huge s (the contact angles alone need 8 TiB), a huge n (the
-# frame matrix at p0 needs 32 TB) and steps that make the sample arrays
-# terabytes long.
+# frame matrix at p0 needs 32 TB; at n = 10**12 one point needs 16 TB, and
+# the default p0 and c are such points) and steps that make the sample
+# arrays terabytes long.
 _TINY_STEP = {"step": 2.5554245801443455e-13}
 _HUGE_N = {"n": 10**6, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "step": 1e-3}
+_HUGER_N = {"n": 10**12, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "step": 1e-3}
 TOO_BIG_CASES = [
     ("classify", {**VALID_CONFIGS["classify"], "s": 1099511627776}, "the contact angles need"),
     ("integrate", {**VALID_CONFIGS["integrate"], **_TINY_STEP}, "the recorded samples need"),
     ("integrate", _HUGE_N, "the frame matrix at p0 need"),
+    ("integrate", _HUGER_N, "the coordinates of one point need"),
     ("closed-form", {**VALID_CONFIGS["closed-form"], **_TINY_STEP},
      "the closed-form samples need"),
+    ("closed-form", {**_HUGER_N, "case": "a"}, "the coordinates of one point need"),
+    ("closed-form", {**_HUGER_N, "case": "b", "q": 1.0}, "the coordinates of one point need"),
     ("sweep", {**VALID_CONFIGS["sweep"], **_TINY_STEP}, "the samples of one sweep cell need"),
 ]
 
 
 @pytest.mark.parametrize("command,doc,message", TOO_BIG_CASES,
-                         ids=["classify-s", "integrate-step", "integrate-n", "closed-form-step",
+                         ids=["classify-s", "integrate-step", "integrate-n", "integrate-n-point",
+                              "closed-form-step", "closed-form-a-n", "closed-form-b-n",
                               "sweep-step"])
 def test_runs_beyond_physical_memory_exit_2(tmp_path, capsys, command, doc, message):
     cfg = write_json(tmp_path / "cfg.json", doc)

@@ -1,10 +1,16 @@
+import dataclasses
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
-from magcurves import integrate
+from magcurves import SpaceSignature, integrate
+from magcurves import model_space as ms
 from magcurves import verify
-from magcurves.verify import classification_suite, curve_suite, run_all, structure_suite
+from magcurves.verify import (classification_suite, connection_suite, curve_suite, run_all,
+                              structure_suite)
 
 
 def test_report_shape_and_pass():
@@ -20,6 +26,61 @@ def test_metric_perturbation_is_detected():
     assert "phi_metric_compat" in failed
     clean = structure_suite(seed=3, samples=50)
     assert all(r.passed for r in clean)
+
+
+def test_nan_metric_fails_the_structure_suite():
+    # a NaN error is the largest one, not skipped by the reduction
+    report = run_all(seed=3, samples=20, points=9, cases=0, metric_perturbation=math.nan)
+    compat = [c for c in report["checks"] if c["name"] == "phi_metric_compat"]
+    assert math.isnan(compat[0]["max_err"]) and not compat[0]["passed"]
+    assert report["passed"] is False
+
+
+def _nan_curvatures(fn):
+    def patched(*args, **kwargs):
+        return dataclasses.replace(fn(*args, **kwargs), kappa1=math.nan, kappa2=math.nan)
+    return patched
+
+
+def test_nan_curvatures_fail_their_classification_checks(monkeypatch):
+    monkeypatch.setattr(verify, "predict_class", _nan_curvatures(verify.predict_class))
+    monkeypatch.setattr(verify, "_slant_class", _nan_curvatures(verify._slant_class))
+    monkeypatch.setattr(verify, "order_bound_curvatures", lambda q, cosines: (math.nan, 0.0))
+    records = {r.name: r for r in classification_suite(seed=0, cases=2)}
+    for name in ("slant_consistency_square", "inversion_round_trip", "circle_kappa2_boundary",
+                 "single_reeb_reduction", "empirical_curvature_agreement"):
+        assert math.isnan(records[name].max_err) and not records[name].passed, name
+
+
+def test_frame_table_checks_the_xi_xi_block(monkeypatch):
+    # shift only nabla_{xi_a} xi_b: the coefficient derivatives of the xi
+    # columns along a xi direction (a direction with no x or y part)
+    real = verify._frame_derivative
+
+    def shifted(sig, coords, e):
+        out = real(sig, coords, e)
+        if not np.any(e[:2 * sig.n]):
+            out[:, 2 * sig.n:] += 1e-3
+        return out
+
+    assert all(r.passed for r in connection_suite(seed=0, points=9))
+    monkeypatch.setattr(verify, "_frame_derivative", shifted)
+    records = {r.name: r for r in connection_suite(seed=0, points=9)}
+    assert not records["frame_table"].passed
+    assert records["frame_table"].max_err == pytest.approx(1e-3)
+    assert all(r.passed for name, r in records.items() if name != "frame_table")
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (3, 2)])
+def test_whole_frame_contraction_has_the_bits_of_each_pair(n, s):
+    # connection_suite contracts the Christoffels with every pair of frame
+    # fields at once; each entry keeps the bits of contracting its own pair
+    sig = SpaceSignature(n, s)
+    c = np.random.default_rng(10 * n + s).normal(scale=2.0, size=sig.dim)
+    gamma, F = ms.christoffel_array(sig, c), ms.frame_matrix(sig, c)
+    whole = np.einsum("kij,ie,jf->kef", gamma, F, F)
+    for e, f in itertools.product(range(sig.dim), repeat=2):
+        assert np.array_equal(whole[:, e, f], np.einsum("kij,i,j->k", gamma, F[:, e], F[:, f]))
 
 
 def test_reports_identical_for_fixed_seed():
