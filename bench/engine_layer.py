@@ -40,7 +40,8 @@ Cases (each a ``layer`` with its unit of work):
 
 Each case runs ``--repeats`` times, round robin with the others, after one
 warm-up round; the record keeps the best time and the spread (worst / best
-- 1).  ``--src``, ``--label`` and ``--out`` work as in ``io_layer.py``.
+- 1).  ``--src``, ``--label`` and ``--out`` work as in ``io_layer.py``, given
+once.
 """
 from __future__ import annotations
 

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -262,7 +263,10 @@ def _cmd_verify(args) -> int:
         cases=args.cases,
         metric_perturbation=args.inject_metric_perturbation,
     )
-    text = json.dumps(report, indent=2, sort_keys=True)
+    # strict JSON: a non-finite error, whose check has failed, prints as null
+    checks = [{**c, "max_err": c["max_err"] if math.isfinite(c["max_err"]) else None}
+              for c in report["checks"]]
+    text = json.dumps({**report, "checks": checks}, indent=2, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(text)
@@ -336,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run all invariant suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=200, help="structure samples per (n, s)")
-    p.add_argument("--points", type=int, default=50, help="connection-table points")
+    p.add_argument("--points", type=int, default=50,
+                   help="connection-table points: each of the 9 signatures checks "
+                        "max(1, points // 9) of them")
     p.add_argument("--cases", type=int, default=5, help="empirical classification cases")
     p.add_argument("--out", default=None, help="also write the JSON report here")
     p.add_argument("--inject-metric-perturbation", type=float, default=0.0,
@@ -354,9 +360,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built on its first call and not at import;
+    parsing leaves it unchanged, and each subcommand's function looks up the
+    layers it calls when it runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except DivergenceError as exc:

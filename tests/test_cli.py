@@ -14,6 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import magcurves
+from magcurves import cli
+from magcurves import verify as verify_mod
 from magcurves import (
     MagneticSetup,
     SpaceSignature,
@@ -104,13 +106,19 @@ def test_divergence_message_states_last_valid_time_once(tmp_path, capsys):
     assert stderr.count("last valid time") == 1
 
 
-def run_module(*argv):
-    """``python -m magcurves argv`` in a fresh interpreter, warnings shown."""
+def run_python(*argv):
+    """``python argv`` in a fresh interpreter that imports this magcurves,
+    warnings shown."""
     src = str(Path(magcurves.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-W", "default", "-m", "magcurves", *argv],
+    return subprocess.run([sys.executable, "-W", "default", *argv],
                           env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_module(*argv):
+    """``python -m magcurves argv`` in a fresh interpreter, warnings shown."""
+    return run_python("-m", "magcurves", *argv)
 
 
 def test_python_dash_m_runs_the_cli():
@@ -462,6 +470,27 @@ def test_verify_rejects_bad_flags(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+def test_verify_prints_a_nan_error_as_null(tmp_path, capsys, monkeypatch):
+    # a fault that makes a check's error NaN must not make the report
+    # unreadable to a strict JSON parser; the check still fails
+    real = verify_mod.structure_suite
+    monkeypatch.setattr(verify_mod, "structure_suite",
+                        lambda seed, samples, perturbation: real(seed, samples, math.nan))
+    out = tmp_path / "report.json"
+    code, stdout, _ = run_cli(capsys, "verify", "--samples", "20", "--points", "9",
+                              "--cases", "0", "--out", str(out))
+    assert code == 1
+    assert out.read_text() == stdout
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads(stdout, parse_constant=reject)
+    compat = next(c for c in report["checks"] if c["name"] == "phi_metric_compat")
+    assert compat["max_err"] is None and compat["passed"] is False
+    assert report["passed"] is False
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -748,3 +777,58 @@ def test_fuzzed_config_exits_with_a_documented_code(command, data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(_cli_argv(command, cfg, Path(tmp) / "x.csv"))
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_results(tmp_path, monkeypatch):
+    """Commands run one after another in one process (as the benchmark and
+    the tests run them) exit and print exactly as each does in a fresh
+    interpreter, and the parser is built at most once."""
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width on both sides
+    cfg = write_json(tmp_path / "classify.json", VALID_CONFIGS["classify"])
+    sequence = [
+        (["classify", "--config", cfg], 0),
+        (["verify", "--samples", "0"], 2),
+        (["invert", "--kappa1", "1.0", "--kappa2", "0.4", "--s", "1", "--case", "iv"], 0),
+        (["--help"], 0),
+    ]
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    for argv, want in sequence:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # --help
+                code = exc.code
+        fresh = run_module(*argv)
+        assert (code, out.getvalue(), err.getvalue()) == (
+            fresh.returncode, fresh.stdout, fresh.stderr), argv
+        assert code == want and out.getvalue() + err.getvalue(), argv
+    assert len(built) <= 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    # the parser is built by the first main call, not at import
+    done = run_python("-c", """
+import argparse
+made = []
+init = argparse.ArgumentParser.__init__
+def counting(self, *args, **kwargs):
+    made.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting
+import magcurves.cli
+print(len(made))
+for _ in range(2):
+    magcurves.cli.main(["invert", "--kappa1", "1", "--s", "1", "--case", "iii"])
+    print(len(made))
+""")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    built = [int(line) for line in lines if line.isdigit()]
+    assert built[0] == 0 and built[1] == built[2] > 0, done.stdout

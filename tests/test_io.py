@@ -151,3 +151,38 @@ def test_csv_reader_takes_any_line_ending(tmp_path, circle_traj, ending):
     other = tmp_path / "other.csv"
     other.write_bytes(path.read_bytes().replace(b"\r\n", ending.encode()))
     assert_same_bits(read_trajectory(other), circle_traj)
+
+
+def bit_patterns(*words):
+    return np.array(words, dtype=np.uint64).view(np.float64)
+
+
+# -nan and a quiet NaN with a payload: other bits than np.nan, the same repr
+NEG_NAN, PAYLOAD_NAN = bit_patterns(0xFFF8000000000000, 0x7FF800000000BEEF)
+
+
+@pytest.mark.parametrize("rows", [511, 512, 513, 1025])
+def test_csv_writer_formats_bit_patterns_like_repr(tmp_path, rows):
+    """The writer formats each distinct bit pattern of a block once: it must
+    give the bytes of repr on every cell, around the block boundary, where
+    +0.0 and -0.0 (equal values, other reprs) share a block and where long
+    runs of one constant repeat a pattern many times."""
+    sig = SpaceSignature(2, 1)
+    rng = np.random.default_rng(rows)
+    times = 0.25 * np.arange(rows)
+    points = np.empty((rows, sig.dim))
+    points[:, 0] = 0.7071067811865476  # one constant throughout
+    points[:, 1] = np.where(np.arange(rows) % 2, -0.0, 0.0)
+    points[:, 2] = np.resize([NEG_NAN, 1.5, PAYLOAD_NAN, np.nan, -0.0], rows)
+    points[:, 3] = rng.standard_normal(rows)
+    points[:, 4] = np.where(np.arange(rows) < rows // 2, 0.0, -0.0)  # a long run of each
+    velocities = np.resize([0.0, -0.0, 1.0, -1.0, 0.1], (rows, sig.dim))
+    velocities[:, 2] = np.where(np.arange(rows) % 3, PAYLOAD_NAN, 2.0)
+    traj = Trajectory(sig, times, points, velocities)
+    words = set(_trajectory_table(traj).view(np.uint64).ravel().tolist())
+    assert {0xFFF8000000000000, 0x7FF800000000BEEF, 0, 1 << 63} <= words  # all reach the writer
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    write_trajectory_csv(traj, got)
+    reference_trajectory_csv(traj, want)
+    assert got.read_bytes() == want.read_bytes()
+    assert got.read_bytes().count(b"\r\n") == rows + 1
