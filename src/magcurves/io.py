@@ -10,16 +10,19 @@ column names, then one line per sample; cells are separated by commas
 with no spaces and never quoted, and every line, the last included, ends
 in ``\\r\\n``.  Each number is ``repr`` of a Python float (the shortest
 decimal that round-trips, with ``nan``, ``inf`` and ``-inf`` for the
-non-finite values).  The writer formats each distinct bit pattern of a
-block of rows once and reuses the text for its repeats, which the exact
-flow's first integrals (speed, every eta^a, and for lambda = 0 the
-velocities) make common; the bytes are those of formatting every cell.
+non-finite values).
 
 The JSON mirror keys the same column names, each to a list of numbers,
-plus the metadata n, s, q; its numbers are ``repr`` floats too (``NaN``
-and ``Infinity`` for the non-finite values, as ``json`` writes them).
-Identical inputs produce byte-identical files, and reading a file back
-gives the same bits.
+plus the metadata n, s, q; its numbers are ``repr`` floats too (``NaN``,
+``Infinity`` and ``-Infinity`` for the non-finite values, as ``json``
+writes them), and its bytes are those of ``json.dumps``.
+
+Both writers format each distinct bit pattern of a block of cells once
+(a block of rows for CSV, a column for JSON) and reuse the text for its
+repeats, which the exact flow's first integrals (speed, every eta^a, and
+for lambda = 0 the velocities) make common; the bytes are those of
+formatting every cell.  Identical inputs produce byte-identical files, and
+reading a file back gives the same bits.
 """
 from __future__ import annotations
 
@@ -67,6 +70,25 @@ def _trajectory_table(traj: Trajectory) -> np.ndarray:
     return np.column_stack([traj.times, traj.points, traj.velocities, speeds, etas])
 
 
+def _format_cells(cells: np.ndarray, nonfinite: dict[str, str] | None = None) -> np.ndarray:
+    """repr of every cell of the float array cells, as an object array of its
+    shape; with nonfinite, nonfinite[repr] in place of repr for the cells
+    that are not finite.  Each distinct bit pattern is formatted once, keyed
+    on bits, not values: -0.0 == 0.0 but their reprs differ (every NaN
+    prints alike, whatever its bits)."""
+    bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+    values = bits.view(np.float64)
+    text = np.array(list(map(repr, values.tolist())), dtype=object)
+    if nonfinite:
+        other = ~np.isfinite(values)
+        text[other] = [nonfinite[t] for t in text[other]]
+    return text[inverse.reshape(cells.shape)]
+
+
+# json.dumps' texts of the non-finite floats, by their repr
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
 def write_trajectory_csv(traj: Trajectory, path) -> None:
     table = _trajectory_table(traj)
     width = table.shape[1]
@@ -77,12 +99,8 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         fh.write(",".join(trajectory_columns(traj.sig)) + "\r\n")
         for start in range(0, len(table), _BLOCK_ROWS):
             block = table[start:start + _BLOCK_ROWS]
-            # keyed on bits, not values: -0.0 == 0.0 but their reprs differ
-            # (repr depends only on the bits; every NaN prints nan)
-            bits, cells = np.unique(block.view(np.int64), return_inverse=True)
-            reprs = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
             text = out[:len(block)]
-            text[:, 0::2] = reprs[cells.reshape(block.shape)]
+            text[:, 0::2] = _format_cells(block)
             fh.write("".join(text.ravel().tolist()))
 
 
@@ -90,11 +108,12 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
     table = _trajectory_table(traj)
     meta = json.dumps({"n": traj.sig.n, "s": traj.sig.s, "q": traj.q})
     with open(path, "w") as fh:
-        # json.dump's bytes for the whole document, written one column at a
-        # time so that only one column is held as Python floats
+        # json.dumps' bytes for the whole document, written one column at a
+        # time so that only one column's text is held at once
         fh.write(meta[:-1])
         for k, name in enumerate(trajectory_columns(traj.sig)):
-            fh.write(f", {json.dumps(name)}: {json.dumps(table[:, k].tolist())}")
+            cells = ", ".join(_format_cells(table[:, k], _JSON_NONFINITE).tolist())
+            fh.write(f", {json.dumps(name)}: [{cells}]")
         fh.write("}\n")
 
 

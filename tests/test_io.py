@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from magcurves import SpaceSignature, Trajectory
+from magcurves import (IntegratorConfig, SpaceSignature, Trajectory, exact_flow, integrate,
+                       random_params)
 from magcurves.io import (
     _trajectory_table,
     read_trajectory,
@@ -186,3 +187,37 @@ def test_csv_writer_formats_bit_patterns_like_repr(tmp_path, rows):
     reference_trajectory_csv(traj, want)
     assert got.read_bytes() == want.read_bytes()
     assert got.read_bytes().count(b"\r\n") == rows + 1
+
+
+def json_table(kind):
+    """A trajectory whose columns repeat bit patterns: the exact flow
+    (constant speed and eta), RK4, the straight-line family lambda = 0
+    (constant velocities too), or +0.0 and -0.0 in every column and -nan in
+    one."""
+    if kind == "signed_zeros":
+        sig, rows = SpaceSignature(1, 2), 700
+        zeros = np.where(np.arange(rows) % 3, -0.0, 0.0)
+        table = np.tile(zeros[:, None], 2 * sig.dim)
+        table[:, 1] = np.where(np.arange(rows) < rows // 2, 0.0, -0.0)  # a long run of each
+        table[::7, 2] = NEG_NAN
+        return Trajectory(sig, 0.5 * np.arange(rows), table[:, :sig.dim], table[:, sig.dim:],
+                          q=-0.0)
+    if kind == "lambda_zero":  # q = 2 s cos(theta)
+        params = random_params(SpaceSignature(2, 1), 1.0, 0.5, seed=7)
+    else:
+        params = random_params(SpaceSignature(3, 3), 0.7, 0.2, seed=7)
+    cfg = IntegratorConfig(t_end=1.5, step=1e-3)
+    if kind == "rk4":
+        return integrate(params.setup(), cfg)
+    return exact_flow(params.setup(), cfg.times)
+
+
+@pytest.mark.parametrize("kind", ["exact_flow", "rk4", "lambda_zero", "signed_zeros"])
+def test_json_writer_matches_json_dump_bytes(tmp_path, kind):
+    """The JSON writer formats each distinct bit pattern of a column once; it
+    must give json.dump's bytes, +0.0 and -0.0 apart."""
+    traj = json_table(kind)
+    got, want = tmp_path / "got.json", tmp_path / "want.json"
+    write_trajectory_json(traj, got)
+    reference_trajectory_json(traj, want)
+    assert got.read_bytes() == want.read_bytes()

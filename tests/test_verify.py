@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from magcurves import SpaceSignature, integrate
+from magcurves import SpaceSignature, dynamics, integrate, integrate_many
 from magcurves import model_space as ms
 from magcurves import verify
 from magcurves.verify import (classification_suite, connection_suite, curve_suite, run_all,
@@ -123,4 +123,134 @@ def test_run_all_steps_one_fine_batch(monkeypatch):
 
     monkeypatch.setattr(verify, "integrate_many", spy)
     run_all(0, samples=10, points=9, cases=5)
-    assert calls == [(3 + 5, 1e-3, 5000)]
+    assert calls == [(3 + 5, verify._FINE_STEP, verify._CURVE_CFG.n_steps)]
+
+
+# (suite, name, tol) of every record of a report, in report order
+REPORT_TABLE = [
+    ("structure", "phi_squared", 1e-12),
+    ("structure", "phi_metric_compat", 1e-12),
+    ("structure", "eta_xi_duality", 1e-12),
+    ("structure", "phi_xi_kernel", 1e-12),
+    ("structure", "eta_phi_kernel", 1e-12),
+    ("structure", "eta_metric_dual", 1e-12),
+    ("structure", "d_eta_fundamental", 1e-5),
+    ("structure", "nabla_phi", 1e-5),
+    ("connection", "lower_index_symmetry", 1e-14),
+    ("connection", "frame_table", 1e-10),
+    ("connection", "nabla_xi_is_minus_phi", 1e-10),
+    ("connection", "metric_compatibility", 1e-5),
+    ("curves", "speed_drift", 1e-8),
+    ("curves", "angle_drift", 1e-8),
+    ("curves", "lorentz_fd_residual", 1e-4),
+    ("curves", "circle_kappa1", 1e-4),
+    ("curves", "circle_kappa2", 1e-4),
+    ("curves", "circle_order", 0.0),
+    ("curves", "rk4_drift_ratio", 0.0),
+    ("curves", "legendre_kappa1", 1e-4),
+    ("curves", "legendre_kappa2", 1e-3),
+    ("curves", "legendre_kappa3", 1e-3),
+    ("curves", "closed_form_residual", 1e-10),
+    ("curves", "closed_form_vs_rk4", 1e-6),
+    ("classification", "slant_consistency_square", 1e-14),
+    ("classification", "inversion_round_trip", 1e-12),
+    ("classification", "circle_kappa2_boundary", 1e-15),
+    ("classification", "circle_existence_threshold", 0.0),
+    ("classification", "single_reeb_reduction", 1e-14),
+    ("classification", "empirical_kind_agreement", 0.0),
+    ("classification", "empirical_curvature_agreement", 1e-3),
+]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_default_report_has_fixed_checks_and_tolerances_and_passes(seed):
+    # seeds 0-199 all pass as well; ten of them keep the suite fast
+    checks = run_all(seed)["checks"]
+    assert [(c["suite"], c["name"], c["tol"]) for c in checks] == REPORT_TABLE
+    assert [c["name"] for c in checks if not c["passed"]] == []
+
+
+def test_fine_step_is_far_inside_rk4_stability():
+    # A slant curve's (vx, vy) turns at the constant rate w = 2 sum_a
+    # eta^a(T0) - q; RK4 is stable for h|w| up to 2 sqrt(2), and the batch
+    # runs each curve under the longest plan's config.
+    hw = []
+    for seed in range(200):
+        for plan in (verify._curve_plan(seed), verify._classification_plan(seed, 5)):
+            for st in plan.setups:
+                w = 2.0 * np.sum(ms.eta_comps(st.sig, st.p0, st.T0)) - st.q
+                hw.append(verify._FINE_STEP * abs(w))
+    assert max(hw) < 0.05
+
+
+# ---------------------------------------------------------------------------
+# negative controls: faults that the curve and classification checks catch
+# at verify's fine step from the same size as at 1e-3
+# ---------------------------------------------------------------------------
+
+def _scaled_q(factor):
+    """dynamics._rhs with the field strength scaled by factor; q enters only
+    through the Lorentz force q phi(T), so -1 flips the sign of that term."""
+    real = dynamics._rhs
+
+    def rhs(n, q, s, reeb, state):
+        return real(n, q * factor, s, reeb, state)
+    return rhs
+
+
+def _shifted(field, delta):
+    """verify.frenet_apparatus with delta added to the curvature series field."""
+    real = verify.frenet_apparatus
+
+    def apparatus(traj):
+        series = real(traj)
+        return dataclasses.replace(series, **{field: getattr(series, field) + delta})
+    return apparatus
+
+
+@pytest.fixture(scope="module", params=sorted({1e-3, verify._FINE_STEP}))
+def seed0_plans(request):
+    """The seed-0 curve plan and classification plan (5 cases) at the fine
+    step request.param, each with its clean trajectories."""
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_CURVE_CFG", "_CLASSIFICATION_CFG"):
+            mp.setattr(verify, name, dataclasses.replace(getattr(verify, name),
+                                                         step=request.param))
+        plans = [verify._curve_plan(0), verify._classification_plan(0, 5)]
+    return [(plan, integrate_many(plan.setups, plan.cfg)) for plan in plans]
+
+
+def _failed_checks(plans, module, name, fault) -> set[str]:
+    """The checks that fail with module.name replaced by fault; a fault in
+    the right-hand side integrates the plans again."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(module, name, fault)
+        return {r.name
+                for plan, clean in plans
+                for r in plan.finish(integrate_many(plan.setups, plan.cfg)
+                                     if module is dynamics else clean)
+                if not r.passed}
+
+
+def _fault(kind, size):
+    if kind == "q":
+        return dynamics, "_rhs", _scaled_q(1.0 + size)
+    return verify, "frenet_apparatus", _shifted(kind, size)
+
+
+@pytest.mark.parametrize("kind,size,checks", [
+    ("q", 1e-7, {"closed_form_vs_rk4"}),
+    ("q", 1e-3, {"empirical_curvature_agreement"}),
+    ("kappa1", 1e-3, {"circle_kappa1", "legendre_kappa1"}),
+    ("kappa2", 1e-4, {"circle_kappa2"}),
+])
+def test_fault_fails_its_checks_from_the_same_size(seed0_plans, kind, size, checks):
+    # the smallest power of ten that fails the checks: a tenth of it passes
+    assert checks <= _failed_checks(seed0_plans, *_fault(kind, size))
+    assert not checks & _failed_checks(seed0_plans, *_fault(kind, size / 10))
+
+
+def test_flipped_lorentz_force_fails_the_curve_checks(seed0_plans):
+    failed = _failed_checks(seed0_plans, dynamics, "_rhs", _scaled_q(-1.0))
+    assert {"lorentz_fd_residual", "circle_kappa2", "circle_order", "closed_form_vs_rk4",
+            "empirical_curvature_agreement"} <= failed
