@@ -42,7 +42,7 @@ from .dynamics import (
     speed_drift,
 )
 from .errors import ConfigError, DivergenceError, check_memory, typed_number
-from .frenet import frenet_apparatus, residual
+from .frenet import _MIN_SAMPLES, frenet_apparatus, residual
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
 from . import verify as verify_mod
@@ -138,6 +138,9 @@ def _cmd_integrate(args) -> int:
         step=_field(doc, "step", default=1e-3),
         record_every=_field(doc, "record_every", Integral, default=1),
     )
+    if cfg.n_samples < _MIN_SAMPLES:  # the Lorentz residual's stencil, before any output
+        raise ConfigError(f"integrate needs at least {_MIN_SAMPLES} recorded samples, "
+                          f"got {cfg.n_samples}")
     traj = integrate(setup, cfg)
     out = _out_path(args)
     write_trajectory(traj, out, fmt=args.format)

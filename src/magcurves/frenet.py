@@ -15,7 +15,7 @@ quantities are NaN where trimmed or where the preceding curvature falls
 below its level's degeneracy threshold (no frame vector is normalized out
 of noise).  Normal magnetic curves have osculating order at most 3, so k3
 serves only to confirm that bound and v_4 is not formed.  The Lorentz
-residual reads the same nabla_T T and lives here too.
+residual takes nabla_T T with the same stencil and lives here too.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ __all__ = [
 EPS_GEO = 1e-9
 _EPS_LEVEL = (EPS_GEO, 1e-7)
 _TRIM = 2       # samples dropped from each end per differentiation level
+_MIN_SAMPLES = 2 * _TRIM + 1  # the five-point stencil's width
 _GRID_RTOL = 1e-9
 
 
@@ -77,23 +78,30 @@ def _uniform_step(times: np.ndarray) -> float:
     return h
 
 
+def _five_point(field: np.ndarray, h: float) -> np.ndarray:
+    """d(field)/dt at samples 2..N-3 of a uniform grid of step h: the
+    fourth-order five-point central difference (Fornberg 1988), which drops
+    _TRIM samples from each end."""
+    return (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
+
+
 def covariant_tt(traj: Trajectory) -> tuple[slice, np.ndarray]:
     """nabla_T T along the trajectory, with the index range where it is valid.
 
     Uses the exact recorded accelerations when the trajectory carries them;
-    otherwise d(T)/dt comes from central differences of the velocities and
-    the first and last samples are excluded.
+    otherwise d(T)/dt comes from the fourth-order five-point difference of
+    the velocities and the first and last two samples are excluded.
     """
     sig = traj.sig
     if traj.accelerations is not None:
         sl = slice(None)
         acc = traj.accelerations
     else:
-        if len(traj) < 3:
-            raise InsufficientDataError("need at least 3 samples to reconstruct accelerations")
-        h = _uniform_step(traj.times)
-        sl = slice(1, -1)
-        acc = (traj.velocities[2:] - traj.velocities[:-2]) / (2.0 * h)
+        if len(traj) < _MIN_SAMPLES:
+            raise InsufficientDataError(
+                f"need at least {_MIN_SAMPLES} samples to reconstruct accelerations")
+        sl = slice(_TRIM, -_TRIM)
+        acc = _five_point(traj.velocities, _uniform_step(traj.times))
     pts = traj.points[sl]
     vel = traj.velocities[sl]
     return sl, acc + ms.gamma_bilinear(sig, pts, vel, vel)
@@ -103,8 +111,8 @@ def residual(traj: Trajectory, q: float) -> float:
     """max_t || nabla_T T + q phi T ||_g over the trajectory.
 
     Uses the trajectory's exact accelerations when present; otherwise the
-    acceleration is reconstructed by second-order central differences of the
-    recorded velocities.
+    acceleration is reconstructed from the recorded velocities by the
+    fourth-order five-point difference of ``covariant_tt``.
     """
     sl, ntt = covariant_tt(traj)
     pts = traj.points[sl]
@@ -120,19 +128,19 @@ def frenet_apparatus(traj: Trajectory) -> FrenetSeries:
     """
     sig = traj.sig
     N = len(traj)
-    if N < 5:
-        raise InsufficientDataError(f"need at least 5 samples, got {N}")
+    if N < _MIN_SAMPLES:
+        raise InsufficientDataError(f"need at least {_MIN_SAMPLES} samples, got {N}")
     h = _uniform_step(traj.times)
 
     P, V = traj.points, traj.velocities
     gamma_v = ms._gamma_along(sig, P, V)  # the (P, V) sums, taken once for all levels
 
     def rate(field: np.ndarray) -> np.ndarray:
-        # nabla_T field: fourth-order five-point difference of the components
-        # (matching the integrator's order; hence the 2-sample trim per
-        # level) plus the exact connection term
+        # nabla_T field: fourth-order difference of the components (matching
+        # the integrator's order; hence the 2-sample trim per level) plus the
+        # exact connection term
         out = np.full_like(field, np.nan)
-        out[2:-2] = (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
+        out[_TRIM:-_TRIM] = _five_point(field, h)
         return out + gamma_v(field)
 
     def trim(arr: np.ndarray, level: int) -> np.ndarray:

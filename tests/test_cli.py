@@ -86,6 +86,22 @@ def test_integrate_invalid_step_exits_2(tmp_path, capsys):
     assert "step" in stderr
 
 
+@pytest.mark.parametrize("t_end,samples", [(0.001, 2), (0.003, 4), (0.004, 5)])
+def test_integrate_refuses_too_few_samples_before_writing(tmp_path, capsys, t_end, samples):
+    # the Lorentz residual's five-point difference needs 5 samples
+    cfg = write_json(tmp_path / "run.json", {
+        "n": 1, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": t_end, "step": 0.001,
+    })
+    out = tmp_path / "x.csv"
+    code, stdout, stderr = run_cli(capsys, "integrate", "--config", cfg, "--out", str(out))
+    if samples < 5:
+        assert code == 2 and stdout == "" and not out.exists()
+        assert f"at least 5 recorded samples, got {samples}" in stderr
+    else:
+        assert code == 0 and json.loads(stdout)["samples"] == samples
+        assert len(read_trajectory(out)) == samples
+
+
 def test_integrate_divergence_exits_3(tmp_path, capsys):
     cfg = write_json(tmp_path / "run.json", {
         "n": 1, "s": 1, "q": 1e200, "cos_theta": 0.5, "t_end": 1.0, "step": 1e-3,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from magcurves import (
 )
 from magcurves import model_space as ms
 from magcurves.errors import InsufficientDataError, InvalidGridError
-from magcurves.frenet import _EPS_LEVEL, EPS_GEO
+from magcurves.frenet import _EPS_LEVEL, EPS_GEO, covariant_tt
 from conftest import SIG_GRID, assert_same_bits
 
 
@@ -144,6 +146,18 @@ def test_trim_layout(circle_traj):
     assert np.all(undef3[undef2])
 
 
+def test_covariant_tt_needs_five_samples_without_accelerations(circle_traj):
+    for m, width in ((4, None), (5, 1), (6, 2)):
+        short = Trajectory(circle_traj.sig, circle_traj.times[:m], circle_traj.points[:m],
+                           circle_traj.velocities[:m])
+        if width is None:
+            with pytest.raises(InsufficientDataError):
+                covariant_tt(short)
+        else:
+            sl, ntt = covariant_tt(short)
+            assert sl == slice(2, -2) and len(ntt) == width
+
+
 def test_minimal_five_sample_series():
     # five exact samples leave exactly one interior point with kappa1
     from magcurves import CaseAParams, sample_case_a
@@ -182,6 +196,7 @@ def reference_frenet_apparatus(traj):
     gamma_v = ms._gamma_along(sig, P, V)
 
     def rate(field):
+        # the stencil written out, not frenet._five_point: the bits it keeps
         out = np.full_like(field, np.nan)
         out[2:-2] = (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
         return out + gamma_v(field)
@@ -247,3 +262,19 @@ def test_frames_and_order_match_the_eager_build(n, s):
         defined_counts.update(sum(np.all(np.isfinite(v), axis=1) for v in frame).tolist())
     assert defined_counts == {1, 2, 3}
     assert np.nanmin(series.kappa3) > 1e-3  # the last curve, the one that is not magnetic
+
+
+@pytest.mark.parametrize("n, s", SIG_GRID)
+def test_covariant_tt_is_fourth_order(n, s):
+    # exact-flow samples with their accelerations dropped: the difference of
+    # the velocities against the exact covariant acceleration falls as h^4
+    # (x16 per halving); a strong field keeps it well above rounding at 2e-3
+    setup = dataclasses.replace(_frame_setups(n, s)[0], q=6.0)
+    errs = []
+    for h in (8e-3, 4e-3, 2e-3):
+        exact = exact_flow(setup, IntegratorConfig(t_end=1.0, step=h).times)
+        sl, want = covariant_tt(exact)
+        sl, got = covariant_tt(Trajectory(exact.sig, exact.times, exact.points,
+                                          exact.velocities))
+        errs.append(np.max(np.abs(got - want[sl])))
+    assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs

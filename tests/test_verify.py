@@ -48,7 +48,8 @@ def test_nan_curvatures_fail_their_classification_checks(monkeypatch):
     monkeypatch.setattr(verify, "order_bound_curvatures", lambda q, cosines: (math.nan, 0.0))
     records = {r.name: r for r in classification_suite(seed=0, cases=2)}
     for name in ("slant_consistency_square", "inversion_round_trip", "circle_kappa2_boundary",
-                 "single_reeb_reduction", "empirical_curvature_agreement"):
+                 "single_reeb_reduction", "empirical_curvature_agreement",
+                 "empirical_frenet_curvature"):
         assert math.isnan(records[name].max_err) and not records[name].passed, name
 
 
@@ -159,6 +160,7 @@ REPORT_TABLE = [
     ("classification", "single_reeb_reduction", 1e-14),
     ("classification", "empirical_kind_agreement", 0.0),
     ("classification", "empirical_curvature_agreement", 1e-3),
+    ("classification", "empirical_frenet_curvature", 1e-4),
 ]
 
 
@@ -248,6 +250,14 @@ def test_fault_fails_its_checks_from_the_same_size(seed0_plans, kind, size, chec
     # the smallest power of ten that fails the checks: a tenth of it passes
     assert checks <= _failed_checks(seed0_plans, *_fault(kind, size))
     assert not checks & _failed_checks(seed0_plans, *_fault(kind, size / 10))
+
+
+def test_frenet_kappa1_shift_fails_the_classification_curvatures(seed0_plans):
+    # the classes compare curvatures recomputed from the fitted q; only the
+    # Frenet medians carry a shift of the measured kappa1 into this suite
+    assert "empirical_frenet_curvature" in _failed_checks(seed0_plans, *_fault("kappa1", 1e-3))
+    assert "empirical_frenet_curvature" not in _failed_checks(seed0_plans,
+                                                              *_fault("kappa1", 1e-5))
 
 
 def test_flipped_lorentz_force_fails_the_curve_checks(seed0_plans):
