@@ -31,7 +31,7 @@ import numpy as np
 from . import model_space as ms
 from .dynamics import Trajectory, check_angles, speed_drift
 from .errors import InconsistentCaseError, typed_number
-from .frenet import FrenetSeries, _nanmedian, covariant_tt
+from .frenet import FrenetSeries, _TRIM, _nanmedian, covariant_tt
 
 __all__ = [
     "CurveKind",
@@ -276,7 +276,7 @@ def fit_field_strength(traj: Trajectory) -> tuple[float | None, float]:
 def _v2_alignment(traj: Trajectory, series: FrenetSeries) -> float | None:
     """Mean of g(v2, phi T / ||phi T||) over samples where both are defined."""
     sig = traj.sig
-    keep = slice(2, len(traj) - 2)
+    keep = slice(_TRIM, len(traj) - _TRIM)
     pts = traj.points[keep]
     phit = ms.phi_comps(sig, pts, series.v1)
     with np.errstate(invalid="ignore", divide="ignore"):

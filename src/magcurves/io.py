@@ -10,19 +10,18 @@ column names, then one line per sample; cells are separated by commas
 with no spaces and never quoted, and every line, the last included, ends
 in ``\\r\\n``.  Each number is ``repr`` of a Python float (the shortest
 decimal that round-trips, with ``nan``, ``inf`` and ``-inf`` for the
-non-finite values).
+non-finite values).  The writer formats each distinct bit pattern of a
+block of rows once and reuses the text for its repeats, which the exact
+flow's first integrals (speed, every eta^a, and for lambda = 0 the
+velocities) make common; the bytes are those of formatting every cell.
 
 The JSON mirror keys the same column names, each to a list of numbers,
 plus the metadata n, s, q; its numbers are ``repr`` floats too (``NaN``,
-``Infinity`` and ``-Infinity`` for the non-finite values, as ``json``
-writes them), and its bytes are those of ``json.dumps``.
+``Infinity`` and ``-Infinity`` for the non-finite values), and its bytes
+are those of ``json.dumps``, which writes each column.
 
-Both writers format each distinct bit pattern of a block of cells once
-(a block of rows for CSV, a column for JSON) and reuse the text for its
-repeats, which the exact flow's first integrals (speed, every eta^a, and
-for lambda = 0 the velocities) make common; the bytes are those of
-formatting every cell.  Identical inputs produce byte-identical files, and
-reading a file back gives the same bits.
+Identical inputs produce byte-identical files, and reading a file back
+gives the same bits.
 """
 from __future__ import annotations
 
@@ -70,23 +69,14 @@ def _trajectory_table(traj: Trajectory) -> np.ndarray:
     return np.column_stack([traj.times, traj.points, traj.velocities, speeds, etas])
 
 
-def _format_cells(cells: np.ndarray, nonfinite: dict[str, str] | None = None) -> np.ndarray:
+def _format_cells(cells: np.ndarray) -> np.ndarray:
     """repr of every cell of the float array cells, as an object array of its
-    shape; with nonfinite, nonfinite[repr] in place of repr for the cells
-    that are not finite.  Each distinct bit pattern is formatted once, keyed
-    on bits, not values: -0.0 == 0.0 but their reprs differ (every NaN
-    prints alike, whatever its bits)."""
+    shape.  Each distinct bit pattern is formatted once, keyed on bits, not
+    values: -0.0 == 0.0 but their reprs differ (every NaN prints alike,
+    whatever its bits)."""
     bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-    values = bits.view(np.float64)
-    text = np.array(list(map(repr, values.tolist())), dtype=object)
-    if nonfinite:
-        other = ~np.isfinite(values)
-        text[other] = [nonfinite[t] for t in text[other]]
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
     return text[inverse.reshape(cells.shape)]
-
-
-# json.dumps' texts of the non-finite floats, by their repr
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
@@ -109,11 +99,10 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
     meta = json.dumps({"n": traj.sig.n, "s": traj.sig.s, "q": traj.q})
     with open(path, "w") as fh:
         # json.dumps' bytes for the whole document, written one column at a
-        # time so that only one column's text is held at once
+        # time so that only one column is held as Python floats
         fh.write(meta[:-1])
         for k, name in enumerate(trajectory_columns(traj.sig)):
-            cells = ", ".join(_format_cells(table[:, k], _JSON_NONFINITE).tolist())
-            fh.write(f", {json.dumps(name)}: [{cells}]")
+            fh.write(f", {json.dumps(name)}: {json.dumps(table[:, k].tolist())}")
         fh.write("}\n")
 
 

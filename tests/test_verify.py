@@ -210,10 +210,11 @@ def _shifted(field, delta):
     return apparatus
 
 
-@pytest.fixture(scope="module", params=sorted({1e-3, verify._FINE_STEP}))
+@pytest.fixture(scope="module", params=[1e-3, verify._FINE_STEP], ids=["0.001", "fine"])
 def seed0_plans(request):
-    """The seed-0 curve plan and classification plan (5 cases) at the fine
-    step request.param, each with its clean trajectories."""
+    """The seed-0 curve plan and classification plan (5 cases) at the step
+    request.param, each with its clean trajectories: the reference step
+    1e-3 and verify's fine step, whose id stays "fine" whatever its value."""
     with pytest.MonkeyPatch.context() as mp:
         for name in ("_CURVE_CFG", "_CLASSIFICATION_CFG"):
             mp.setattr(verify, name, dataclasses.replace(getattr(verify, name),
