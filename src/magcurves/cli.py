@@ -220,6 +220,8 @@ def _cmd_closed_form(args) -> int:
 def _cmd_classify(args) -> int:
     if (args.config is None) == (args.traj is None):
         raise ConfigError("classify needs exactly one of --config or --traj")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
     if args.config is not None:
         doc = _load_config(args.config)
         s = ms.positive_int("s", _field(doc, "s", Integral))

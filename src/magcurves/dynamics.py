@@ -10,18 +10,16 @@ which in coordinates becomes the first-order system on states
     coords' = v
     v'^k    = -Gamma^k_{ij} v^i v^j - q (phi v)^k
 
-integrated here with classical fixed-step fourth-order Runge-Kutta.  One
-right-hand side takes a single state (``integrate``) or a padded batch of
-any mix of signatures under one config, stepped together
-(``integrate_many``), with the same bits either way.  The integrator never
+integrated here with classical fixed-step fourth-order Runge-Kutta by one
+driver, ``integrate_many``, for setups of any mix of signatures under one
+config; ``integrate`` is its one-setup call.  The integrator never
 renormalizes the velocity: drift in the speed and in the contact angles
 eta^a(T) (both first integrals of the exact flow) is the accuracy
 diagnostic reported to callers.
 
 The system is also solved exactly (``exact_flow``): the first integrals make
 w = 2 sum_a eta^a(T) - q constant, so each (x_i', y_i') pair rotates at the
-rate w.  RK4 stays the independent path that the exact flow is checked
-against.
+rate w; RK4 stays the independent path that it is checked against.
 """
 from __future__ import annotations
 
@@ -134,19 +132,15 @@ class IntegratorConfig:
 class Trajectory:
     """Sampled curve: times plus per-sample coordinates and velocities.
 
-    ``accelerations`` is filled only by ``exact_flow`` (which also samples the
-    closed-form families), from its exact second derivatives; integrated
-    trajectories leave it None so that residual checks reconstruct
-    accelerations independently by finite differences.
+    ``accelerations`` is filled only by ``exact_flow``, from its exact second
+    derivatives; integrated trajectories leave it None, so that residual
+    checks reconstruct accelerations independently by finite differences.
 
-    ``points``, ``velocities`` and ``accelerations`` have shape (N, dim) and
-    are stored column-major (F-contiguous; copied only when given in another
-    layout), so each coordinate's series is contiguous and numpy's inner
-    loops run along the samples.  This is the one place that fixes the
-    layout.  Sums over the components give the same bits in every layout
-    (``model_space._rowsum``).  numpy orders a sum over the sample axis by
-    the layout, so each such sum (``classify_trajectory``'s mean angles)
-    runs on a C-ordered copy.
+    The (N, dim) arrays are stored column-major, so each coordinate's series
+    is contiguous; arrays in another layout are copied here, the one place
+    that fixes the layout.  Component sums give the same bits in any layout
+    (``model_space._rowsum``); a sum over the samples does not, so each such
+    sum (``classify_trajectory``'s mean angles) runs on a C-ordered copy.
     """
 
     sig: ms.SpaceSignature
@@ -253,15 +247,13 @@ def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.n
 def _rhs(n: int, q, s, reeb: np.ndarray, state: np.ndarray) -> np.ndarray:
     # Fused form of -Gamma(v, v) - q phi(v) on a (2 D,) state or a (B, 2 D)
     # batch, columns x | y | z | vx | vy | vz: with w = sum(vz) - q - s (y . vx)
-    # the acceleration is (vy w, -vx w, (vx . vy + (y . vy) w) reeb).  Agrees
-    # with gamma_bilinear/phi_comps.  A batch is padded to D = 2 n + S, n and S
-    # the largest in it; q and s are per row, and reeb is 1 on a row's own
-    # Reeb slots (on all of a single state's) and 0 on the padding, so padded
-    # vz stays 0 and never enters w; padded x and y stay 0 by themselves.
-    # np.vecdot adds like np.dot's BLAS ddot and add.reduce like np.sum, so a
-    # single state and each row of a batch get the same bits (the padding adds
-    # exact zeros; integrate_many says up to which widths).  Few numpy calls,
-    # since RK4 calls it four times per step on small batches.
+    # the acceleration is (vy w, -vx w, (vx . vy + (y . vy) w) reeb), as
+    # gamma_bilinear/phi_comps give it.  A batch is padded to D = 2 n + S; q
+    # and s are per row, and reeb is 1 on a row's own Reeb slots and 0 on the
+    # padding, so padded vz stays 0 and never enters w (padded x and y stay 0
+    # by themselves).  np.vecdot adds like BLAS ddot and add.reduce like
+    # np.sum, so each row gets the bits of its unpadded state (integrate_many
+    # says up to which widths).  Few numpy calls: RK4 calls it 4 times a step.
     d = state.shape[-1] // 2
     y = state[..., n:2 * n]
     vx = state[..., d:d + n]
@@ -272,24 +264,23 @@ def _rhs(n: int, q, s, reeb: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.concatenate((state[..., d:], vy * w, -vx * w, az * reeb), axis=-1)
 
 
-def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
+def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Classical RK4 of state' = rhs(state) for one state of shape (2 dim,) or
     a batch of shape (B, 2 dim), one trajectory per row.
 
-    Calls record(i, state) for each recorded sample i, the initial one
-    included, and returns the recorded times.  Rows never mix, so a row that
-    goes nonfinite leaves the others untouched; the DivergenceError raised is
-    that of the first such row, with its own time.  The loop stops early only
-    when row 0 diverges, since its error is then the one to raise whatever
-    the later rows do.
+    Returns the samples, shape state.shape + (cfg.n_samples,): sample i is
+    the state at cfg.times[i], so each component's series is contiguous.
+    Rows never mix; the DivergenceError raised is that of the first row to go
+    nonfinite, with its own time.  The loop stops early only when row 0
+    diverges, since its error is then the one to raise.
     """
     h = cfg.step
     half, sixth = 0.5 * h, h / 6.0
     stride = cfg.record_every
-    record(0, state)
+    rec = np.empty(state.shape + (cfg.n_samples,))
+    rec[..., 0] = state
     diverged = np.zeros(math.prod(state.shape[:-1]), dtype=int)  # per row: first nonfinite step
 
-    rec = 1
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
         for k in range(1, cfg.n_steps + 1):
             k1 = rhs(state)
@@ -303,8 +294,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
                 if diverged[0]:
                     break
             if k % stride == 0:
-                record(rec, state)
-                rec += 1
+                rec[..., k // stride] = state
 
     if np.any(diverged):
         k = int(diverged[np.flatnonzero(diverged)[0]])
@@ -312,7 +302,7 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig, record) -> np.ndarray:
             f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
             t_last=(k - 1) * h,
         )
-    return cfg.times
+    return rec
 
 
 def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
@@ -322,42 +312,22 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     recorded point and velocity are exactly p0 and T0.  A nonfinite state
     aborts with DivergenceError carrying the last valid time.
     """
-    sig = setup.sig
-    d = sig.dim
-    cfg.check_fits(2 * d + 1, "the recorded samples")
-    pts = np.empty((cfg.n_samples, d), order="F")
-    vel = np.empty((cfg.n_samples, d), order="F")
-
-    def record(i, state):
-        pts[i] = state[:d]
-        vel[i] = state[d:]
-
-    state = np.concatenate([setup.p0, setup.T0])
-    rhs = functools.partial(_rhs, sig.n, setup.q, sig.s, np.ones(sig.s))
-    times = _rk4(rhs, state, cfg, record)
-    return Trajectory(sig, times, pts, vel, q=setup.q)
+    return integrate_many([setup], cfg)[0]
 
 
 def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
-    """``integrate`` for several setups of any mix of signatures and one
-    config, stepped together through the same right-hand side.
+    """RK4 solutions of the Lorentz equation for setups of any mix of
+    signatures under one config, stepped together; ``integrate`` is the
+    one-setup call, stepped as a 1-D state with scalar q and s (about 20%
+    faster per step than a batch of one).
 
-    Each setup keeps its own signature, q, p0 and T0, and each returned
-    trajectory has the same bits as ``integrate`` gives for its setup alone.
-    The batch state is padded to the largest n and s in the batch.  The
-    padding adds exact zeros to each row's sums, which keeps the bits while
-    the sums are short enough to be added in order: checked up to n = 15 and
-    s = 7.  From n = 16 BLAS ddot, and from s = 8 numpy's sum, add in blocks,
-    so a wider mixed batch can differ from ``integrate`` in the last bits.
-    If any setup diverges, raises the DivergenceError that ``integrate``
-    raises for the first diverging setup in list order.  The samples are
-    recorded straight into each trajectory's column-major arrays.
-
-    A step costs about the same for a few rows as for one, so the cost per
-    row falls with B: at n = s = 2 one row-step takes 79, 31, 19 and 11 us at
-    B = 1, 3, 5 and 8 (``bench/engine_layer.py``, 2-vCPU Xeon, numpy 2.4;
-    8 is ``verify.run_all``'s one batch).  For a single setup ``integrate``
-    is faster, at 66 us per step.
+    A batch is padded to its largest n and s.  The padding adds exact zeros
+    to each row's sums, so each row has the bits of its setup alone while the
+    sums add in order, up to n = 15 and s = 7; from n = 16 BLAS ddot, and
+    from s = 8 numpy's sum, add in blocks and the last bits can differ.
+    Unpadded rows return views of the samples; padded rows copy their own
+    columns.  If any setup diverges, raises the DivergenceError of the first
+    in list order.
     """
     setups = list(setups)
     if not setups:
@@ -365,40 +335,29 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
     n = max(st.sig.n for st in setups)
     s = max(st.sig.s for st in setups)
     d = 2 * n + s
-    m = cfg.n_samples
-    cfg.check_fits(sum(2 * st.sig.dim for st in setups) + 1, "the recorded samples")
+    # the padded samples of every row, the padded rows' own copies and the times
+    copies = sum(2 * st.sig.dim for st in setups if st.sig.dim < d)
+    cfg.check_fits(len(setups) * 2 * d + copies + 1, "the recorded samples")
     state = np.zeros((len(setups), 2 * d))
     reeb = np.zeros((len(setups), s))
-    # Each row records straight into its own unpadded block of buf, points
-    # then velocities, each a (dim, m) block of component series whose
-    # transpose is the column-major (m, dim) array that Trajectory keeps, so
-    # nothing is copied afterwards.  The value at flat state index src goes
-    # to buf[dst + i] at sample i.
-    src, dst, offsets = [], [], []
-    size = 0
+    own = []  # each row's x | y | z | vx | vy | vz columns in the padded layout
     for row, st in enumerate(setups):
-        k, r, dim = st.sig.n, st.sig.s, st.sig.dim
-        cols = np.r_[0:k, n:n + k, 2 * n:2 * n + r]  # this row's x, y, z in the padded layout
-        state[row, cols] = st.p0
-        state[row, d + cols] = st.T0
+        k, r = st.sig.n, st.sig.s
+        cols = np.r_[0:k, n:n + k, 2 * n:2 * n + r]
+        own.append(np.r_[cols, d + cols])
+        state[row, own[-1]] = np.r_[st.p0, st.T0]
         reeb[row, :r] = 1.0
-        src.append(row * 2 * d + np.r_[cols, d + cols])
-        dst.append(size + m * np.arange(2 * dim))
-        offsets.append(size)
-        size += 2 * m * dim
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    buf = np.empty(size)
 
-    def record(i, rows):
-        buf[dst + i] = rows.reshape(-1)[src]
-
-    q = np.array([st.q for st in setups])
-    s_rows = np.array([st.sig.s for st in setups], dtype=float)
-    times = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, cfg, record)
-    return [
-        Trajectory(st.sig, times, *buf[o:o + 2 * m * st.sig.dim].reshape(2, -1, m).mT, q=st.q)
-        for st, o in zip(setups, offsets)
-    ]
+    if len(setups) == 1:
+        rec = _rk4(functools.partial(_rhs, n, setups[0].q, s, reeb[0]), state[0], cfg)[None]
+    else:
+        q = np.array([st.q for st in setups])
+        s_rows = np.array([st.sig.s for st in setups], dtype=float)
+        rec = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, cfg)
+    times = cfg.times
+    return [Trajectory(st.sig, times, *(rec[row] if st.sig.dim == d else rec[row, cols])
+                       .reshape(2, -1, len(times)).mT, q=st.q)
+            for row, (st, cols) in enumerate(zip(setups, own))]
 
 
 # Below this |w t| the rotation integrals are summed from their Taylor

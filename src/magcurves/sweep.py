@@ -79,8 +79,8 @@ class SweepSpec:
             # false for NaN, the infinities and integers beyond the float range
             if not all(abs(v) <= sys.float_info.max for v in getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not math.isfinite(self.tol):
-            raise ValueError(f"tol must be finite, got {self.tol!r}")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if any(q == 0 for q in self.q_values):
             raise ValueError("q grid must not contain 0")
         for s in self.s_values:

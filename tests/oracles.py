@@ -6,10 +6,16 @@ independently of the code they check.
   and second derivatives.  The package samples both families from
   ``exact_flow``; these are the equations it must reproduce.
 * ``metric_matrix``: the coordinate components g_ab of the metric.
+* ``rk4_reference``: classical RK4 of the Lorentz equation for one setup, as
+  a plain loop on a single state; the package's batched driver must give its
+  bits.
 """
+import functools
+
 import numpy as np
 
-from magcurves import CaseAParams, SpaceSignature, Trajectory
+from magcurves import CaseAParams, SpaceSignature, Trajectory, dynamics
+from magcurves.errors import DivergenceError
 
 
 def paper_case_a(params, times) -> Trajectory:
@@ -95,3 +101,27 @@ def metric_matrix(sig: SpaceSignature, p) -> np.ndarray:
     g[:n, 2 * n:] = -0.25 * y[:, None]
     g[2 * n:, :n] = -0.25 * y[None, :]
     return g
+
+
+def rk4_reference(setup, cfg) -> Trajectory:
+    """Classical RK4 of the Lorentz equation from setup under cfg: a 1-D
+    state (p0, T0), ``dynamics._rhs`` with scalar q, the stage sum
+    k1 + 2 k2 + 2 k3 + k4, and every record_every-th state kept by slicing.
+    A nonfinite state raises DivergenceError with the last valid time."""
+    sig, h = setup.sig, cfg.step
+    rhs = functools.partial(dynamics._rhs, sig.n, setup.q, sig.s, np.ones(sig.s))
+    state = np.concatenate([setup.p0, setup.T0])
+    states = [state]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, cfg.n_steps + 1):
+            k1 = rhs(state)
+            k2 = rhs(state + 0.5 * h * k1)
+            k3 = rhs(state + 0.5 * h * k2)
+            k4 = rhs(state + h * k3)
+            state = state + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.all(np.isfinite(state)):
+                raise DivergenceError(f"nonfinite state at step {k}", t_last=(k - 1) * h)
+            states.append(state)
+    kept = np.array(states[::cfg.record_every])
+    times = h * np.arange(0, cfg.n_steps + 1, cfg.record_every)
+    return Trajectory(sig, times, kept[:, :sig.dim], kept[:, sig.dim:], q=setup.q)

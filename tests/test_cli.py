@@ -406,6 +406,16 @@ def test_classify_config_takes_s_as_a_positive_integer(tmp_path, capsys, s):
     assert stderr == f"invalid configuration: s must be a positive integer, got {s}\n"
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0"])
+def test_classify_rejects_bad_tolerance_before_reading(tmp_path, capsys, tol):
+    # the file does not exist: the tolerance is refused before it is read
+    missing = tmp_path / "missing.csv"
+    code, stdout, stderr = run_cli(capsys, "classify", "--traj", str(missing), f"--tol={tol}")
+    assert (code, stdout) == (2, "")
+    want = f"--tol must be finite and positive, got {float(tol)!r}"
+    assert stderr == f"invalid configuration: {want}\n"
+
+
 def test_classify_requires_one_input(capsys):
     code, _, stderr = run_cli(capsys, "classify")
     assert code == 2
@@ -627,6 +637,9 @@ NONFINITE_CASES = [
     ("sweep", {"tol": math.nan}, "tol must be finite"),
     ("sweep", {"t_end": math.inf}, "t_end must be finite"),
     ("sweep", {"step": math.inf}, "step must be finite"),
+    ("sweep", {"tol": math.inf}, "tol must be finite, got inf"),
+    ("sweep", {"tol": -1}, "tol must be finite and positive, got -1.0"),
+    ("sweep", {"tol": 0}, "tol must be finite and positive, got 0.0"),
 ]
 
 
@@ -641,6 +654,7 @@ def test_nonfinite_config_exits_2(tmp_path, capsys, command, override, message):
                               "--out", str(tmp_path / "x.csv"))
     assert code == 2
     assert message in stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 BAD_GRID_CASES = [

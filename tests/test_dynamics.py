@@ -19,12 +19,12 @@ from magcurves import (
     residual,
     speed_drift,
 )
-from magcurves import model_space as ms
+from magcurves import dynamics, model_space as ms
 from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
 from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
 from magcurves.sweep import SweepSpec, _cell_setup
 from conftest import SIG_GRID, assert_same_bits, integrate_slant, slant_setup
-from oracles import paper_equations
+from oracles import paper_equations, rk4_reference
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +491,65 @@ def test_integrate_many_mixed_raises_first_diverging_setup():
     with pytest.raises(DivergenceError) as sooner:
         integrate(setups[2], cfg)
     assert sooner.value.t_last < alone.value.t_last
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_integrators_match_the_rk4_oracle_bitwise(record_every):
+    # every (n, s) in {1, 2, 3}^2, alone and as rows of one mixed batch
+    # padded to n = s = 3, has the bits of the plain single-state loop
+    rng = np.random.default_rng(31)
+    setups = [st for n, s in SIG_GRID for st in _random_setups(rng, SpaceSignature(n, s), 1)]
+    cfg = IntegratorConfig(t_end=0.2, step=1e-3, record_every=record_every)
+    for setup, row in zip(setups, integrate_many(setups, cfg)):
+        want = rk4_reference(setup, cfg)
+        for got in (integrate(setup, cfg), row):
+            assert got.sig == setup.sig and got.q == setup.q
+            assert_same_bits(got.times, want.times)
+            assert_same_bits(got.points, want.points)
+            assert_same_bits(got.velocities, want.velocities)
+
+
+def test_divergence_time_matches_the_rk4_oracle():
+    cfg = IntegratorConfig(t_end=2.0, step=0.01)
+    blowup = slant_setup(2, 2, 400.0, 0.3, direction=[0.3, -0.8, 0.5, 0.1])
+    with pytest.raises(DivergenceError) as want:
+        rk4_reference(blowup, cfg)
+    with pytest.raises(DivergenceError) as alone:
+        integrate(blowup, cfg)
+    with pytest.raises(DivergenceError) as batched:
+        integrate_many([slant_setup(3, 1, 2.0, 0.5), blowup, slant_setup(1, 3, -3.0, 0.2)], cfg)
+    assert 0.0 < want.value.t_last < 1.0
+    assert alone.value.t_last == batched.value.t_last == want.value.t_last
+
+
+def _owned_bytes(trajs):
+    """Bytes of the distinct arrays that own the trajectories' samples."""
+    owners = {}
+    for traj in trajs:
+        for arr in (traj.times, traj.points, traj.velocities):
+            owner = arr if arr.base is None else arr.base
+            owners[id(owner)] = owner
+    return sum(a.nbytes for a in owners.values())
+
+
+def test_memory_guard_counts_the_allocated_bytes(monkeypatch):
+    rng = np.random.default_rng(32)
+    cfg = IntegratorConfig(t_end=0.1, step=1e-2, record_every=3)
+    one = _random_setups(rng, SpaceSignature(2, 3), 1)[0]
+    uniform = _random_setups(rng, SpaceSignature(2, 3), 3)
+    # (2, 3) is unpadded in the mixed batch, the other rows are padded
+    mixed = [st for n, s in [(1, 1), (2, 3), (1, 2), (2, 1)]
+             for st in _random_setups(rng, SpaceSignature(n, s), 1)]
+    counted = []
+    monkeypatch.setattr(dynamics, "check_memory", lambda nbytes, what: counted.append(nbytes))
+
+    traj = integrate(one, cfg)
+    assert counted == [8 * (2 * one.sig.dim + 1) * cfg.n_samples] == [_owned_bytes([traj])]
+    for setups in (uniform, mixed):
+        counted.clear()
+        trajs = integrate_many(setups, cfg)
+        assert counted == [_owned_bytes(trajs)]
+    assert _owned_bytes(trajs) > 8 * (sum(2 * st.sig.dim for st in mixed) + 1) * cfg.n_samples
 
 
 def test_integrate_many_rejects_bad_batches():
