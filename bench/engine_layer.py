@@ -29,10 +29,11 @@ Cases (each a ``layer`` with its unit of work):
   2001 samples each; parsed as ``closed-form`` parses them), in microseconds
   per sample;
 * ``verify.structure_suite``, ``verify.connection_suite``,
-  ``verify.curve_suite``, ``verify.classification_suite`` and
-  ``verify.run_all`` (one whole report): one call at ``magcurves verify``'s
-  defaults (seed 0, 200 structure samples, 50 connection points, 5
-  classification cases), in milliseconds per call.
+  ``verify.curve_suite``, ``verify.classification_suite``,
+  ``verify._classification_plan`` (the classification formula checks and
+  case draws, without RK4) and ``verify.run_all`` (one whole report): one
+  call at ``magcurves verify``'s defaults (seed 0, 200 structure samples,
+  50 connection points, 5 classification cases), in milliseconds per call.
 Each package builds its own cases; ``harness.py`` times them.
 """
 from __future__ import annotations
@@ -143,6 +144,7 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
             ("connection_suite", {"points": 50}, (0, 50)),
             ("curve_suite", {}, (0,)),
             ("classification_suite", {"cases": 5}, (0, 5)),
+            ("_classification_plan", {"cases": 5}, (0, 5)),
             ("run_all", {"samples": 200, "points": 50, "cases": 5}, (0, 200, 50, 5))):
         out.append(({"layer": f"verify.{name}", **params, "unit": "ms/call"}, 1,
                     functools.partial(getattr(verify, name), *args)))

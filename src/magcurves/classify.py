@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory, check_angles, speed_drift
+from .dynamics import Trajectory, _sum_in_order, check_angles, speed_drift
 from .errors import InconsistentCaseError, typed_number
 from .frenet import FrenetSeries, _TRIM, _nanmedian, covariant_tt
 
@@ -81,6 +81,8 @@ class CurveClass:
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be nonnegative, got {v}")
+            if v == math.inf:  # a formula that overflowed, e.g. sqrt(q^2 - s)
+                raise ValueError(f"{name} must be finite, got inf for q = {self.q!r}")
 
     def as_dict(self) -> dict:
         return {
@@ -144,7 +146,7 @@ def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
     """
     if q == 0:
         raise ValueError("q must be nonzero")
-    check_angles(np.full(s, cos_theta))
+    check_angles([cos_theta] * s)
     if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
         kind = CurveKind.GEODESIC
     elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and check_circle_existence(q, s):
@@ -165,7 +167,10 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     cos = np.asarray(cosines, dtype=float)
     s = cos.shape[-1]
     a_sum = check_angles(cos)
-    b_sum = float(np.sum(cos))
+    if cos.ndim == 1 and s < ms._COLUMN_ADD_WIDTH:  # np.sum's bits, as check_angles takes them
+        b_sum = _sum_in_order(cos.tolist())
+    else:
+        b_sum = float(np.sum(cos))
     k1 = abs(q) * math.sqrt(max(0.0, 1.0 - a_sum))
     k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
     return k1, math.sqrt(max(0.0, k2sq))

@@ -183,6 +183,17 @@ class Trajectory:
         return ms.eta_comps(self.sig, self.points, self.velocities)
 
 
+def _sum_in_order(values) -> float:
+    """0.0 + values[0] + values[1] + ..., added in Python floats in that
+    order: the bits of np.sum on a 1-D float array shorter than 8
+    (``model_space._COLUMN_ADD_WIDTH``), without numpy's per-call cost.
+    (The builtin sum may compensate its rounding, as from Python 3.12.)"""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def check_angles(cosines) -> float:
     """sum_a cos^2(theta_a) of the contact angles, checked realizable.
 
@@ -190,10 +201,18 @@ def check_angles(cosines) -> float:
     sum is at most 1; for slant angles that is |cos(theta)| <= 1/sqrt(s).
     The sum gets 1e-12 of slack, so that cosines rounded from 1/sqrt(s)
     pass; a larger sum, or NaN, raises InfeasibleAngleError.
+
+    The sum has the bits of np.sum(cos * cos).  A 1-D input shorter than 8
+    is summed in Python floats as 0.0 + c_0^2 + c_1^2 + ..., in that order,
+    which is how np.sum adds a row that short (see ``_sum_in_order``); from
+    width 8 on, where np.sum adds pairwise, np.sum takes it.
     """
     cos = np.asarray(cosines, dtype=float)
-    with np.errstate(over="ignore"):  # an overflowing sum is inf, and rejected below
-        a_sum = float(np.sum(cos * cos))
+    if cos.ndim == 1 and len(cos) < ms._COLUMN_ADD_WIDTH:
+        a_sum = _sum_in_order([c * c for c in cos.tolist()])  # an overflow is inf
+    else:
+        with np.errstate(over="ignore"):  # an overflowing sum is inf, and rejected below
+            a_sum = float(np.sum(cos * cos))
     if not a_sum <= 1.0 + _FEASIBILITY_SLACK:
         raise InfeasibleAngleError(
             f"sum of squared cosines exceeds 1 by {a_sum - 1.0:.3g} "

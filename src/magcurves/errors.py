@@ -51,11 +51,12 @@ def typed_number(key: str, value, kind=Real):
     bool, str, None and containers in the place of a number raise
     ConfigError naming the key, so nothing is silently coerced.
     """
-    if not isinstance(value, kind) or isinstance(value, bool):
-        what = "an integer" if kind is Integral else "a real number"
-        raise ConfigError(f"{key} must be {what}, got {value!r}")
-    if kind is Integral:
-        return int(value)
+    if type(value) is not float or kind is not Real:  # an exact float skips the ABC checks
+        if not isinstance(value, kind) or isinstance(value, bool):
+            what = "an integer" if kind is Integral else "a real number"
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        if kind is Integral:
+            return int(value)
     if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)

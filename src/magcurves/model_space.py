@@ -24,10 +24,11 @@ test oracles and in the curvature-from-samples code.
 
 Points and tangent vectors are plain float arrays of length 2n + s, and
 every operation takes the signature alongside them.  ``eta_comps``,
-``phi_comps``, ``inner``, ``norm`` and ``gamma_bilinear`` accept arbitrary
-leading batch axes; ``frame_matrix`` and the Christoffel helpers take one
-point and check it (length 2n + s, finite).  The Reeb field xi_a is the
-constant array with 2 in slot z_a.
+``phi_comps``, ``inner``, ``norm``, ``gamma_bilinear`` and ``frame_matrix``
+accept arbitrary leading batch axes; the Christoffel helpers take one point.
+``frame_matrix`` and the Christoffel helpers check their points (last axis
+of length 2n + s, finite).  The Reeb field xi_a is the constant array with 2
+in slot z_a.
 
 Layout and reduction order.  Sampled curves are stored column-major: an
 (N, 2n + s) array of samples is F-contiguous, so each coordinate's series
@@ -81,9 +82,11 @@ class SpaceSignature:
         return 2 * self.n + self.s
 
 
-def _as_coords(sig: SpaceSignature, values, what: str) -> np.ndarray:
+def _as_coords(sig: SpaceSignature, values, what: str, batched: bool = False) -> np.ndarray:
+    """values as a float array of finite points: one point of length
+    sig.dim, or with batched any number of leading axes before it."""
     arr = np.asarray(values, dtype=float)
-    if arr.shape != (sig.dim,):
+    if (arr.shape[-1:] if batched else arr.shape) != (sig.dim,):
         raise ValueError(
             f"{what} must have {sig.dim} components for (n={sig.n}, s={sig.s}), "
             f"got shape {arr.shape}"
@@ -258,15 +261,18 @@ def _gamma_along(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray):
 
 
 def frame_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
-    """Columns are the orthonormal frame (X_1..X_2n, xi_1..xi_s) at coords."""
-    coords = _as_coords(sig, coords, "point")
+    """Columns are the orthonormal frame (X_1..X_2n, xi_1..xi_s) at coords,
+    batched over leading axes: points of shape (..., 2n + s), each finite,
+    give frames of shape (..., 2n + s, 2n + s), each with the bits of its
+    point's own frame."""
+    coords = _as_coords(sig, coords, "point", batched=True)
     n, s, d = sig.n, sig.s, sig.dim
-    y = coords[n:2 * n]
-    F = np.zeros((d, d))
+    y = coords[..., n:2 * n]
+    F = np.zeros(coords.shape + (d,))
     for i in range(n):
-        F[n + i, i] = 2.0          # X_i = 2 d/dy_i
-        F[i, n + i] = 2.0          # X_{n+i} = 2 d/dx_i + 2 y_i sum_a d/dz_a
-        F[2 * n:, n + i] = 2.0 * y[i]
+        F[..., n + i, i] = 2.0          # X_i = 2 d/dy_i
+        F[..., i, n + i] = 2.0          # X_{n+i} = 2 d/dx_i + 2 y_i sum_a d/dz_a
+        F[..., 2 * n:, n + i] = 2.0 * y[..., i, None]
     for a in range(s):
-        F[2 * n + a, 2 * n + a] = 2.0
+        F[..., 2 * n + a, 2 * n + a] = 2.0
     return F

@@ -190,14 +190,18 @@ def structure_suite(seed: int = 0, samples: int = 1000,
 # connection table
 # ---------------------------------------------------------------------------
 
-def _frame_derivative(sig: ms.SpaceSignature, coords: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Derivative of the frame matrix's coefficients along the direction e.
+def _frame_derivatives(sig: ms.SpaceSignature, coords: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """Derivatives of the frame matrix's coefficients along every column of
+    F: out[:, e, f] is the derivative of column f along F_e.
 
     Frame coefficients are linear in the coordinates, so the central
-    difference is exact for any step; a large step minimizes rounding.
+    difference is exact for any step; a large step minimizes rounding.  One
+    batched ``frame_matrix`` call takes the 2 dim points coords +- h F_e.
     """
     h = 0.25
-    return (ms.frame_matrix(sig, coords + h * e) - ms.frame_matrix(sig, coords - h * e)) / (2 * h)
+    d = sig.dim
+    frames = ms.frame_matrix(sig, np.concatenate([coords + h * F.T, coords - h * F.T]))
+    return ((frames[:d] - frames[d:]) / (2 * h)).transpose(1, 0, 2)
 
 
 def _frame_table(sig: ms.SpaceSignature, F: np.ndarray) -> np.ndarray:
@@ -244,8 +248,7 @@ def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
             # nabla[:, e, f] = nabla_{F_e} F_f: the derivative of F_f's
             # coefficients along F_e plus the coordinate Christoffels
             F = ms.frame_matrix(sig, c)
-            dF = np.stack([_frame_derivative(sig, c, F[:, e]) for e in range(d)], axis=1)
-            nabla = dF + np.einsum("kij,ie,jf->kef", gamma, F, F)
+            nabla = _frame_derivatives(sig, c, F) + np.einsum("kij,ie,jf->kef", gamma, F, F)
             table_err.append(np.max(np.abs(nabla - _frame_table(sig, F))))
 
             # nabla_X xi_a = -phi X for constant-component X
@@ -401,12 +404,19 @@ def curve_suite(seed: int = 0) -> list[CheckRecord]:
 # classification consistency
 # ---------------------------------------------------------------------------
 
+def _random_sign(rng) -> float:
+    """-1.0 or 1.0, picked as rng.choice([-1.0, 1.0]) picks it (the same
+    index from the same draw of the stream), without choice's per-call
+    cost."""
+    return (-1.0, 1.0)[rng.integers(2)]
+
+
 def _random_admissible(rng, s: int) -> tuple[float, float]:
     """(q, cos_theta) sampled away from the degenerate loci so the exact
     comparisons below are well conditioned (the loci get their own checks)."""
     limit = 1.0 / math.sqrt(s)
     while True:
-        q = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+        q = rng.uniform(0.5, 3.0) * _random_sign(rng)
         ct = rng.uniform(-0.9 * limit, 0.9 * limit)
         if abs(1.0 - q * ct) > 0.05 and abs(ct) > 0.01 and abs(ct - 1.0 / q) > 0.01:
             return q, ct
@@ -454,7 +464,7 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
     boundary_err = []
     for s in (1, 2, 3):
         for _ in range(50):
-            q = rng.uniform(math.sqrt(s) + 0.1, 4.0) * rng.choice([-1.0, 1.0])
+            q = rng.uniform(math.sqrt(s) + 0.1, 4.0) * _random_sign(rng)
             boundary_err.append(_slant_class(CurveKind.SLANT_HELIX, q, 1.0 / q, s).kappa2)
     out.append(_record("classification", "circle_kappa2_boundary", boundary_err, 1e-15))
     prop_ok = all(

@@ -9,12 +9,20 @@ independently of the code they check.
 * ``rk4_reference``: classical RK4 of the Lorentz equation for one setup, as
   a plain loop on a single state; the package's batched driver must give its
   bits.
+* ``classification_formula_checks``: the formula checks of verify's
+  classification suite and its case draws, written plainly (``rng.choice``
+  for signs, ``np.full`` for slant cosines, one library call per draw);
+  ``verify._classification_plan`` must give their errors and draws bit for
+  bit.
 """
 import functools
+import math
 
 import numpy as np
 
 from magcurves import CaseAParams, SpaceSignature, Trajectory, dynamics
+from magcurves.classify import (CurveKind, _slant_class, invert_q, order_bound_curvatures,
+                                predict_class)
 from magcurves.errors import DivergenceError
 
 
@@ -125,3 +133,75 @@ def rk4_reference(setup, cfg) -> Trajectory:
     kept = np.array(states[::cfg.record_every])
     times = h * np.arange(0, cfg.n_steps + 1, cfg.record_every)
     return Trajectory(sig, times, kept[:, :sig.dim], kept[:, sig.dim:], q=setup.q)
+
+
+def _admissible(rng, s):
+    """(q, cos theta) away from the degenerate loci, as verify draws them."""
+    limit = 1.0 / math.sqrt(s)
+    while True:
+        q = rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0])
+        ct = rng.uniform(-0.9 * limit, 0.9 * limit)
+        if abs(1.0 - q * ct) > 0.05 and abs(ct) > 0.01 and abs(ct - 1.0 / q) > 0.01:
+            return q, ct
+
+
+def classification_formula_checks(seed, cases):
+    """The errors of verify's four random formula checks from one seeded
+    stream, then the stream's cases (s, n, q, cos theta, direction).
+
+    Returns ({check name: list of errors}, cases)."""
+    rng = np.random.default_rng(seed)
+    errs = {name: [] for name in ("slant_consistency_square", "inversion_round_trip",
+                                  "circle_kappa2_boundary", "single_reeb_reduction")}
+
+    for s in (1, 2, 3):
+        for _ in range(100):
+            q, ct = _admissible(rng, s)
+            cls = predict_class(q, ct, s)
+            k1, k2 = order_bound_curvatures(q, np.full(s, ct))
+            errs["slant_consistency_square"] += [abs(cls.kappa1 - k1), abs(cls.kappa2 - k2)]
+
+    for s in (1, 2, 3):
+        for _ in range(50):
+            k1 = rng.uniform(0.1, 5.0)
+            k2 = rng.uniform(0.05, 5.0)
+            for eps in (1, -1):
+                inv = invert_q(k1, 0.0, s, case="iii", eps=eps)
+                cls = predict_class(inv.q_candidates[0], inv.cos_theta, s)
+                errs["inversion_round_trip"] += [abs(cls.kappa1 - k1), abs(cls.kappa2)]
+                for branch in (1, -1):
+                    if abs(eps * math.sqrt(s) + branch * k2) < 1e-6:
+                        continue
+                    inv = invert_q(k1, k2, s, case="iv", eps=eps, branch=branch)
+                    cls = predict_class(inv.q_candidates[0], inv.cos_theta, s)
+                    errs["inversion_round_trip"] += [abs(cls.kappa1 - k1),
+                                                     abs(cls.kappa2 - k2)]
+            inv = invert_q(k1, math.sqrt(s), s, case="ii")
+            for q in inv.q_candidates:
+                cls = predict_class(q, 0.0, s)
+                errs["inversion_round_trip"] += [abs(cls.kappa1 - k1),
+                                                 abs(cls.kappa2 - math.sqrt(s))]
+
+    for s in (1, 2, 3):
+        for _ in range(50):
+            q = rng.uniform(math.sqrt(s) + 0.1, 4.0) * rng.choice([-1.0, 1.0])
+            errs["circle_kappa2_boundary"].append(
+                _slant_class(CurveKind.SLANT_HELIX, q, 1.0 / q, s).kappa2)
+
+    for _ in range(100):
+        theta = rng.uniform(0.2, math.pi - 0.2)
+        q, _ct = _admissible(rng, 1)
+        ct = math.cos(theta)
+        if abs(1.0 - q * ct) < 0.05 or abs(ct - 1.0 / q) < 0.01 or abs(abs(ct) - 1.0) < 1e-9:
+            continue
+        k1, _k2 = order_bound_curvatures(q, np.full(1, ct))
+        errs["single_reeb_reduction"] += [abs(k1 - abs(q) * math.sin(theta)),
+                                          abs(predict_class(q, ct, 1).kappa2 - abs(1.0 - q * ct))]
+
+    drawn = []
+    for _ in range(cases):
+        s = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 3))
+        q, ct = _admissible(rng, s)
+        drawn.append((s, n, q, ct, rng.normal(size=2 * n)))
+    return errs, drawn

@@ -1,5 +1,6 @@
 import json
 import math
+from numbers import Integral
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from magcurves import (
 )
 from magcurves import model_space as ms
 from magcurves.cli import main
-from magcurves.errors import InconsistentCaseError, InfeasibleAngleError
+from magcurves.dynamics import check_angles
+from magcurves.errors import ConfigError, InconsistentCaseError, InfeasibleAngleError, typed_number
 from magcurves.sweep import SweepSpec
 from conftest import assert_same_bits, slant_setup
 
@@ -167,6 +169,63 @@ def test_order_bound_reduces_to_slant_formulas(q, frac, s):
     k1, k2 = order_bound_curvatures(q, [ct] * s)
     assert k1 == pytest.approx(abs(q) * math.sqrt(1 - s * ct * ct), abs=1e-12)
     assert k2 == pytest.approx(math.sqrt(s) * abs(1 - q * ct), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the scalar paths of the formulas: np.sum's bits below width 8
+# ---------------------------------------------------------------------------
+
+def _np_sum_order_bound(q, cos):
+    """The order-bound curvatures with both sums taken by np.sum."""
+    a_sum, b_sum, s = float(np.sum(cos * cos)), float(np.sum(cos)), cos.shape[-1]
+    k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
+    return abs(q) * math.sqrt(max(0.0, 1.0 - a_sum)), math.sqrt(max(0.0, k2sq))
+
+
+@pytest.mark.parametrize("width", range(1, 13))
+def test_scalar_sums_have_the_bits_of_np_sum(width):
+    # both sides of the width-8 switch, signed zeros included
+    rng = np.random.default_rng(width)
+    for trial in range(300):
+        cos = rng.uniform(-1.0, 1.0, size=width) / math.sqrt(width)
+        cos[rng.random(width) < 0.2] = 0.0
+        cos[rng.random(width) < 0.2] = -0.0
+        if trial == 0:
+            cos[:] = -0.0
+        q = float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))
+        assert_same_bits(check_angles(cos), float(np.sum(cos * cos)))
+        for got, want in zip(order_bound_curvatures(q, cos), _np_sum_order_bound(q, cos)):
+            assert_same_bits(got, want)
+        assert_same_bits(order_bound_curvatures(q, list(cos)), order_bound_curvatures(q, cos))
+
+
+@pytest.mark.parametrize("width", [1, 2, 7, 8, 12])
+def test_check_angles_contract_on_both_sides_of_width_8(width):
+    for bad in (1e200, math.nan, math.inf):
+        cos = np.zeros(width)
+        cos[-1] = bad
+        with pytest.raises(InfeasibleAngleError):
+            check_angles(cos)
+    # cosines rounded from 1/sqrt(s) pass, slack and all
+    assert check_angles(np.full(width, 1.0 / math.sqrt(width))) == pytest.approx(1.0, abs=1e-12)
+    assert check_angles([1.0 / math.sqrt(width)] * width) == check_angles(
+        np.full(width, 1.0 / math.sqrt(width)))
+
+
+def test_typed_number_keeps_its_contract():
+    for bad in (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf)):
+        with pytest.raises(ConfigError, match="q must be finite"):
+            typed_number("q", bad)
+    for bad in (True, False, "1.0", None, [1.0]):
+        with pytest.raises(ConfigError, match="q must be a real number"):
+            typed_number("q", bad)
+    with pytest.raises(ConfigError, match="n must be an integer"):
+        typed_number("n", 2.0, Integral)
+    for good in (2.5, -0.0, np.float64(2.5), 3, 10**300):
+        got = typed_number("q", good)
+        assert type(got) is float and float.hex(got) == float.hex(float(good))
+    with pytest.raises(ConfigError, match="q must be finite"):
+        typed_number("q", 10**400)
 
 
 # ---------------------------------------------------------------------------

@@ -398,6 +398,33 @@ def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
     assert message in err
 
 
+# finite configs whose curvature formula overflows: kappa1 = sqrt(q^2 - s)
+# of a circle, kappa2^2 = A q^2 - ... of a non-slant curve
+OVERFLOW_CASES = [
+    ({"q": 1e200, "cos_theta": 1e-201, "s": 1}, "kappa1 must be finite, got inf for q = 1e+200"),
+    ({"q": -1e300, "cos_theta": -1e-300, "s": 2},
+     "kappa1 must be finite, got inf for q = -1e+300"),
+    ({"q": 1e200, "cosines": [0.1, 0.2], "s": 2},
+     "kappa2 must be finite, got inf for q = 1e+200"),
+]
+
+
+@pytest.mark.parametrize("doc,message", OVERFLOW_CASES)
+def test_classify_config_overflow_exits_2(tmp_path, capsys, doc, message):
+    cfg = write_json(tmp_path / "c.json", doc)
+    code, stdout, stderr = run_cli(capsys, "classify", "--config", cfg)
+    assert (code, stdout) == (2, "")
+    assert stderr == f"invalid configuration: {message}\n"
+
+
+def test_classify_config_circle_keeps_its_formula_up_to_overflow(tmp_path, capsys):
+    cfg = write_json(tmp_path / "c.json", {"q": 1e154, "cos_theta": 1e-154, "s": 1})
+    code, stdout, _ = run_cli(capsys, "classify", "--config", cfg)
+    doc = json.loads(stdout)
+    assert (code, doc["class"]) == (0, "slant_circle")
+    assert doc["kappa1"] == math.sqrt(1e154 * 1e154 - 1)
+
+
 @pytest.mark.parametrize("s", [0, -1])
 def test_classify_config_takes_s_as_a_positive_integer(tmp_path, capsys, s):
     cfg = write_json(tmp_path / "c.json", {"q": 1.0, "s": s, "cos_theta": 0.2})

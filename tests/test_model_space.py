@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,25 @@ def test_orthonormal_frame(n, s):
         # phi sends X_i to X_{n+i}
         for i in range(n):
             assert np.abs(ms.phi_comps(sig, p, F[:, i]) - F[:, n + i]).max() < 1e-13
+
+
+@pytest.mark.parametrize("n,s", SIG_GRID)
+def test_batched_frame_matrix_stacks_the_frames_of_its_points(n, s):
+    sig = ms.SpaceSignature(n, s)
+    pts = np.random.default_rng(n * 10 + s).normal(scale=2.0, size=(2, 3, sig.dim))
+    batched = ms.frame_matrix(sig, pts)
+    assert batched.shape == (2, 3, sig.dim, sig.dim)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(batched[i, j], ms.frame_matrix(sig, pts[i, j]))
+
+
+@pytest.mark.parametrize("point", [
+    [0.0, 0.0], [[0.0, 0.0]], np.zeros((2, 4)), 0.0, [0.0, math.nan, 0.0],
+    [[0.0, 0.0, 0.0], [0.0, math.inf, 0.0]],
+])
+def test_frame_matrix_rejects_bad_points(point):
+    with pytest.raises(ValueError, match="point must"):
+        ms.frame_matrix(ms.SpaceSignature(1, 1), point)
 
 
 def test_frame_at_origin():

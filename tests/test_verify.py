@@ -6,11 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from magcurves import SpaceSignature, dynamics, integrate, integrate_many
+from magcurves import SpaceSignature, dynamics, initial_tangent, integrate, integrate_many
 from magcurves import model_space as ms
 from magcurves import verify
 from magcurves.verify import (classification_suite, connection_suite, curve_suite, run_all,
                               structure_suite)
+import oracles
 
 
 def test_report_shape_and_pass():
@@ -56,16 +57,17 @@ def test_nan_curvatures_fail_their_classification_checks(monkeypatch):
 def test_frame_table_checks_the_xi_xi_block(monkeypatch):
     # shift only nabla_{xi_a} xi_b: the coefficient derivatives of the xi
     # columns along a xi direction (a direction with no x or y part)
-    real = verify._frame_derivative
+    real = verify._frame_derivatives
 
-    def shifted(sig, coords, e):
-        out = real(sig, coords, e)
-        if not np.any(e[:2 * sig.n]):
-            out[:, 2 * sig.n:] += 1e-3
+    def shifted(sig, coords, F):
+        out = real(sig, coords, F)
+        for e in range(sig.dim):
+            if not np.any(F[:2 * sig.n, e]):
+                out[:, e, 2 * sig.n:] += 1e-3
         return out
 
     assert all(r.passed for r in connection_suite(seed=0, points=9))
-    monkeypatch.setattr(verify, "_frame_derivative", shifted)
+    monkeypatch.setattr(verify, "_frame_derivatives", shifted)
     records = {r.name: r for r in connection_suite(seed=0, points=9)}
     assert not records["frame_table"].passed
     assert records["frame_table"].max_err == pytest.approx(1e-3)
@@ -82,6 +84,60 @@ def test_whole_frame_contraction_has_the_bits_of_each_pair(n, s):
     whole = np.einsum("kij,ie,jf->kef", gamma, F, F)
     for e, f in itertools.product(range(sig.dim), repeat=2):
         assert np.array_equal(whole[:, e, f], np.einsum("kij,i,j->k", gamma, F[:, e], F[:, f]))
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (3, 2)])
+def test_batched_frame_derivatives_have_the_bits_of_each_direction(n, s):
+    # one frame_matrix call on the 2 dim points c +- h F_e gives, for every
+    # direction F_e, the bits of the central difference along F_e alone
+    sig = SpaceSignature(n, s)
+    c = np.random.default_rng(10 * n + s).normal(scale=2.0, size=sig.dim)
+    F = ms.frame_matrix(sig, c)
+    dF = verify._frame_derivatives(sig, c, F)
+    for e in range(sig.dim):
+        one = (ms.frame_matrix(sig, c + 0.25 * F[:, e])
+               - ms.frame_matrix(sig, c - 0.25 * F[:, e])) / 0.5
+        assert np.array_equal(dF[:, e, :], one)
+
+
+FORMULA_CHECKS = ("slant_consistency_square", "inversion_round_trip",
+                  "circle_kappa2_boundary", "single_reeb_reduction")
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_formula_checks_match_the_plain_oracle(seed):
+    # every formula record's max_err has the oracle's bits, and the cases
+    # drawn after the formula checks are the oracle's, so the random stream
+    # is consumed exactly as by the plain loop
+    errs, drawn = oracles.classification_formula_checks(seed, 5)
+    plan = verify._classification_plan(seed, 5)
+    records = {r.name: r for r in plan.finish([])}  # no trajectories: formula records only
+    for name in FORMULA_CHECKS:
+        assert float.hex(records[name].max_err) == float.hex(max(errs[name], default=0.0)), name
+    assert len(plan.setups) == len(drawn)
+    for setup, (s, n, q, ct, direction) in zip(plan.setups, drawn):
+        sig = SpaceSignature(n, s)
+        assert setup.sig == sig and float.hex(float(setup.q)) == float.hex(float(q))
+        T0 = initial_tangent(sig, np.zeros(sig.dim), np.full(s, ct), direction)
+        assert np.array_equal(setup.T0, T0)
+
+
+def test_formula_checks_make_one_library_call_per_draw(monkeypatch):
+    # the plan calls each formula as often as the plain oracle does
+    def counted(module):
+        counts = {}
+        for name in ("predict_class", "order_bound_curvatures", "invert_q", "_slant_class"):
+            def spy(*args, _real=getattr(module, name), _name=name, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(module, name, spy)
+        return counts
+
+    plan_counts, oracle_counts = counted(verify), counted(oracles)
+    verify._classification_plan(0, 5)
+    oracles.classification_formula_checks(0, 5)
+    assert plan_counts == oracle_counts
+    assert plan_counts["predict_class"] > 1000
 
 
 def test_reports_identical_for_fixed_seed():
