@@ -17,7 +17,8 @@ from .dynamics import (
     speed_drift,
     angle_drift,
 )
-from .frenet import FrenetSeries, frenet_apparatus, osculating_order, residual
+from .frenet import (FrenetSeries, fit_field_strength, frenet_apparatus, osculating_order,
+                     residual)
 from .closed_form import (
     CaseAParams,
     CaseBParams,
@@ -35,7 +36,6 @@ from .classify import (
     invert_q,
     check_circle_existence,
     rho,
-    fit_field_strength,
     classify_trajectory,
 )
 

@@ -18,6 +18,7 @@ values cos(theta_a) still has osculating order at most 3 with
 The inverse direction recovers which strengths a given slant helix is a
 magnetic curve for; the case tags mirror the angle regimes above
 ("i" geodesic / "ii" Legendre / "iii" circle / "iv" generic slant).
+``classify_trajectory`` sorts a sampled curve by its ``frenet.Measurement``.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ from enum import Enum
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory, _sum_in_order, check_angles, speed_drift
+from .dynamics import Trajectory, _sum_in_order, check_angles
 from .errors import InconsistentCaseError, typed_number
-from .frenet import FrenetSeries, _TRIM, _nanmedian, covariant_tt
+from .frenet import FrenetSeries, Measurement
 
 __all__ = [
     "CurveKind",
@@ -42,7 +43,6 @@ __all__ = [
     "invert_q",
     "check_circle_existence",
     "rho",
-    "fit_field_strength",
     "classify_trajectory",
 ]
 
@@ -162,7 +162,7 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     """(k1, k2) of a normal magnetic curve with per-direction contact values.
 
     Valid without the slant assumption; with equal cosines it reduces to the
-    slant formulas.
+    slant formulas.  k2 factors q^2 out of its sum where q^2 overflows.
     """
     cos = np.asarray(cosines, dtype=float)
     s = cos.shape[-1]
@@ -173,6 +173,9 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
         b_sum = float(np.sum(cos))
     k1 = abs(q) * math.sqrt(max(0.0, 1.0 - a_sum))
     k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
+    if not math.isfinite(k2sq):
+        rest = ((b_sum * b_sum + s - a_sum * s) / q) / q
+        return k1, abs(q) * math.sqrt(max(0.0, a_sum - 2.0 * b_sum / q + rest))
     return k1, math.sqrt(max(0.0, k2sq))
 
 
@@ -256,43 +259,6 @@ def rho(cos_theta: float, s: int) -> float:
     return math.sqrt(max(0.0, s - s * s * cos_theta * cos_theta))
 
 
-def fit_field_strength(traj: Trajectory) -> tuple[float | None, float]:
-    """Least-squares strength estimate and the resulting Lorentz residual.
-
-    Minimizes sum_t || nabla_T T + q phi T ||_g^2 over q, which is a scalar
-    quadratic with closed-form minimizer q = -sum <nabla_T T, phi T> /
-    sum ||phi T||^2.  When phi T vanishes along the curve (Reeb-direction
-    geodesics) the strength is indeterminate and None is returned together
-    with max_t || nabla_T T ||_g.
-    """
-    sig = traj.sig
-    sl, ntt = covariant_tt(traj)
-    pts = traj.points[sl]
-    vel = traj.velocities[sl]
-    phit = ms.phi_comps(sig, pts, vel)
-    den = float(np.sum(ms.inner(sig, pts, phit, phit)))
-    if den <= 1e-12 * len(pts):
-        return None, float(np.max(ms.norm(sig, pts, ntt)))
-    q = -float(np.sum(ms.inner(sig, pts, ntt, phit))) / den
-    res = ntt + q * phit
-    return q, float(np.max(ms.norm(sig, pts, res)))
-
-
-def _v2_alignment(traj: Trajectory, series: FrenetSeries) -> float | None:
-    """Mean of g(v2, phi T / ||phi T||) over samples where both are defined."""
-    sig = traj.sig
-    keep = slice(_TRIM, len(traj) - _TRIM)
-    pts = traj.points[keep]
-    phit = ms.phi_comps(sig, pts, series.v1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        scale = ms.norm(sig, pts, phit)
-        vals = ms.inner(sig, pts, series.v2, phit) / scale
-    vals = vals[np.isfinite(vals)]
-    if len(vals) == 0:
-        return None
-    return float(np.mean(vals))
-
-
 def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-3) -> CurveClass:
     """Empirical classification of a sampled trajectory.
 
@@ -305,43 +271,34 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     families, constant-but-unequal angles are GENERAL_MAGNETIC.
     """
     s = traj.sig.s
-    etas = traj.etas()
-    # numpy adds over the sample axis in an order that follows the layout;
-    # a C-ordered copy fixes it (classify --traj prints these last bits)
-    cosines = np.ascontiguousarray(etas).mean(axis=0)
-    angle_dev = float(np.max(np.abs(etas - cosines)))  # about the mean, not etas[0]
-    speed_dev = speed_drift(traj)
-    q_hat, res = fit_field_strength(traj)
-
-    k1_med = _nanmedian(series.kappa1)
-    k2_med = _nanmedian(series.kappa2)
-    k3_med = _nanmedian(series.kappa3)
+    m = Measurement(traj, series)
+    q_hat, res = m.fit
     measured = {
         "q": q_hat,
-        "cosines": [float(c) for c in cosines],
-        "kappa1": k1_med,
-        "kappa2": None if np.isnan(k2_med) else k2_med,
-        "kappa3": None if np.isnan(k3_med) else k3_med,
+        "cosines": [float(c) for c in m.cosines],
+        "kappa1": m.kappa1,
+        "kappa2": None if np.isnan(m.kappa2) else m.kappa2,
+        "kappa3": None if np.isnan(m.kappa3) else m.kappa3,
         "residual": res,
-        "speed_deviation": speed_dev,
-        "angle_deviation": angle_dev,
-        "v2_alignment": _v2_alignment(traj, series),
+        "speed_deviation": m.speed_drift,
+        "angle_deviation": m.angle_deviation,
+        "v2_alignment": m.v2_alignment,
     }
 
-    if speed_dev > tol or angle_dev > tol or res > tol:
+    if m.speed_drift > tol or m.angle_deviation > tol or res > tol:
         return CurveClass(CurveKind.NOT_MAGNETIC, q=q_hat, measured=measured)
 
-    slant = float(np.max(cosines) - np.min(cosines)) <= tol
+    slant = float(np.max(m.cosines) - np.min(m.cosines)) <= tol
     if not slant:
-        k1, k2 = order_bound_curvatures(q_hat, cosines)
+        k1, k2 = order_bound_curvatures(q_hat, m.cosines)
         return CurveClass(CurveKind.GENERAL_MAGNETIC, q=q_hat, kappa1=k1, kappa2=k2,
                           measured=measured)
 
-    cos_theta = float(np.mean(cosines))
-    if k1_med <= tol or q_hat is None:
+    cos_theta = float(np.mean(m.cosines))
+    if m.kappa1 <= tol or q_hat is None:
         # magnetic for every strength, so none is reported
         return _slant_class(CurveKind.GEODESIC, None, cos_theta, s, measured)
-    if np.isnan(k2_med) or k2_med <= tol:
+    if np.isnan(m.kappa2) or m.kappa2 <= tol:
         kind = CurveKind.SLANT_CIRCLE
     elif abs(cos_theta) <= tol:
         kind = CurveKind.LEGENDRE_HELIX

@@ -140,7 +140,7 @@ class Trajectory:
     is contiguous; arrays in another layout are copied here, the one place
     that fixes the layout.  Component sums give the same bits in any layout
     (``model_space._rowsum``); a sum over the samples does not, so each such
-    sum (``classify_trajectory``'s mean angles) runs on a C-ordered copy.
+    sum (``frenet.Measurement.cosines``) runs on a C-ordered copy.
     """
 
     sig: ms.SpaceSignature

@@ -15,21 +15,22 @@ quantities are NaN where trimmed or where the preceding curvature falls
 below its level's degeneracy threshold (no frame vector is normalized out
 of noise).  Normal magnetic curves have osculating order at most 3, so k3
 serves only to confirm that bound and v_4 is not formed.  The Lorentz
-residual takes nabla_T T with the same stencil and lives here too.
+residual and fitted strength (the same stencil) live here too, as does
+``Measurement``, the one record of what a sampled curve measures.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import model_space as ms
+from . import dynamics, model_space as ms
 from .dynamics import Trajectory
 from .errors import InsufficientDataError, InvalidGridError
 
-__all__ = [
-    "EPS_GEO", "FrenetSeries", "covariant_tt", "frenet_apparatus", "osculating_order", "residual",
-]
+__all__ = ["EPS_GEO", "FrenetSeries", "Measurement", "covariant_tt", "fit_field_strength",
+           "frenet_apparatus", "osculating_order", "residual"]
 
 # Degeneracy thresholds: below these a curvature counts as zero and the next
 # frame vector is not normalized out of noise.  kappa1 is clean (exact
@@ -107,6 +108,14 @@ def covariant_tt(traj: Trajectory) -> tuple[slice, np.ndarray]:
     return sl, acc + ms.gamma_bilinear(sig, pts, vel, vel)
 
 
+def _lorentz_terms(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, nabla_T T, phi T) where ``covariant_tt`` is valid: the two
+    terms of the Lorentz residual nabla_T T + q phi T."""
+    sl, ntt = covariant_tt(traj)
+    pts = traj.points[sl]
+    return pts, ntt, ms.phi_comps(traj.sig, pts, traj.velocities[sl])
+
+
 def residual(traj: Trajectory, q: float) -> float:
     """max_t || nabla_T T + q phi T ||_g over the trajectory.
 
@@ -114,11 +123,26 @@ def residual(traj: Trajectory, q: float) -> float:
     acceleration is reconstructed from the recorded velocities by the
     fourth-order five-point difference of ``covariant_tt``.
     """
-    sl, ntt = covariant_tt(traj)
-    pts = traj.points[sl]
-    vel = traj.velocities[sl]
-    res = ntt + q * ms.phi_comps(traj.sig, pts, vel)
-    return float(np.max(ms.norm(traj.sig, pts, res)))
+    pts, ntt, phit = _lorentz_terms(traj)
+    return float(np.max(ms.norm(traj.sig, pts, ntt + q * phit)))
+
+
+def fit_field_strength(traj: Trajectory) -> tuple[float | None, float]:
+    """Least-squares strength estimate and the resulting Lorentz residual.
+
+    Minimizes sum_t || nabla_T T + q phi T ||_g^2 over q, which is a scalar
+    quadratic with closed-form minimizer q = -sum <nabla_T T, phi T> /
+    sum ||phi T||^2.  When phi T vanishes along the curve (Reeb-direction
+    geodesics) the strength is indeterminate and None is returned together
+    with max_t || nabla_T T ||_g.
+    """
+    sig = traj.sig
+    pts, ntt, phit = _lorentz_terms(traj)
+    den = float(np.sum(ms.inner(sig, pts, phit, phit)))
+    if den <= 1e-12 * len(pts):
+        return None, float(np.max(ms.norm(sig, pts, ntt)))
+    q = -float(np.sum(ms.inner(sig, pts, ntt, phit))) / den
+    return q, float(np.max(ms.norm(sig, pts, ntt + q * phit)))
 
 
 def frenet_apparatus(traj: Trajectory) -> FrenetSeries:
@@ -181,6 +205,56 @@ def _nanmedian(arr: np.ndarray) -> float:
     if not np.any(np.isfinite(arr)):
         return float("nan")
     return float(np.nanmedian(arr))
+
+
+@dataclass(frozen=True)
+class Measurement:
+    """What the sampled curve traj, with its Frenet series, measures.  Each
+    field is computed on its first read and kept, so a caller pays only for
+    the fields it reads: ``dynamics.speed_drift`` and ``angle_drift`` (the
+    latter from eta^a(T)(0)), the time-mean ``cosines`` of each eta^a(T) and
+    the ``angle_deviation`` about them, the time-medians ``kappa1..kappa3``
+    and the largest kappa3 ``kappa3_max`` (of the finite values, NaN if
+    none), the ``fit`` of ``fit_field_strength`` and the ``v2_alignment``.
+    """
+
+    traj: Trajectory
+    series: FrenetSeries
+
+    speed_drift = cached_property(lambda self: dynamics.speed_drift(self.traj))
+    angle_drift = cached_property(lambda self: dynamics.angle_drift(self.traj))
+    kappa1 = cached_property(lambda self: _nanmedian(self.series.kappa1))
+    kappa2 = cached_property(lambda self: _nanmedian(self.series.kappa2))
+    kappa3 = cached_property(lambda self: _nanmedian(self.series.kappa3))
+    fit = cached_property(lambda self: fit_field_strength(self.traj))  # (q or None, residual)
+    _etas = cached_property(lambda self: self.traj.etas())
+
+    @cached_property
+    def cosines(self) -> np.ndarray:
+        # numpy adds over the sample axis in an order that follows the layout;
+        # a C-ordered copy fixes it (classify --traj prints these last bits)
+        return np.ascontiguousarray(self._etas).mean(axis=0)
+
+    @cached_property
+    def angle_deviation(self) -> float:
+        return float(np.max(np.abs(self._etas - self.cosines)))
+
+    @cached_property
+    def kappa3_max(self) -> float:
+        k3 = self.series.kappa3
+        return float(np.nanmax(k3)) if np.any(np.isfinite(k3)) else float("nan")
+
+    @cached_property
+    def v2_alignment(self) -> float | None:
+        """Mean of g(v2, phi T / ||phi T||) over the samples where both are
+        defined, None where they never are."""
+        sig, series = self.traj.sig, self.series
+        pts = self.traj.points[_TRIM:len(self.traj) - _TRIM]
+        phit = ms.phi_comps(sig, pts, series.v1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            vals = ms.inner(sig, pts, series.v2, phit) / ms.norm(sig, pts, phit)
+        vals = vals[np.isfinite(vals)]
+        return float(np.mean(vals)) if len(vals) else None
 
 
 def osculating_order(series: FrenetSeries, tol: float) -> int:

@@ -20,17 +20,15 @@ from .classify import predict_class
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
-    angle_drift,
     check_angles,
     exact_flow,
     initial_tangent,
     # unused here, but kept bound: perfbench/spans.py wraps sweep.integrate by
     # name, and every traced benchmark run fails with an AttributeError without it
     integrate,  # noqa: F401
-    speed_drift,
 )
 from .errors import DivergenceError, InfeasibleAngleError
-from .frenet import _nanmedian, frenet_apparatus
+from .frenet import Measurement, frenet_apparatus
 
 __all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "in_tolerance", "write_sweep_csv"]
 
@@ -118,14 +116,13 @@ def _cell_setup(spec: SweepSpec, index: int, n: int, s: int, q: float, ct: float
 
 
 def _cell_row(n: int, s: int, q: float, ct: float, traj) -> dict:
-    series = frenet_apparatus(traj)
+    m = Measurement(traj, frenet_apparatus(traj))
     pred = predict_class(q, ct, s)
-    k3 = float(np.nanmax(series.kappa3)) if np.any(np.isfinite(series.kappa3)) else math.nan
     return {
         "n": n, "s": s, "q": q, "cos_theta": ct,
         "kappa1_pred": pred.kappa1, "kappa2_pred": pred.kappa2,
-        "kappa1_meas": _nanmedian(series.kappa1), "kappa2_meas": _nanmedian(series.kappa2),
-        "kappa3_max": k3, "drift": max(speed_drift(traj), angle_drift(traj)),
+        "kappa1_meas": m.kappa1, "kappa2_meas": m.kappa2,
+        "kappa3_max": m.kappa3_max, "drift": max(m.speed_drift, m.angle_drift),
     }
 
 

@@ -44,13 +44,12 @@ from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
     Trajectory,
-    angle_drift,
     initial_tangent,
     integrate,
     integrate_many,
     speed_drift,
 )
-from .frenet import _nanmedian, frenet_apparatus, osculating_order, residual
+from .frenet import Measurement, frenet_apparatus, osculating_order, residual
 
 __all__ = [
     "CheckRecord",
@@ -359,17 +358,14 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     out: list[CheckRecord] = []
 
     # canonical slant circle: n=1, s=1, q=2, cos theta = 1/2
-    out.append(_record("curves", "speed_drift", speed_drift(traj), 1e-8))
-    out.append(_record("curves", "angle_drift", angle_drift(traj), 1e-8))
+    circle = Measurement(traj, frenet_apparatus(traj))
+    out.append(_record("curves", "speed_drift", circle.speed_drift, 1e-8))
+    out.append(_record("curves", "angle_drift", circle.angle_drift, 1e-8))
     out.append(_record("curves", "lorentz_fd_residual", residual(traj, 2.0), 1e-4))
-
-    series = frenet_apparatus(traj)
-    out.append(_record("curves", "circle_kappa1",
-                       abs(_nanmedian(series.kappa1) - math.sqrt(3.0)), 1e-4))
-    out.append(_record("curves", "circle_kappa2",
-                       _nanmedian(series.kappa2), 1e-4))
+    out.append(_record("curves", "circle_kappa1", abs(circle.kappa1 - math.sqrt(3.0)), 1e-4))
+    out.append(_record("curves", "circle_kappa2", circle.kappa2, 1e-4))
     out.append(_record("curves", "circle_order",
-                       abs(osculating_order(series, 1e-3) - 2), 0.0))
+                       abs(osculating_order(circle.series, 1e-3) - 2), 0.0))
 
     # fourth-order drift decay on a coarse grid
     coarse = _slant_setup(1, 1, 4.0, 0.2)
@@ -379,13 +375,10 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     out.append(_record("curves", "rk4_drift_ratio", 12.0 - min(ratio, 12.0), 0.0))
 
     # Legendre helix with two Reeb directions: kappa1=|q|, kappa2=sqrt(2)
-    series_h = frenet_apparatus(traj_h)
-    out.append(_record("curves", "legendre_kappa1",
-                       abs(_nanmedian(series_h.kappa1) - 1.5), 1e-4))
-    out.append(_record("curves", "legendre_kappa2",
-                       abs(_nanmedian(series_h.kappa2) - math.sqrt(2.0)), 1e-3))
-    out.append(_record("curves", "legendre_kappa3",
-                       _nanmedian(series_h.kappa3), 1e-3))
+    helix = Measurement(traj_h, frenet_apparatus(traj_h))
+    out.append(_record("curves", "legendre_kappa1", abs(helix.kappa1 - 1.5), 1e-4))
+    out.append(_record("curves", "legendre_kappa2", abs(helix.kappa2 - math.sqrt(2.0)), 1e-3))
+    out.append(_record("curves", "legendre_kappa3", helix.kappa3, 1e-3))
 
     # closed form against the integrator, matched initial data
     out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), 1e-10))
@@ -507,15 +500,14 @@ def _classification_checks(before: list[CheckRecord], drawn: list,
     curv_err = []
     frenet_err = []  # the Frenet medians, which got's curvatures (from the fitted q) skip
     for (s, q, ct, _), traj in zip(drawn, trajs):
-        series = frenet_apparatus(traj)
-        got = classify_trajectory(traj, series, tol=1e-3)
+        m = Measurement(traj, frenet_apparatus(traj))
+        got = classify_trajectory(traj, m.series, tol=1e-3)
         want = predict_class(q, ct, s)
         if got.kind != want.kind:
             kind_mismatches += 1
         else:
             curv_err += [abs(got.kappa1 - want.kappa1), abs(got.kappa2 - want.kappa2)]
-        frenet_err += [abs(_nanmedian(series.kappa1) - want.kappa1),
-                       abs(_nanmedian(series.kappa2) - want.kappa2)]
+        frenet_err += [abs(m.kappa1 - want.kappa1), abs(m.kappa2 - want.kappa2)]
     return before + [
         _record("classification", "empirical_kind_agreement", float(kind_mismatches), 0.0),
         _record("classification", "empirical_curvature_agreement", curv_err, 1e-3),

@@ -148,21 +148,21 @@ def _differences(got, want, where: str):
         yield f"{where}: {got!r} != {want!r}"
 
 
+def _without_max_err(report: dict) -> dict:
+    return {**report, "checks": [{**c, "max_err": None} for c in report.get("checks", [])]}
+
+
 def value_differences(name: str, got, want) -> list[str]:
     """Where the parsed output got differs from the recorded want."""
+    diffs = []
     if name.startswith("verify"):
-        # max_err within 1e-3 of each check's tol, everything else as below
-        errs = [(g["max_err"], w["max_err"], w["tol"])
-                for g, w in zip(got.get("checks", []), want["checks"])]
-        strip = [{**c, "max_err": None} for c in got.get("checks", [])]
-        got = {**got, "checks": strip}
-        want = {**want, "checks": [{**c, "max_err": None} for c in want["checks"]]}
-        diffs = [f"{name}.checks[{i}].max_err: {g!r} vs {w!r}"
-                 for i, (g, w, tol) in enumerate(errs)
-                 if (g is None) != (w is None)
-                 or (g is not None and abs(g - w) > _MAX_ERR_OF_TOL * tol)]
-    else:
-        diffs = []
+        # each max_err to within 1e-3 of its check's tol, the rest as below
+        for i, (g, w) in enumerate(zip(got.get("checks", []), want["checks"])):
+            a, b = g["max_err"], w["max_err"]
+            if (a is None) != (b is None) or (a is not None
+                                              and abs(a - b) > _MAX_ERR_OF_TOL * w["tol"]):
+                diffs.append(f"{name}.checks[{i}].max_err: {a!r} != {b!r}")
+        got, want = _without_max_err(got), _without_max_err(want)
     return diffs + list(_differences(got, want, name))
 
 

@@ -25,6 +25,7 @@ from magcurves import (
     residual,
     speed_drift,
 )
+from magcurves.frenet import Measurement
 from magcurves.verify import connection_suite, structure_suite
 from conftest import integrate_angles, integrate_slant, slant_setup
 from oracles import paper_equations
@@ -36,11 +37,11 @@ def report(num, name, **details):
     print(f"\nACCEPTANCE {num} {name}: PASS {parts}")
 
 
-def medians(series):
-    out = []
-    for k in (series.kappa1, series.kappa2, series.kappa3):
-        out.append(float(np.nanmedian(k)) if np.any(np.isfinite(k)) else 0.0)
-    return out
+def medians(traj):
+    """The time-medians of traj's Frenet curvatures kappa1..kappa3, each NaN
+    where its series has no finite value."""
+    m = Measurement(traj, frenet_apparatus(traj))
+    return m.kappa1, m.kappa2, m.kappa3
 
 
 def test_criterion_1_structure_identities():
@@ -74,8 +75,7 @@ def test_criterion_2_connection_table():
 
 def test_criterion_3_slant_circle():
     traj = integrate_slant(1, 1, 2.0, 0.5, t_end=10.0, step=1e-3)
-    series = frenet_apparatus(traj)
-    k1, k2, _ = medians(series)
+    k1, k2, _ = medians(traj)
     sd, ad = speed_drift(traj), angle_drift(traj)
     assert abs(k1 - math.sqrt(3.0)) <= 1e-4
     assert k2 <= 1e-4
@@ -88,8 +88,7 @@ def test_criterion_3_slant_circle():
 
 def test_criterion_4_legendre_helix():
     traj = integrate_slant(1, 2, 1.5, 0.0, t_end=10.0, step=1e-3)
-    series = frenet_apparatus(traj)
-    k1, k2, k3 = medians(series)
+    k1, k2, k3 = medians(traj)
     assert abs(k1 - 1.5) <= 1e-4
     assert abs(k2 - math.sqrt(2.0)) <= 1e-3
     assert k3 <= 1e-3
@@ -112,8 +111,7 @@ def test_criterion_5_slant_helices_randomized():
     trajs = integrate_many([setup for *_, setup in drawn], IntegratorConfig(t_end=2.0, step=1e-3))
     worst_k1 = worst_k2 = worst_k3 = 0.0
     for (s, q, ct, _), traj in zip(drawn, trajs):
-        series = frenet_apparatus(traj)
-        k1, k2, k3 = medians(series)
+        k1, k2, k3 = medians(traj)
         worst_k1 = max(worst_k1, abs(k1 - abs(q) * math.sqrt(1.0 - s * ct * ct)))
         worst_k2 = max(worst_k2, abs(k2 - math.sqrt(s) * abs(1.0 - q * ct)))
         worst_k3 = max(worst_k3, k3)
@@ -139,8 +137,7 @@ def test_criterion_6_nonslant_order_bound():
             continue  # genuinely unequal angles
         cases += 1
         traj = integrate_angles(1, s, q, cos, t_end=2.0, step=1e-3)
-        series = frenet_apparatus(traj)
-        k1, k2, k3 = medians(series)
+        k1, k2, k3 = medians(traj)
         k1_pred, k2_pred = order_bound_curvatures(q, cos)
         worst_k1 = max(worst_k1, abs(k1 - k1_pred))
         worst_k2 = max(worst_k2, abs(k2 - k2_pred))
@@ -151,7 +148,7 @@ def test_criterion_6_nonslant_order_bound():
 
     # the exact-valued cell: s=2, cosines (1/2, 0), q=1 has kappa2 = 1
     traj = integrate_angles(1, 2, 1.0, [0.5, 0.0], t_end=2.0, step=1e-3)
-    _, k2, _ = medians(frenet_apparatus(traj))
+    _, k2, _ = medians(traj)
     assert abs(k2 - 1.0) <= 1e-3
     report(6, "non-slant order bound, 20 randomized + exact cell",
            kappa1_err=worst_k1, kappa2_err=worst_k2, kappa3_max_median=worst_k3,

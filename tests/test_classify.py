@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 from numbers import Integral
@@ -169,6 +170,26 @@ def test_order_bound_reduces_to_slant_formulas(q, frac, s):
     k1, k2 = order_bound_curvatures(q, [ct] * s)
     assert k1 == pytest.approx(abs(q) * math.sqrt(1 - s * ct * ct), abs=1e-12)
     assert k2 == pytest.approx(math.sqrt(s) * abs(1 - q * ct), abs=1e-12)
+
+
+@pytest.mark.parametrize("cos", [[0.6], [0.6, 0.7], [0.6, 0.5, -0.2]], ids=["s1", "s2", "s3"])
+@pytest.mark.parametrize("q", [1e154, -1e154, 1e155, -1e160, 1e200, -1e250, 1e300, -1e307, 1e308],
+                         ids=lambda q: f"{q:.0e}".replace("+", ""))
+def test_order_bound_kappa2_where_q_squared_overflows(q, cos):
+    # the plain sum A q^2 - 2 B q + ... overflows from |q| ~ 1e154 on (inf, or
+    # inf - inf = NaN), though kappa2 ~ sqrt(A) |q| stays finite
+    s = len(cos)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        a = sum(decimal.Decimal(c) ** 2 for c in cos)
+        b = sum(decimal.Decimal(c) for c in cos)
+        big = decimal.Decimal(q)
+        want = (a * big * big - a * s + b * b - 2 * b * big + s).sqrt()
+        k1, k2 = order_bound_curvatures(q, cos)
+        assert abs(decimal.Decimal(k2) - want) <= decimal.Decimal(4e-16) * want
+    a_sum, b_sum = float(np.sum(np.square(cos))), float(np.sum(cos))
+    if math.isfinite(a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s):
+        assert k2 == _np_sum_order_bound(q, np.array(cos))[1]  # the plain sum's bits
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +454,27 @@ def test_classify_rejects_non_unit_speed_line():
     # the residual itself is tiny: normality is what fails
     assert cls.measured["residual"] < 1e-6
     assert cls.measured["speed_deviation"] > 0.01
+
+
+def test_a_strength_jump_fails_the_residual_rule():
+    # exact pieces at q = 2, then at q = 2.006 from t = 2, joined with
+    # continuous position and velocity: unit speed and constant angles hold
+    # to rounding, so only the residual at the fitted strength (3.3e-3, from
+    # the five-point stencil across the join) makes the curve not magnetic
+    sig = SpaceSignature(1, 1)
+    times = np.arange(401) * 1e-2
+    p0 = np.zeros(sig.dim)
+    first = exact_flow(MagneticSetup(sig, 2.0, p0, initial_tangent(sig, p0, [0.3])), times[:201])
+    second = exact_flow(MagneticSetup(sig, 2.006, first.points[-1], first.velocities[-1]),
+                        times[200:] - times[200])
+    traj = Trajectory(sig, times, np.concatenate([first.points, second.points[1:]]),
+                      np.concatenate([first.velocities, second.velocities[1:]]))
+    tol = 1e-3
+    cls = classify_trajectory(traj, frenet_apparatus(traj), tol=tol)
+    measured = cls.measured
+    assert max(measured["speed_deviation"], measured["angle_deviation"]) <= 1e-15
+    assert tol < measured["residual"] < 10 * tol
+    assert cls.kind is CurveKind.NOT_MAGNETIC
 
 
 def test_fit_field_strength(circle_traj, geodesic_traj):

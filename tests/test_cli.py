@@ -399,13 +399,11 @@ def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
 
 
 # finite configs whose curvature formula overflows: kappa1 = sqrt(q^2 - s)
-# of a circle, kappa2^2 = A q^2 - ... of a non-slant curve
+# of a circle
 OVERFLOW_CASES = [
     ({"q": 1e200, "cos_theta": 1e-201, "s": 1}, "kappa1 must be finite, got inf for q = 1e+200"),
     ({"q": -1e300, "cos_theta": -1e-300, "s": 2},
      "kappa1 must be finite, got inf for q = -1e+300"),
-    ({"q": 1e200, "cosines": [0.1, 0.2], "s": 2},
-     "kappa2 must be finite, got inf for q = 1e+200"),
 ]
 
 
@@ -415,6 +413,18 @@ def test_classify_config_overflow_exits_2(tmp_path, capsys, doc, message):
     code, stdout, stderr = run_cli(capsys, "classify", "--config", cfg)
     assert (code, stdout) == (2, "")
     assert stderr == f"invalid configuration: {message}\n"
+
+
+@pytest.mark.parametrize("q,cosines", [(1e200, [0.1, 0.2]), (-1e300, [0.3, -0.1]),
+                                       (1e308, [0.6, 0.7])], ids=["1e200", "-1e300", "1e308"])
+def test_classify_config_kappa2_where_q_squared_overflows(tmp_path, capsys, q, cosines):
+    # kappa2^2 = A q^2 - 2 B q + ... of a non-slant curve overflows (to inf,
+    # or inf - inf = NaN), though kappa2 ~ sqrt(A) |q| is finite
+    cfg = write_json(tmp_path / "c.json", {"q": q, "cosines": cosines, "s": 2})
+    code, stdout, _ = run_cli(capsys, "classify", "--config", cfg)
+    assert code == 0
+    a_sum = cosines[0] ** 2 + cosines[1] ** 2
+    assert json.loads(stdout)["kappa2"] == pytest.approx(abs(q) * math.sqrt(a_sum), rel=1e-15)
 
 
 def test_classify_config_circle_keeps_its_formula_up_to_overflow(tmp_path, capsys):

@@ -8,17 +8,21 @@ from magcurves import (
     MagneticSetup,
     SpaceSignature,
     Trajectory,
+    classify_trajectory,
     exact_flow,
+    fit_field_strength,
     frenet_apparatus,
     initial_tangent,
     integrate_many,
     osculating_order,
     rho,
 )
+from magcurves import frenet, verify
 from magcurves import model_space as ms
 from magcurves.errors import InsufficientDataError, InvalidGridError
 from magcurves.frenet import _EPS_LEVEL, EPS_GEO, covariant_tt
-from conftest import SIG_GRID, assert_same_bits
+from magcurves.sweep import SweepSpec, run_sweep
+from conftest import SIG_GRID, assert_same_bits, slant_setup
 
 
 def interior(arr):
@@ -278,3 +282,67 @@ def test_covariant_tt_is_fourth_order(n, s):
                                           exact.velocities))
         errs.append(np.max(np.abs(got - want[sl])))
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
+
+
+# ---------------------------------------------------------------------------
+# Measurement: each field computed on its first read, and only then
+# ---------------------------------------------------------------------------
+
+def _counting(calls, name, fn):
+    def spy(*args):
+        calls.append((name, args[0]))
+        return fn(*args)
+    return spy
+
+
+def test_measurement_computes_each_field_once_on_first_read(monkeypatch, helix_traj):
+    series = frenet_apparatus(helix_traj)
+    want_fit = fit_field_strength(helix_traj)
+    calls = []
+    for name in ("_nanmedian", "fit_field_strength"):
+        monkeypatch.setattr(frenet, name, _counting(calls, name, getattr(frenet, name)))
+    m = frenet.Measurement(helix_traj, series)
+    assert calls == []
+    for _ in range(2):
+        assert m.kappa2 == np.nanmedian(series.kappa2)
+        assert m.fit == want_fit
+    assert [name for name, _ in calls] == ["_nanmedian", "fit_field_strength"]
+
+
+def test_measurement_of_a_geodesic_has_nan_curvatures_without_warnings(geodesic_traj):
+    # kappa2 and kappa3 are NaN on every sample; RuntimeWarnings are errors
+    m = frenet.Measurement(geodesic_traj, frenet_apparatus(geodesic_traj))
+    assert np.isnan(m.kappa2) and np.isnan(m.kappa3) and np.isnan(m.kappa3_max)
+    assert m.v2_alignment is None
+    assert m.fit[0] is None
+
+
+def test_callers_read_only_the_fields_they_use(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a sweep cell reads neither the fit nor the v2 alignment")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(frenet, "fit_field_strength", refuse)
+        mp.setattr(frenet.Measurement, "v2_alignment", property(refuse))
+        rows = run_sweep(SweepSpec(q_values=(2.0, -1.5), cos_theta_values=(0.0, 0.3),
+                                   t_end=0.5, step=1e-2))
+    assert len(rows) == 4
+
+    # classify_trajectory reads kappa1 and kappa2 more than once, and takes
+    # each median once
+    traj = exact_flow(slant_setup(1, 1, 2.0, 0.3), np.arange(201) * 1e-2)
+    series = frenet_apparatus(traj)
+    medians = []
+    monkeypatch.setattr(frenet, "_nanmedian", _counting(medians, "", frenet._nanmedian))
+    assert classify_trajectory(traj, series).kind.value == "slant_helix"
+    assert [id(arr) for _, arr in medians] == [id(series.kappa1), id(series.kappa2),
+                                               id(series.kappa3)]
+
+
+def test_run_all_takes_one_frenet_apparatus_per_analysed_trajectory(monkeypatch):
+    calls = []
+    monkeypatch.setattr(verify, "frenet_apparatus",
+                        _counting(calls, "frenet_apparatus", verify.frenet_apparatus))
+    verify.run_all(0, samples=10, points=9, cases=3)
+    assert len(calls) == 2 + 3  # the circle, the Legendre helix and the 3 cases
+    assert len({id(traj) for _, traj in calls}) == len(calls)
