@@ -77,7 +77,8 @@ def _configs() -> dict[str, dict]:
 
 
 # (name of the standard output, argv, names of the files it writes)
-RUNS = [("verify-seed0.stdout", ["verify", "--seed", "0"], [])]
+RUNS = [(f"verify-seed{_seed}.stdout", ["verify", "--seed", str(_seed)], [])
+        for _seed in range(4)]
 RUNS += [("sweep16.stdout", ["sweep", "--config", "sweep16.json", "--out", "sweep16.csv"],
           ["sweep16.csv"])]
 for _i in range(len(_ROUNDTRIPS)):
