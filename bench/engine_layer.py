@@ -16,9 +16,10 @@ Cases (each a ``layer`` with its unit of work):
   trajectory of every (n, s) in {1, 2, 3}^2 and of (9, 1), whose component
   sums are 8 or more wide, in microseconds per sample;
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
-* ``dynamics.integrate_many``: n = s = 2 at B = 1, 3, 5, 8, 64 (1000 steps)
-  and 1024 (100 steps), microseconds per row-step; 3 and 5 are the batches
-  of verify's curve and classification suites, 8 that of ``verify.run_all``;
+* ``dynamics.integrate_many``: n = s = 2 at B = 1, 5, 10, 64 (1000 steps)
+  and 1024 (100 steps), microseconds per row-step; 5 is the batch of
+  verify's curve suite and of its classification suite, 10 that of
+  ``verify.run_all``;
 * ``sweep.setup``, ``sweep.trajectory`` (``exact_flow`` per cell, as
   ``run_sweep`` runs it) and ``sweep.frenet_row``: the stages of the
   benchmark's ``sweep-grid`` seed-1 sweep (32 cells of 2001 samples, from
@@ -105,7 +106,7 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
     cfg = mc.IntegratorConfig(t_end=steps * STEP, step=STEP)
     out.append(({"layer": "dynamics.integrate", "n": 2, "s": 2, "unit": "us/step"},
                 steps, functools.partial(mc.integrate, _setup(mc, 2, 2, [2, 2]), cfg)))
-    for batch, steps in ((1, 1000), (3, 1000), (5, 1000), (8, 1000), (64, 1000), (1024, 100)):
+    for batch, steps in ((1, 1000), (5, 1000), (10, 1000), (64, 1000), (1024, 100)):
         cfg = mc.IntegratorConfig(t_end=steps * STEP, step=STEP)
         setups = [_setup(mc, 2, 2, [2, 2, b]) for b in range(batch)]
         out.append(({"layer": "dynamics.integrate_many", "n": 2, "s": 2, "B": batch,

@@ -11,11 +11,11 @@ which in coordinates becomes the first-order system on states
     v'^k    = -Gamma^k_{ij} v^i v^j - q (phi v)^k
 
 integrated here with classical fixed-step fourth-order Runge-Kutta by one
-driver, ``integrate_many``, for setups of any mix of signatures under one
-config; ``integrate`` is its one-setup call.  The integrator never
-renormalizes the velocity: drift in the speed and in the contact angles
-eta^a(T) (both first integrals of the exact flow) is the accuracy
-diagnostic reported to callers.
+driver, ``integrate_many``, for setups of any mix of signatures, each under
+its own config or all under one; ``integrate`` is its one-setup call.  The
+integrator never renormalizes the velocity: drift in the speed and in the
+contact angles eta^a(T) (both first integrals of the exact flow) is the
+accuracy diagnostic reported to callers.
 
 The system is also solved exactly (``exact_flow``): the first integrals make
 w = 2 sum_a eta^a(T) - q constant, so each (x_i', y_i') pair rotates at the
@@ -283,25 +283,28 @@ def _rhs(n: int, q, s, reeb: np.ndarray, state: np.ndarray) -> np.ndarray:
     return np.concatenate((state[..., d:], vy * w, -vx * w, az * reeb), axis=-1)
 
 
-def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+def _rk4(rhs, state: np.ndarray, h, ends: np.ndarray, stride: int) -> np.ndarray:
     """Classical RK4 of state' = rhs(state) for one state of shape (2 dim,) or
-    a batch of shape (B, 2 dim), one trajectory per row.
+    a batch of shape (B, 2 dim), one trajectory per row: row r takes ends[r]
+    steps of its own step h (a float, or a (B, 1) column of per-row steps),
+    and all rows step together for max(ends) steps.
 
-    Returns the samples, shape state.shape + (cfg.n_samples,): sample i is
-    the state at cfg.times[i], so each component's series is contiguous.
-    Rows never mix; the DivergenceError raised is that of the first row to go
-    nonfinite, with its own time.  The loop stops early only when row 0
-    diverges, since its error is then the one to raise.
+    Returns every stride-th state, shape state.shape + (max(ends) // stride
+    + 1,), so each component's series is contiguous; a row's samples past
+    its own end are steps it did not ask for.  Rows never mix; the
+    DivergenceError raised is that of the first row to go nonfinite within
+    its own steps, with its own time (a row that goes nonfinite only after
+    its end raises nothing).  The loop stops early only when row 0 diverges,
+    since its error is then the one to raise.
     """
-    h = cfg.step
     half, sixth = 0.5 * h, h / 6.0
-    stride = cfg.record_every
-    rec = np.empty(state.shape + (cfg.n_samples,))
+    n_steps = int(ends.max())
+    rec = np.empty(state.shape + (n_steps // stride + 1,))
     rec[..., 0] = state
-    diverged = np.zeros(math.prod(state.shape[:-1]), dtype=int)  # per row: first nonfinite step
+    diverged = np.zeros(len(ends), dtype=int)  # per row: first nonfinite step within its end
 
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is the detected failure mode
-        for k in range(1, cfg.n_steps + 1):
+        for k in range(1, n_steps + 1):
             k1 = rhs(state)
             k2 = rhs(state + half * k1)
             k3 = rhs(state + half * k2)
@@ -309,17 +312,18 @@ def _rk4(rhs, state: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
             state = state + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.isfinite(state).all():
                 finite = np.all(np.isfinite(state).reshape(len(diverged), -1), axis=1)
-                diverged[~finite & (diverged == 0)] = k
+                diverged[~finite & (diverged == 0) & (k <= ends)] = k
                 if diverged[0]:
                     break
             if k % stride == 0:
                 rec[..., k // stride] = state
 
     if np.any(diverged):
-        k = int(diverged[np.flatnonzero(diverged)[0]])
+        row = int(np.flatnonzero(diverged)[0])
+        k, step = int(diverged[row]), float(np.ravel(h)[row])
         raise DivergenceError(
-            f"nonfinite state at t = {k * h:.6g}; last valid time {(k - 1) * h:.6g}",
-            t_last=(k - 1) * h,
+            f"nonfinite state at t = {k * step:.6g}; last valid time {(k - 1) * step:.6g}",
+            t_last=(k - 1) * step,
         )
     return rec
 
@@ -334,29 +338,49 @@ def integrate(setup: MagneticSetup, cfg: IntegratorConfig) -> Trajectory:
     return integrate_many([setup], cfg)[0]
 
 
-def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
+def integrate_many(setups, cfg) -> list[Trajectory]:
     """RK4 solutions of the Lorentz equation for setups of any mix of
-    signatures under one config, stepped together; ``integrate`` is the
-    one-setup call, stepped as a 1-D state with scalar q and s (about 20%
-    faster per step than a batch of one).
+    signatures, stepped together; ``integrate`` is the one-setup call,
+    stepped as a 1-D state with scalar q, s and step (about 20% faster per
+    step than a batch of one).
+
+    cfg is one IntegratorConfig for every setup or a sequence of one per
+    setup, all with the same record_every (else ValueError).  The rows step
+    together for the largest step count, each at its own step, and each
+    returns its own config's samples and times: a row's bits are those of
+    ``integrate`` under its own config, and a row that goes nonfinite only
+    after its own end raises nothing.
 
     A batch is padded to its largest n and s.  The padding adds exact zeros
     to each row's sums, so each row has the bits of its setup alone while the
     sums add in order, up to n = 15 and s = 7; from n = 16 BLAS ddot, and
     from s = 8 numpy's sum, add in blocks and the last bits can differ.
-    Unpadded rows return views of the samples; padded rows copy their own
-    columns.  If any setup diverges, raises the DivergenceError of the first
-    in list order.
+    Rows that take every recorded sample at the batch's width return views
+    of them; padded or shorter rows copy their own columns and samples.  If
+    any setup diverges, raises the DivergenceError of the first in list
+    order.
     """
     setups = list(setups)
     if not setups:
         raise ValueError("integrate_many needs at least one setup")
+    cfgs = [cfg] * len(setups) if isinstance(cfg, IntegratorConfig) else list(cfg)
+    if len(cfgs) != len(setups):
+        raise ValueError(f"integrate_many needs one config per setup, or one for all; "
+                         f"got {len(cfgs)} for {len(setups)} setups")
+    stride = cfgs[0].record_every
+    if any(c.record_every != stride for c in cfgs):
+        raise ValueError("the configs of one batch must share record_every")
     n = max(st.sig.n for st in setups)
     s = max(st.sig.s for st in setups)
     d = 2 * n + s
-    # the padded samples of every row, the padded rows' own copies and the times
-    copies = sum(2 * st.sig.dim for st in setups if st.sig.dim < d)
-    cfg.check_fits(len(setups) * 2 * d + copies + 1, "the recorded samples")
+    width = max(c.n_samples for c in cfgs)
+    views = [st.sig.dim == d and c.n_samples == width for st, c in zip(setups, cfgs)]
+    # the padded samples of every row, the other rows' own copies and each
+    # config's times
+    check_memory(8 * (len(setups) * 2 * d * width
+                      + sum(2 * st.sig.dim * c.n_samples
+                            for st, c, view in zip(setups, cfgs, views) if not view)
+                      + sum(c.n_samples for c in dict.fromkeys(cfgs))), "the recorded samples")
     state = np.zeros((len(setups), 2 * d))
     reeb = np.zeros((len(setups), s))
     own = []  # each row's x | y | z | vx | vy | vz columns in the padded layout
@@ -367,16 +391,19 @@ def integrate_many(setups, cfg: IntegratorConfig) -> list[Trajectory]:
         state[row, own[-1]] = np.r_[st.p0, st.T0]
         reeb[row, :r] = 1.0
 
+    ends = np.array([c.n_steps for c in cfgs])
     if len(setups) == 1:
-        rec = _rk4(functools.partial(_rhs, n, setups[0].q, s, reeb[0]), state[0], cfg)[None]
+        rhs = functools.partial(_rhs, n, setups[0].q, s, reeb[0])
+        rec = _rk4(rhs, state[0], cfgs[0].step, ends, stride)[None]
     else:
         q = np.array([st.q for st in setups])
         s_rows = np.array([st.sig.s for st in setups], dtype=float)
-        rec = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, cfg)
-    times = cfg.times
-    return [Trajectory(st.sig, times, *(rec[row] if st.sig.dim == d else rec[row, cols])
-                       .reshape(2, -1, len(times)).mT, q=st.q)
-            for row, (st, cols) in enumerate(zip(setups, own))]
+        steps = np.array([c.step for c in cfgs])[:, None]
+        rec = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, steps, ends, stride)
+    times = {c: c.times for c in cfgs}
+    return [Trajectory(st.sig, times[c], *(rec[row] if view else rec[row, cols, :c.n_samples])
+                       .reshape(2, -1, c.n_samples).mT, q=st.q)
+            for row, (st, c, cols, view) in enumerate(zip(setups, cfgs, own, views))]
 
 
 # Below this |w t| the rotation integrals are summed from their Taylor

@@ -215,7 +215,8 @@ class Measurement:
     latter from eta^a(T)(0)), the time-mean ``cosines`` of each eta^a(T) and
     the ``angle_deviation`` about them, the time-medians ``kappa1..kappa3``
     and the largest kappa3 ``kappa3_max`` (of the finite values, NaN if
-    none), the ``fit`` of ``fit_field_strength`` and the ``v2_alignment``.
+    none), the ``fit`` of ``fit_field_strength`` and the ``v2_alignment``;
+    ``osculating_order(tol)`` walks the curvature medians.
     """
 
     traj: Trajectory
@@ -256,6 +257,22 @@ class Measurement:
         vals = vals[np.isfinite(vals)]
         return float(np.mean(vals)) if len(vals) else None
 
+    def osculating_order(self, tol: float) -> int:
+        """``osculating_order(self.series, tol)``, from this record's medians
+        (taken only as far as the chain walk reads them)."""
+        return _order((getattr(self, name) for name in ("kappa1", "kappa2", "kappa3")), tol)
+
+
+def _order(medians, tol: float) -> int:
+    """1 plus the number of leading medians above tol: the chain walk of
+    ``osculating_order``, which stops reading at the first one that is not."""
+    r = 1
+    for med in medians:
+        if not (np.isfinite(med) and med > tol):
+            break
+        r += 1
+    return r
+
 
 def osculating_order(series: FrenetSeries, tol: float) -> int:
     """Largest r with time-median kappa_{r-1} above tol (r = 1 when even
@@ -269,10 +286,4 @@ def osculating_order(series: FrenetSeries, tol: float) -> int:
     """
     if len(series.times) == 0:
         raise InsufficientDataError("empty curvature series")
-    r = 1
-    for kappa in (series.kappa1, series.kappa2, series.kappa3):
-        med = _nanmedian(kappa)
-        if not (np.isfinite(med) and med > tol):
-            break
-        r += 1
-    return r
+    return _order((_nanmedian(k) for k in (series.kappa1, series.kappa2, series.kappa3)), tol)

@@ -23,11 +23,9 @@ symbols are evaluated in closed form; finite differences appear only in
 test oracles and in the curvature-from-samples code.
 
 Points and tangent vectors are plain float arrays of length 2n + s, and
-every operation takes the signature alongside them.  ``eta_comps``,
-``phi_comps``, ``inner``, ``norm``, ``gamma_bilinear`` and ``frame_matrix``
-accept arbitrary leading batch axes; the Christoffel helpers take one point.
-``frame_matrix`` and the Christoffel helpers check their points (last axis
-of length 2n + s, finite).  The Reeb field xi_a is the constant array with 2
+every operation takes the signature alongside them and accepts arbitrary
+leading batch axes.  ``frame_matrix`` and the Christoffel helpers check
+their points (last axis of length 2n + s, finite).  The Reeb field xi_a is the constant array with 2
 in slot z_a.
 
 Layout and reduction order.  Sampled curves are stored column-major: an
@@ -168,37 +166,39 @@ def norm(sig: SpaceSignature, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
-    """Closed-form inverse metric g^{ab} (from g^{-1} = F F^T, F the frame)."""
-    coords = _as_coords(sig, coords, "point")
+    """Closed-form inverse metric g^{ab} (from g^{-1} = F F^T, F the frame),
+    of shape coords.shape + (dim,)."""
+    coords = _as_coords(sig, coords, "point", batched=True)
     n, s, d = sig.n, sig.s, sig.dim
-    y = coords[n:2 * n]
-    ginv = np.zeros((d, d))
-    ginv[:n, :n] = 4.0 * np.eye(n)
-    ginv[n:2 * n, n:2 * n] = 4.0 * np.eye(n)
-    ginv[2 * n:, 2 * n:] = 4.0 * (np.eye(s) + np.dot(y, y))
-    ginv[:n, 2 * n:] = 4.0 * y[:, None]
-    ginv[2 * n:, :n] = 4.0 * y[None, :]
+    y = coords[..., n:2 * n]
+    ginv = np.zeros(coords.shape + (d,))
+    ginv[..., :n, :n] = 4.0 * np.eye(n)
+    ginv[..., n:2 * n, n:2 * n] = 4.0 * np.eye(n)
+    # np.vecdot adds like BLAS ddot, point by point
+    ginv[..., 2 * n:, 2 * n:] = 4.0 * (np.eye(s) + np.vecdot(y, y)[..., None, None])
+    ginv[..., :n, 2 * n:] = 4.0 * y[..., :, None]
+    ginv[..., 2 * n:, :n] = 4.0 * y[..., None, :]
     return ginv
 
 
 def metric_derivatives(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
-    """Exact partials dg[a, b, c] = d_a g_{bc}.
+    """Exact partials dg[..., a, b, c] = d_a g_{bc}.
 
     Only y-derivatives are nonzero:
         d_{y_k} g_{x_i x_j} = (s/4)(delta_ik y_j + delta_jk y_i)
         d_{y_k} g_{x_i z_a} = -delta_ik / 4
     """
-    coords = _as_coords(sig, coords, "point")
+    coords = _as_coords(sig, coords, "point", batched=True)
     n, s, d = sig.n, sig.s, sig.dim
-    y = coords[n:2 * n]
-    dg = np.zeros((d, d, d))
+    y = coords[..., n:2 * n]
+    dg = np.zeros(coords.shape + (d, d))
     for k in range(n):
-        blk = dg[n + k]
+        blk = dg[..., n + k, :, :]
         for i in range(n):
-            blk[i, k] += (s / 4.0) * y[i]
-            blk[k, i] += (s / 4.0) * y[i]
-        blk[k, 2 * n:] += -0.25
-        blk[2 * n:, k] += -0.25
+            blk[..., i, k] += (s / 4.0) * y[..., i]
+            blk[..., k, i] += (s / 4.0) * y[..., i]
+        blk[..., k, 2 * n:] += -0.25
+        blk[..., 2 * n:, k] += -0.25
     return dg
 
 
@@ -206,13 +206,14 @@ def christoffel_array(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
     """Christoffel symbols Gamma^k_{ij} of the Levi-Civita connection.
 
     Assembled from the exact metric derivatives and the closed-form inverse
-    metric; index order is gamma[k, i, j] with k the raised index.
+    metric; index order is gamma[..., k, i, j] with k the raised index.  A
+    batch of points gives each point the bits of its own symbols.
     """
     dg = metric_derivatives(sig, coords)
     ginv = inverse_metric_matrix(sig, coords)
     # lower-index symbols: (d_i g_{jl} + d_j g_{il} - d_l g_{ij}) / 2
-    lower = 0.5 * (np.einsum("ijl->lij", dg) + np.einsum("jil->lij", dg) - dg)
-    return np.einsum("kl,lij->kij", ginv, lower)
+    lower = 0.5 * (np.einsum("...ijl->...lij", dg) + np.einsum("...jil->...lij", dg) - dg)
+    return np.einsum("...kl,...lij->...kij", ginv, lower)
 
 
 def gamma_bilinear(sig: SpaceSignature, coords: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:

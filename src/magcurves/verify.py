@@ -7,11 +7,13 @@ fixed seed.  A record keeps the largest error of its check, and a NaN error
 is the largest, so it fails the check.  The structure suite reduces every
 identity once per signature, and the connection suite compares the whole
 frame table nabla_{F_e} F_f, the xi-xi block included, with the expected
-one.  The curve and classification suites integrate their curves at one
-fine step, 8e-3, set from the measured errors of the checks that depend
-on it, all fourth order in the step (see ``_FINE_STEP``), and ``run_all``
-steps all of those curves in one RK4 batch (``_run_plans``), with the bits
-that each suite gets on its own.  The tests hold fault injections (a scaled
+one, for all of a signature's points at once.  The curve and
+classification suites integrate their curves at one fine step, 8e-3, set
+from the measured errors of the checks that depend on it, all fourth order
+in the step (see ``_FINE_STEP``); only rk4_drift_ratio's two coarse runs
+take steps of their own.  ``run_all`` steps all of those curves in one RK4
+batch, each under its own config (``_run_plans``), with the bits that each
+suite gets on its own.  The tests hold fault injections (a scaled
 or sign-flipped field strength in the RK4 right-hand side, shifted Frenet
 curvatures) that the curve and classification checks catch at this step as
 at 1e-3.
@@ -45,11 +47,13 @@ from .dynamics import (
     MagneticSetup,
     Trajectory,
     initial_tangent,
-    integrate,
+    # unused here, but kept bound: perfbench/spans.py wraps verify.integrate by
+    # name, and every traced benchmark run fails with an AttributeError without it
+    integrate,  # noqa: F401
     integrate_many,
     speed_drift,
 )
-from .frenet import Measurement, frenet_apparatus, osculating_order, residual
+from .frenet import Measurement, frenet_apparatus, residual
 
 __all__ = [
     "CheckRecord",
@@ -191,16 +195,22 @@ def structure_suite(seed: int = 0, samples: int = 1000,
 
 def _frame_derivatives(sig: ms.SpaceSignature, coords: np.ndarray, F: np.ndarray) -> np.ndarray:
     """Derivatives of the frame matrix's coefficients along every column of
-    F: out[:, e, f] is the derivative of column f along F_e.
+    F: out[:, e, f] is the derivative of column f along F_e.  Batched over
+    trailing axes: coords of shape (dim, ...) holds one point per trailing
+    index, F of shape (dim, dim, ...) its frame, and out has shape
+    (dim, dim, dim, ...).
 
     Frame coefficients are linear in the coordinates, so the central
     difference is exact for any step; a large step minimizes rounding.  One
-    batched ``frame_matrix`` call takes the 2 dim points coords +- h F_e.
+    batched ``frame_matrix`` call takes the 2 dim points coords +- h F_e of
+    every point.
     """
     h = 0.25
-    d = sig.dim
-    frames = ms.frame_matrix(sig, np.concatenate([coords + h * F.T, coords - h * F.T]))
-    return ((frames[:d] - frames[d:]) / (2 * h)).transpose(1, 0, 2)
+    step = h * F
+    # points of shape (+-, e, ..., dim), the layout frame_matrix batches over
+    points = np.moveaxis(np.stack([coords[:, None] + step, coords[:, None] - step]), 1, -1)
+    frames = ms.frame_matrix(sig, points)
+    return np.moveaxis((frames[0] - frames[1]) / (2 * h), (-2, -1), (0, 2))
 
 
 def _frame_table(sig: ms.SpaceSignature, F: np.ndarray) -> np.ndarray:
@@ -211,11 +221,13 @@ def _frame_table(sig: ms.SpaceSignature, F: np.ndarray) -> np.ndarray:
         nabla_{X_i} xi_a     = nabla_{xi_a} X_i     = -X_{n+i},
         nabla_{X_{n+i}} xi_a = nabla_{xi_a} X_{n+i} = X_i;
 
-    every other pair, the xi-xi block included, is 0.
+    every other pair, the xi-xi block included, is 0.  Batched over trailing
+    axes as ``_frame_derivatives``: F of shape (dim, dim, ...) gives a table
+    of shape (dim, dim, dim, ...).
     """
     n = sig.n
     xi = slice(2 * n, None)
-    table = np.zeros((sig.dim,) * 3)
+    table = np.zeros((sig.dim,) * 3 + F.shape[2:])
     for i in range(n):
         table[xi, i, n + i] = 2.0
         table[xi, n + i, i] = -2.0
@@ -224,50 +236,60 @@ def _frame_table(sig: ms.SpaceSignature, F: np.ndarray) -> np.ndarray:
     return table
 
 
+# name -> tolerance of every connection check, in report order
+_CONNECTION_TOLS = {
+    "lower_index_symmetry": 1e-14,
+    "frame_table": 1e-10,
+    "nabla_xi_is_minus_phi": 1e-10,
+    "metric_compatibility": 1e-5,
+}
+
+
 def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
     """The frame-by-frame connection table, metric compatibility, symmetry
     and the Reeb-field derivative rule, from the coordinate Christoffels.
 
     Each of the 9 signatures of the grid checks max(1, points // 9) random
     points, so the number checked is not ``points`` unless it is a multiple
-    of 9 (``magcurves verify``'s default 50 checks 45)."""
+    of 9 (``magcurves verify``'s default 50 checks 45).  A signature's
+    points are checked together, each with the bits of checking it alone.
+    """
     rng = np.random.default_rng(seed)
-    sym_err, table_err, nabla_xi_err, compat_err = [], [], [], []
+    rows = []  # per signature, the largest error of every check
 
     for (n, s) in _SIG_GRID:
         sig = ms.SpaceSignature(n, s)
         d = sig.dim
         coord_dirs = np.eye(d)
         xis = 2.0 * coord_dirs[2 * n:]  # row a is xi_a
-        for _ in range(max(1, points // len(_SIG_GRID))):
-            c = rng.normal(scale=2.0, size=d)
-            gamma = ms.christoffel_array(sig, c)
-            sym_err.append(np.max(np.abs(gamma - gamma.transpose(0, 2, 1))))
+        # each point draws its c, x, v and w from the stream in turn
+        c, x, v, w = np.moveaxis(
+            rng.normal(scale=2.0, size=(max(1, points // len(_SIG_GRID)), 4, d)), 1, 0)
+        gamma = ms.christoffel_array(sig, c)
 
-            # nabla[:, e, f] = nabla_{F_e} F_f: the derivative of F_f's
-            # coefficients along F_e plus the coordinate Christoffels
-            F = ms.frame_matrix(sig, c)
-            nabla = _frame_derivatives(sig, c, F) + np.einsum("kij,ie,jf->kef", gamma, F, F)
-            table_err.append(np.max(np.abs(nabla - _frame_table(sig, F))))
+        # nabla[:, e, f, p] = nabla_{F_e} F_f at point p: the derivative of
+        # F_f's coefficients along F_e plus the coordinate Christoffels
+        F = np.moveaxis(ms.frame_matrix(sig, c), 0, -1)
+        nabla = _frame_derivatives(sig, c.T, F) + np.einsum("pkij,iep,jfp->kefp", gamma, F, F)
 
-            # nabla_X xi_a = -phi X for constant-component X
-            x = rng.normal(scale=2.0, size=d)
-            nabla_xi = np.einsum("kij,i,aj->ak", gamma, x, xis)
-            nabla_xi_err.append(np.max(np.abs(nabla_xi + ms.phi_comps(sig, c, x))))
+        # nabla_X xi_a = -phi X for constant-component X
+        nabla_xi = np.einsum("pkij,pi,aj->pak", gamma, x, xis)
 
-            # metric compatibility along the coordinate directions (step 1e-5)
-            h = 1e-5
-            v, w = rng.normal(scale=2.0, size=(2, d))
-            lhs = (ms.inner(sig, c + h * coord_dirs, v, w)
-                   - ms.inner(sig, c - h * coord_dirs, v, w)) / (2 * h)
-            rhs = (ms.inner(sig, c, np.einsum("kij,ei,j->ek", gamma, coord_dirs, v), w)
-                   + ms.inner(sig, c, v, np.einsum("kij,ei,j->ek", gamma, coord_dirs, w)))
-            compat_err.append(np.max(np.abs(lhs - rhs)))
+        # metric compatibility along the coordinate directions (step 1e-5)
+        h = 1e-5
+        c1, v1, w1 = c[:, None], v[:, None], w[:, None]
+        lhs = (ms.inner(sig, c1 + h * coord_dirs, v1, w1)
+               - ms.inner(sig, c1 - h * coord_dirs, v1, w1)) / (2 * h)
+        rhs = (ms.inner(sig, c1, np.einsum("pkij,ei,pj->pek", gamma, coord_dirs, v), w1)
+               + ms.inner(sig, c1, v1, np.einsum("pkij,ei,pj->pek", gamma, coord_dirs, w)))
 
-    return [_record("connection", "lower_index_symmetry", sym_err, 1e-14),
-            _record("connection", "frame_table", table_err, 1e-10),
-            _record("connection", "nabla_xi_is_minus_phi", nabla_xi_err, 1e-10),
-            _record("connection", "metric_compatibility", compat_err, 1e-5)]
+        rows.append([np.max(np.abs(gamma - gamma.swapaxes(-1, -2))),
+                     np.max(np.abs(nabla - _frame_table(sig, F))),
+                     np.max(np.abs(nabla_xi + ms.phi_comps(sig, c, x)[:, None])),
+                     np.max(np.abs(lhs - rhs))])
+
+    return [_record("connection", name, err, tol)
+            for (name, tol), err in zip(_CONNECTION_TOLS.items(), np.max(rows, axis=0))]
 
 
 # ---------------------------------------------------------------------------
@@ -296,44 +318,41 @@ def connection_suite(seed: int = 0, points: int = 100) -> list[CheckRecord]:
 _FINE_STEP = 8e-3
 _CURVE_CFG = IntegratorConfig(t_end=5.0, step=_FINE_STEP)
 _CLASSIFICATION_CFG = IntegratorConfig(t_end=2.0, step=_FINE_STEP)
+# the coarse grid of rk4_drift_ratio, whose speed drift falls 16x per halving
+_COARSE_CFGS = [IntegratorConfig(t_end=5.0, step=0.05), IntegratorConfig(t_end=5.0, step=0.025)]
 
 
 class _Plan(NamedTuple):
-    """One suite's share of the fine-step RK4 run: the setups it needs
-    integrated under cfg, and finish(trajectories) -> the suite's records."""
+    """One suite's share of the RK4 run: the setups it needs integrated, the
+    config of each (cfg[i] for setups[i]), and finish(trajectories) -> the
+    suite's records."""
 
     setups: list[MagneticSetup]
-    cfg: IntegratorConfig
+    cfg: list[IntegratorConfig]
     finish: Callable[[list[Trajectory]], list[CheckRecord]]
 
 
 def _run_plans(plans: list[_Plan]) -> list[list[CheckRecord]]:
     """The records of every plan, with all their setups stepped in one
-    ``integrate_many`` batch under the longest config.
+    ``integrate_many`` batch, each under its own config.
 
-    Each plan gets its own trajectories cut back to its own samples.  RK4
-    rows never mix, and every plan's config records each step of
-    ``_FINE_STEP``, so a shorter config's times are a prefix of the longest
-    one's and every cut trajectory has the bits of a run under its own
-    config (the batch stays within the widths where ``integrate_many`` keeps
-    each row's bits).  Running a row past its own config cannot raise a new
-    DivergenceError in verify: a slant curve's (vx, vy) turns at the
-    constant rate w = 2 s cos(theta) - q, and |w| < 1.8 sqrt(3) + 3 < 6.12
+    RK4 rows never mix, so every trajectory has the bits of a run of its
+    setup alone (the batch stays within the widths where ``integrate_many``
+    keeps each row's bits).  The batch steps every row for the longest
+    config's step count (625), so rows with fewer steps run on past their
+    own end, and no row goes nonfinite there: a slant curve's (vx, vy) turns
+    at the constant rate w = 2 s cos(theta) - q, and |w| < 1.8 sqrt(3) + 3 < 6.12
     for every case that ``_random_admissible`` draws, so h|w| < 0.049 at
-    ``_FINE_STEP`` (0.0483 measured over seeds 0-199), far inside RK4's
-    stability limit of 2 sqrt(2).
+    ``_FINE_STEP`` (0.0483 measured over seeds 0-199), while the coarse rows
+    of rk4_drift_ratio (w = -3.6) step to t = 31.25 and 15.625 at h|w| =
+    0.18 and 0.09; all far inside RK4's stability limit of 2 sqrt(2).
     """
     setups = [st for p in plans for st in p.setups]
-    trajs = []
-    if setups:
-        cfg = max((p.cfg for p in plans if p.setups), key=lambda c: c.n_samples)
-        trajs = integrate_many(setups, cfg)
+    trajs = integrate_many(setups, [c for p in plans for c in p.cfg]) if setups else []
     out = []
     for p in plans:
-        m = p.cfg.n_samples
         own, trajs = trajs[:len(p.setups)], trajs[len(p.setups):]
-        out.append(p.finish([Trajectory(t.sig, t.times[:m], t.points[:m], t.velocities[:m],
-                                        q=t.q) for t in own]))
+        out.append(p.finish(own))
     return out
 
 
@@ -346,15 +365,18 @@ def _slant_setup(n: int, s: int, q: float, cos_theta: float,
 
 def _curve_plan(seed: int) -> _Plan:
     # the circle, the Legendre helix and a closed-form trajectory, which is
-    # sampled on the integrator's own recorded times
+    # sampled on the integrator's own recorded times, then one slant circle
+    # on each coarse grid
     params = random_params(ms.SpaceSignature(1, 1), q=2.0, cos_theta=0.5, seed=seed)
     exact = sample_case_a(params, _CURVE_CFG.times)
     setups = [_slant_setup(1, 1, 2.0, 0.5), _slant_setup(1, 2, 1.5, 0.0), params.setup()]
-    return _Plan(setups, _CURVE_CFG, functools.partial(_curve_checks, exact))
+    coarse = _slant_setup(1, 1, 4.0, 0.2)
+    return _Plan(setups + [coarse] * len(_COARSE_CFGS), [_CURVE_CFG] * len(setups) + _COARSE_CFGS,
+                 functools.partial(_curve_checks, exact))
 
 
 def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecord]:
-    traj, traj_h, traj_cf = trajs
+    traj, traj_h, traj_cf, coarse1, coarse2 = trajs
     out: list[CheckRecord] = []
 
     # canonical slant circle: n=1, s=1, q=2, cos theta = 1/2
@@ -364,13 +386,10 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     out.append(_record("curves", "lorentz_fd_residual", residual(traj, 2.0), 1e-4))
     out.append(_record("curves", "circle_kappa1", abs(circle.kappa1 - math.sqrt(3.0)), 1e-4))
     out.append(_record("curves", "circle_kappa2", circle.kappa2, 1e-4))
-    out.append(_record("curves", "circle_order",
-                       abs(osculating_order(circle.series, 1e-3) - 2), 0.0))
+    out.append(_record("curves", "circle_order", abs(circle.osculating_order(1e-3) - 2), 0.0))
 
     # fourth-order drift decay on a coarse grid
-    coarse = _slant_setup(1, 1, 4.0, 0.2)
-    d1 = speed_drift(integrate(coarse, IntegratorConfig(t_end=5.0, step=0.05)))
-    d2 = speed_drift(integrate(coarse, IntegratorConfig(t_end=5.0, step=0.025)))
+    d1, d2 = speed_drift(coarse1), speed_drift(coarse2)
     ratio = d1 / d2 if d2 != 0 else math.inf  # a NaN drift gives a NaN ratio
     out.append(_record("curves", "rk4_drift_ratio", 12.0 - min(ratio, 12.0), 0.0))
 
@@ -490,7 +509,7 @@ def _classification_plan(seed: int, cases: int) -> _Plan:
         n = int(rng.integers(1, 3))
         q, ct = _random_admissible(rng, s)
         drawn.append((s, q, ct, _slant_setup(n, s, q, ct, direction=rng.normal(size=2 * n))))
-    return _Plan([setup for *_, setup in drawn], _CLASSIFICATION_CFG,
+    return _Plan([setup for *_, setup in drawn], [_CLASSIFICATION_CFG] * len(drawn),
                  functools.partial(_classification_checks, out, drawn))
 
 
@@ -500,14 +519,16 @@ def _classification_checks(before: list[CheckRecord], drawn: list,
     curv_err = []
     frenet_err = []  # the Frenet medians, which got's curvatures (from the fitted q) skip
     for (s, q, ct, _), traj in zip(drawn, trajs):
-        m = Measurement(traj, frenet_apparatus(traj))
-        got = classify_trajectory(traj, m.series, tol=1e-3)
+        got = classify_trajectory(traj, frenet_apparatus(traj), tol=1e-3)
         want = predict_class(q, ct, s)
         if got.kind != want.kind:
             kind_mismatches += 1
         else:
             curv_err += [abs(got.kappa1 - want.kappa1), abs(got.kappa2 - want.kappa2)]
-        frenet_err += [abs(m.kappa1 - want.kappa1), abs(m.kappa2 - want.kappa2)]
+        # measured reports a NaN median as None; as NaN it fails the check
+        k1, k2 = (math.nan if got.measured[k] is None else got.measured[k]
+                  for k in ("kappa1", "kappa2"))
+        frenet_err += [abs(k1 - want.kappa1), abs(k2 - want.kappa2)]
     return before + [
         _record("classification", "empirical_kind_agreement", float(kind_mismatches), 0.0),
         _record("classification", "empirical_curvature_agreement", curv_err, 1e-3),

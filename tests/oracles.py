@@ -9,6 +9,9 @@ independently of the code they check.
 * ``rk4_reference``: classical RK4 of the Lorentz equation for one setup, as
   a plain loop on a single state; the package's batched driver must give its
   bits.
+* ``connection_errors``: verify's connection suite as a loop over single
+  points, each with its own Christoffel symbols, frame and contractions;
+  ``verify.connection_suite`` must give its errors bit for bit.
 * ``classification_formula_checks``: the formula checks of verify's
   classification suite and its case draws, written plainly (``rng.choice``
   for signs, ``np.full`` for slant cosines, one library call per draw);
@@ -21,6 +24,7 @@ import math
 import numpy as np
 
 from magcurves import CaseAParams, SpaceSignature, Trajectory, dynamics
+from magcurves import model_space as ms
 from magcurves.classify import (CurveKind, _slant_class, invert_q, order_bound_curvatures,
                                 predict_class)
 from magcurves.errors import DivergenceError
@@ -205,3 +209,51 @@ def classification_formula_checks(seed, cases):
         q, ct = _admissible(rng, s)
         drawn.append((s, n, q, ct, rng.normal(size=2 * n)))
     return errs, drawn
+
+
+def connection_errors(seed, points):
+    """The largest error of each of verify's connection checks, by check
+    name, from one point at a time of every signature in the grid, the
+    point's c, x, v and w drawn in turn from one seeded stream."""
+    rng = np.random.default_rng(seed)
+    errs = {name: [] for name in ("lower_index_symmetry", "frame_table",
+                                  "nabla_xi_is_minus_phi", "metric_compatibility")}
+    grid = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
+    for n, s in grid:
+        sig = SpaceSignature(n, s)
+        d = sig.dim
+        coord_dirs = np.eye(d)
+        xis = 2.0 * coord_dirs[2 * n:]
+        for _ in range(max(1, points // len(grid))):
+            c = rng.normal(scale=2.0, size=d)
+            gamma = ms.christoffel_array(sig, c)
+            errs["lower_index_symmetry"].append(np.max(np.abs(gamma - gamma.transpose(0, 2, 1))))
+
+            # nabla_{F_e} F_f: central differences of the frame along F_e
+            # (exact, the frame is linear in the point) plus the Christoffels
+            F = ms.frame_matrix(sig, c)
+            dF = np.stack([(ms.frame_matrix(sig, c + 0.25 * F[:, e])
+                            - ms.frame_matrix(sig, c - 0.25 * F[:, e])) / 0.5
+                           for e in range(d)], axis=1)
+            nabla = dF + np.einsum("kij,ie,jf->kef", gamma, F, F)
+            table = np.zeros((d, d, d))
+            for i in range(n):
+                table[2 * n:, i, n + i] = 2.0
+                table[2 * n:, n + i, i] = -2.0
+                table[:, i, 2 * n:] = table[:, 2 * n:, i] = -F[:, n + i, None]
+                table[:, n + i, 2 * n:] = table[:, 2 * n:, n + i] = F[:, i, None]
+            errs["frame_table"].append(np.max(np.abs(nabla - table)))
+
+            x = rng.normal(scale=2.0, size=d)
+            nabla_xi = np.einsum("kij,i,aj->ak", gamma, x, xis)
+            errs["nabla_xi_is_minus_phi"].append(
+                np.max(np.abs(nabla_xi + ms.phi_comps(sig, c, x))))
+
+            h = 1e-5
+            v, w = rng.normal(scale=2.0, size=(2, d))
+            lhs = (ms.inner(sig, c + h * coord_dirs, v, w)
+                   - ms.inner(sig, c - h * coord_dirs, v, w)) / (2 * h)
+            rhs = (ms.inner(sig, c, np.einsum("kij,ei,j->ek", gamma, coord_dirs, v), w)
+                   + ms.inner(sig, c, v, np.einsum("kij,ei,j->ek", gamma, coord_dirs, w)))
+            errs["metric_compatibility"].append(np.max(np.abs(lhs - rhs)))
+    return {name: float(np.max(e)) for name, e in errs.items()}

@@ -550,11 +550,73 @@ def test_memory_guard_counts_the_allocated_bytes(monkeypatch):
         trajs = integrate_many(setups, cfg)
         assert counted == [_owned_bytes(trajs)]
     assert _owned_bytes(trajs) > 8 * (sum(2 * st.sig.dim for st in mixed) + 1) * cfg.n_samples
+    # per-setup configs: rows shorter than the batch copy their own samples,
+    # and rows that share a config share its times; the (2, 3) row keeps a
+    # view of the batch's samples, which the owned bytes then count
+    short = IntegratorConfig(t_end=0.05, step=1e-2, record_every=3)
+    coarse = IntegratorConfig(t_end=0.1, step=2e-2, record_every=3)
+    for setups in (uniform, mixed):
+        counted.clear()
+        trajs = integrate_many(setups, [short, cfg, coarse, cfg][:len(setups)])
+        assert counted == [_owned_bytes(trajs)]
 
 
 def test_integrate_many_rejects_bad_batches():
     with pytest.raises(ValueError):
         integrate_many([], IntegratorConfig(t_end=0.1, step=1e-2))
+
+
+def test_integrate_many_rejects_mismatched_configs():
+    setups = [slant_setup(1, 1, 2.0, 0.5), slant_setup(2, 1, -1.5, 0.3)]
+    with pytest.raises(ValueError, match="one config per setup"):
+        integrate_many(setups, [IntegratorConfig(t_end=0.1, step=1e-2)])
+    with pytest.raises(ValueError, match="record_every"):
+        integrate_many(setups, [IntegratorConfig(t_end=0.1, step=1e-2),
+                                IntegratorConfig(t_end=0.1, step=1e-2, record_every=2)])
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+def test_per_setup_configs_give_each_row_its_own_run(record_every):
+    # rows of one batch under their own steps and step counts (verify's mix
+    # of 8e-3, 0.05 and 0.025 among them), padded and unpadded, each with the
+    # bits, samples and times of integrate under its own config
+    rng = np.random.default_rng(23)
+    setups = [st for n, s in [(1, 1), (2, 3), (1, 2), (2, 1)]
+              for st in _slant_cases(rng, SpaceSignature(n, s))[:2]]
+    grid = [IntegratorConfig(t_end=0.6, step=8e-3, record_every=record_every),
+            IntegratorConfig(t_end=0.6, step=0.05, record_every=record_every),
+            IntegratorConfig(t_end=0.6, step=0.025, record_every=record_every),
+            IntegratorConfig(t_end=0.2, step=8e-3, record_every=record_every)]
+    cfgs = [grid[k % len(grid)] for k in range(len(setups))]
+    many = integrate_many(setups, cfgs)
+    for setup, cfg, row in zip(setups, cfgs, many):
+        one = integrate(setup, cfg)
+        assert row.sig == setup.sig and row.q == setup.q
+        assert_same_bits(row.times, cfg.times)
+        assert_same_bits(row.points, one.points)
+        assert_same_bits(row.velocities, one.velocities)
+    # one config for every setup is the same batch as a list of it
+    for row, want in zip(integrate_many(setups, grid[0]), integrate_many(setups, [grid[0]] * 8)):
+        assert_same_bits(row.points, want.points)
+
+
+def test_a_row_that_diverges_after_its_own_end_raises_nothing():
+    # the blow-up diverges at t = 0.05 under step 0.01: a batch that steps it
+    # past that for a longer row raises only when the blow-up's own config
+    # reaches it
+    blowup = slant_setup(2, 2, 400.0, 0.3, direction=[0.3, -0.8, 0.5, 0.1])
+    calm = slant_setup(1, 1, 2.0, 0.5)
+    long_ = IntegratorConfig(t_end=1.0, step=0.01)
+    with pytest.raises(DivergenceError) as alone:
+        integrate(blowup, long_)
+    short = IntegratorConfig(t_end=round(alone.value.t_last, 2), step=0.01)
+    calm_row, blowup_row = integrate_many([calm, blowup], [long_, short])
+    assert_same_bits(calm_row.points, integrate(calm, long_).points)
+    assert_same_bits(blowup_row.points, integrate(blowup, short).points)
+    assert np.all(np.isfinite(blowup_row.points))
+    with pytest.raises(DivergenceError) as batched:
+        integrate_many([calm, blowup], [long_, long_])
+    assert str(batched.value) == str(alone.value)
 
 
 def test_q_sign_symmetry_via_residuals():

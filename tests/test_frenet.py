@@ -346,3 +346,24 @@ def test_run_all_takes_one_frenet_apparatus_per_analysed_trajectory(monkeypatch)
     verify.run_all(0, samples=10, points=9, cases=3)
     assert len(calls) == 2 + 3  # the circle, the Legendre helix and the 3 cases
     assert len({id(traj) for _, traj in calls}) == len(calls)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-3, 1.0, 10.0])
+def test_measurement_order_is_osculating_order(circle_traj, helix_traj, geodesic_traj, tol):
+    for traj in (circle_traj, helix_traj, geodesic_traj):
+        series = frenet_apparatus(traj)
+        assert frenet.Measurement(traj, series).osculating_order(tol) == osculating_order(
+            series, tol)
+
+
+def test_run_all_takes_each_curvature_median_once(monkeypatch):
+    # circle_order walks the circle's record, and the classification checks
+    # read each case's Frenet medians from classify_trajectory's record
+    medians = []
+    monkeypatch.setattr(frenet, "_nanmedian", _counting(medians, "", frenet._nanmedian))
+    verify.run_all(0, samples=10, points=9, cases=3)
+    ids = [id(arr) for _, arr in medians]
+    assert len(ids) == len(set(ids))
+    # kappa1 and kappa2 of the circle, of the helix and of each case, and
+    # kappa3 of the helix and of each case that classify_trajectory dispatches
+    assert len(ids) >= 2 * 2 + 2 * 3 + 1

@@ -258,6 +258,18 @@ def test_christoffel_symmetry(n, s):
 
 
 @pytest.mark.parametrize("n,s", SIG_GRID)
+def test_batched_christoffels_have_the_bits_of_each_point(n, s):
+    # leading batch axes give every point the bits of its own symbols, and of
+    # its own inverse metric and metric derivatives
+    sig = ms.SpaceSignature(n, s)
+    points = np.random.default_rng(19).normal(scale=2.0, size=(2, 3, sig.dim))
+    for fn in (ms.christoffel_array, ms.inverse_metric_matrix, ms.metric_derivatives):
+        batched = fn(sig, points)
+        for i, j in np.ndindex(2, 3):
+            assert_same_bits(batched[i, j], fn(sig, points[i, j]))
+
+
+@pytest.mark.parametrize("n,s", SIG_GRID)
 def test_gamma_bilinear_matches_tensor(n, s):
     sig = ms.SpaceSignature(n, s)
     rng = np.random.default_rng(17)

@@ -54,6 +54,21 @@ def test_nan_curvatures_fail_their_classification_checks(monkeypatch):
         assert math.isnan(records[name].max_err) and not records[name].passed, name
 
 
+def test_a_nan_frenet_median_fails_empirical_frenet_curvature(monkeypatch):
+    # classify_trajectory reports an all-NaN kappa2 series' median as None;
+    # the check reads it back as NaN, the largest error
+    real = verify.frenet_apparatus
+
+    def nan_kappa2(traj):
+        series = real(traj)
+        return dataclasses.replace(series, kappa2=np.full_like(series.kappa2, math.nan))
+
+    monkeypatch.setattr(verify, "frenet_apparatus", nan_kappa2)
+    record = {r.name: r for r in classification_suite(seed=0, cases=2)}[
+        "empirical_frenet_curvature"]
+    assert math.isnan(record.max_err) and not record.passed
+
+
 def test_frame_table_checks_the_xi_xi_block(monkeypatch):
     # shift only nabla_{xi_a} xi_b: the coefficient derivatives of the xi
     # columns along a xi direction (a direction with no x or y part)
@@ -148,11 +163,11 @@ def test_reports_identical_for_fixed_seed():
 
 def test_batched_runs_match_per_setup_integrate(monkeypatch):
     # the batched engine is an execution detail: a per-setup integrate loop
-    # in its place gives the same report
+    # in its place, each setup under its own config, gives the same report
     small = dict(samples=20, points=9)
     batched = [run_all(seed, **small) for seed in range(3)]
     monkeypatch.setattr(verify, "integrate_many",
-                        lambda setups, cfg: [integrate(st, cfg) for st in setups])
+                        lambda setups, cfgs: [integrate(st, c) for st, c in zip(setups, cfgs)])
     assert [run_all(seed, **small) for seed in range(3)] == batched
 
 
@@ -171,16 +186,49 @@ def test_run_all_matches_standalone_suites(seed, cases):
 
 
 def test_run_all_steps_one_fine_batch(monkeypatch):
+    # the curve suite's 3 fine and 2 coarse rows and the 5 cases, in one
+    # batch that steps for the curve config's 625 steps; integrate unused
     calls = []
     real = verify.integrate_many
 
-    def spy(setups, cfg):
-        calls.append((len(setups), cfg.step, cfg.n_steps))
-        return real(setups, cfg)
+    def spy(setups, cfgs):
+        calls.append([(c.step, c.n_steps) for c in cfgs])
+        return real(setups, cfgs)
+
+    def refuse(*args):
+        raise AssertionError("run_all steps every trajectory in its one batch")
 
     monkeypatch.setattr(verify, "integrate_many", spy)
+    monkeypatch.setattr(verify, "integrate", refuse)
     run_all(0, samples=10, points=9, cases=5)
-    assert calls == [(3 + 5, verify._FINE_STEP, verify._CURVE_CFG.n_steps)]
+    fine = (verify._FINE_STEP, verify._CURVE_CFG.n_steps)
+    assert calls == [[fine] * 3 + [(0.05, 100), (0.025, 200)]
+                     + [(verify._FINE_STEP, verify._CLASSIFICATION_CFG.n_steps)] * 5]
+    assert max(n for _, n in calls[0]) == fine[1] == 625
+
+
+def test_coarse_drifts_have_the_bits_of_integrate():
+    # the report prints 0.0 for any drift ratio of 12 or more (seed 0's is
+    # 29.7), so the coarse drifts themselves are pinned, row by row
+    plan = verify._curve_plan(0)
+    trajs = verify.integrate_many(plan.setups, plan.cfg)
+    coarse = verify._slant_setup(1, 1, 4.0, 0.2)
+    for traj, step in zip(trajs[3:], (0.05, 0.025)):
+        alone = integrate(coarse, dynamics.IntegratorConfig(t_end=5.0, step=step))
+        assert float.hex(dynamics.speed_drift(traj)) == float.hex(dynamics.speed_drift(alone))
+    d1, d2 = (dynamics.speed_drift(t) for t in trajs[3:])
+    assert 12.0 < d1 / d2 < 32.0
+
+
+@pytest.mark.parametrize("points", [9, 50, 90])
+def test_connection_suite_has_the_bits_of_the_per_point_loop(points):
+    # each signature's points checked at once give the records of checking
+    # them one at a time, the random stream drawn in the same order
+    for seed in range(40):
+        got = connection_suite(seed, points)
+        want = oracles.connection_errors(seed, points)
+        assert [r.name for r in got] == list(want)
+        assert [float.hex(r.max_err) for r in got] == [float.hex(e) for e in want.values()]
 
 
 # (suite, name, tol) of every record of a report, in report order
@@ -231,14 +279,17 @@ def test_default_report_has_fixed_checks_and_tolerances_and_passes(seed):
 def test_fine_step_is_far_inside_rk4_stability():
     # A slant curve's (vx, vy) turns at the constant rate w = 2 sum_a
     # eta^a(T0) - q; RK4 is stable for h|w| up to 2 sqrt(2), and the batch
-    # runs each curve under the longest plan's config.
-    hw = []
+    # steps every row for the longest config's step count, each at its own
+    # step.
+    fine, coarse = [], []
     for seed in range(200):
         for plan in (verify._curve_plan(seed), verify._classification_plan(seed, 5)):
-            for st in plan.setups:
+            for st, cfg in zip(plan.setups, plan.cfg):
                 w = 2.0 * np.sum(ms.eta_comps(st.sig, st.p0, st.T0)) - st.q
-                hw.append(verify._FINE_STEP * abs(w))
-    assert max(hw) < 0.05
+                (fine if cfg.step == verify._FINE_STEP else coarse).append(cfg.step * abs(w))
+    assert max(fine) < 0.05
+    # the coarse rows of rk4_drift_ratio, w = -3.6: 0.18 at step 0.05
+    assert max(coarse) == pytest.approx(0.18, rel=1e-12) and max(coarse) < 2 * math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
