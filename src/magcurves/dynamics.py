@@ -253,11 +253,18 @@ def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.n
                 raise ValueError(
                     f"direction must have length 2n={2 * sig.n}, got shape {u.shape}"
                 )
-            unorm = np.linalg.norm(u)
-            if unorm == 0:
+            big = np.max(np.abs(u))
+            if big == 0:
                 raise DegenerateDirectionError(
                     "direction must be nonzero when the contact part of T0 is nonzero"
                 )
+            with np.errstate(over="ignore", under="ignore"):
+                unorm = np.linalg.norm(u)
+            if not 1e-150 < unorm < 1e150:
+                # squares of entries like 1e308 or 1e-300 overflow or underflow
+                # the norm; scaled to a largest entry of 1 they do not
+                u = u / big
+                unorm = np.linalg.norm(u)
             u = u / unorm
         comps = comps + contact_norm * (frame[:, :2 * sig.n] @ u)
     return comps

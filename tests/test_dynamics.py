@@ -218,6 +218,22 @@ def test_initial_tangent_errors():
     assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("direction,unit", [
+    ([0.0, 1e308], [0.0, 1.0]),
+    ([-1e308, 1e308], [-1.0, 1.0]),
+    ([1e-300, 0.0], [1.0, 0.0]),
+    ([5e-324, -5e-324], [1.0, -1.0]),
+])
+def test_initial_tangent_direction_of_extreme_size(direction, unit):
+    # a direction whose squared entries over- or underflow points where its
+    # unit-sized multiple does
+    sig = SpaceSignature(1, 1)
+    p0 = np.array([0.3, -0.2, 0.1])
+    T0 = initial_tangent(sig, p0, [0.5], direction)
+    assert np.abs(T0 - initial_tangent(sig, p0, [0.5], unit)).max() < 1e-15
+    assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # integration
 # ---------------------------------------------------------------------------
