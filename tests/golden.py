@@ -35,6 +35,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from magcurves import SpaceSignature, random_params  # noqa: E402
+from magcurves.classify import _DISPATCH_BAND  # noqa: E402
 from magcurves.cli import main  # noqa: E402
 
 TABLE = Path(__file__).resolve().parent / "golden.json"
@@ -56,6 +57,36 @@ _ROUNDTRIP_GRID = {"t_end": 0.5, "step": 0.01}
 # (n, s, cos theta, q) of the integrate runs
 _INTEGRATES = [(1, 1, 0.3, 2.0), (2, 3, 0.25, -1.2)]
 
+# classify --config at each boundary of predict_class's dispatch, for
+# s = 1..3, at these multiples of its band: the geodesic |cos theta| =
+# 1/sqrt(s) from the feasible side at both signs, the slant circle cos theta
+# = 1/q with |q| > sqrt(s), and the Legendre helix cos theta = 0
+_OFFSETS = (0.0, 0.5, -0.5, 2.0, -2.0)
+_CIRCLE_Q = {1: 2.0, 2: -2.5, 3: 3.0}
+
+
+def _boundaries():
+    """(name, config) of every boundary cell."""
+    for s in (1, 2, 3):
+        g = 1.0 / math.sqrt(s)
+        for name, q, cos_theta, offsets in (
+                ("geodesic", 1.5, g, [k for k in _OFFSETS if k <= 0]),
+                ("neg-geodesic", -1.5, -g, [k for k in _OFFSETS if k >= 0]),
+                ("circle", _CIRCLE_Q[s], 1.0 / _CIRCLE_Q[s], _OFFSETS),
+                ("legendre", 1.5, 0.0, _OFFSETS)):
+            for k in offsets:
+                yield (f"classify-s{s}-{name}{k:+g}band",
+                       {"s": s, "q": q, "cos_theta": cos_theta + k * _DISPATCH_BAND})
+    # unequal cosines, on both sides of the width-8 switch of the sums
+    for s in (2, 3, 7, 8):
+        yield (f"classify-cosines{s}",
+               {"s": s, "q": 1.7, "cosines": [(-1) ** k * (k + 1) / (s + 1) ** 1.5
+                                              for k in range(s)]})
+
+
+# invert over each case with curvatures and both signs: (case, s, kappa1, kappa2)
+_INVERTS = [("ii", 2, 1.3, math.sqrt(2.0)), ("iii", 3, 0.9, 0.0), ("iv", 1, 1.1, 0.6)]
+
 
 def environment() -> dict:
     cpuinfo = Path("/proc/cpuinfo")
@@ -73,6 +104,7 @@ def _configs() -> dict[str, dict]:
     for n, s, ct, q in _INTEGRATES:
         docs[f"integrate{n}{s}.json"] = {"n": n, "s": s, "cos_theta": ct, "q": q,
                                          "t_end": 2.0, "step": 0.02}
+    docs.update((f"{name}.json", doc) for name, doc in _boundaries())
     return docs
 
 
@@ -88,7 +120,20 @@ for _i in range(len(_ROUNDTRIPS)):
 for _n, _s, *_ in _INTEGRATES:
     RUNS += [(f"integrate{_n}{_s}.stdout", ["integrate", "--config", f"integrate{_n}{_s}.json",
                                             "--out", f"integrate{_n}{_s}.csv"],
-              [f"integrate{_n}{_s}.csv"])]
+              [f"integrate{_n}{_s}.csv"]),
+             (f"integrate{_n}{_s}-json.stdout",
+              ["integrate", "--config", f"integrate{_n}{_s}.json", "--out",
+               f"integrate{_n}{_s}-traj", "--format", "json"], [f"integrate{_n}{_s}-traj.json"])]
+for _i in range(len(_ROUNDTRIPS)):
+    RUNS += [(f"closed-form{_i}-json.stdout",
+              ["closed-form", "--config", f"roundtrip{_i}.json", "--out", f"roundtrip{_i}-traj",
+               "--format", "json"], [f"roundtrip{_i}-traj.json"])]
+RUNS += [(f"{_name}.stdout", ["classify", "--config", f"{_name}.json"], [])
+         for _name, _ in _boundaries()]
+RUNS += [(f"invert-{_case}-eps{_eps:+d}-branch{_branch:+d}.stdout",
+          ["invert", "--kappa1", repr(_k1), "--kappa2", repr(_k2), "--s", str(_s),
+           "--case", _case, "--eps", str(_eps), "--branch", str(_branch)], [])
+         for _case, _s, _k1, _k2 in _INVERTS for _eps in (1, -1) for _branch in (1, -1)]
 
 
 def outputs(workdir: Path) -> dict[str, bytes]:
