@@ -15,6 +15,11 @@ Cases (each a ``layer`` with its unit of work):
 * ``frenet.apparatus`` and ``classify.trajectory``: on the 2001-sample exact
   trajectory of every (n, s) in {1, 2, 3}^2 and of (9, 1), whose component
   sums are 8 or more wide, in microseconds per sample;
+* ``dynamics.check_angles`` at widths 1, 3 and 8, and
+  ``classify.order_bound_curvatures`` and ``classify.predict_class`` at
+  s = 3: the formula checks verify makes about 2,000 times per report, on
+  slant cosines given as a list (as verify gives them), 1000 calls,
+  microseconds per call;
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
 * ``dynamics.integrate_many``: n = s = 2 at B = 1, 5, 10, 64 (1000 steps)
   and 1024 (100 steps), microseconds per row-step; 5 is the batch of
@@ -48,7 +53,7 @@ import harness
 
 GRID = [(n, s) for n in (1, 2, 3) for s in (1, 2, 3)]
 FRENET_GRID = GRID + [(9, 1)]
-RHS_CALLS = 1000
+CALLS = 1000
 SAMPLES = 2001
 STEP = 1e-3
 SWEEP_SEED = 1
@@ -83,16 +88,24 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
         out.append(({"layer": "dynamics.exact_flow", "n": n, "s": s, "unit": "us/sample"},
                     SAMPLES, functools.partial(mc.exact_flow, _setup(mc, n, s, [n, s]), times)))
 
-    def rhs_calls(args, rhs=mc.dynamics._rhs):
-        for _ in range(RHS_CALLS):
-            rhs(*args)
+    def calls(fn, *args):
+        for _ in range(CALLS):
+            fn(*args)
 
     rng = np.random.default_rng(2)
     for batch, args in ((1, (2, 1.5, 2, np.ones(2), rng.normal(size=12))),
                         (5, (2, rng.normal(size=5), np.full(5, 2.0), np.ones((5, 2)),
                              rng.normal(size=(5, 12))))):
         out.append(({"layer": "dynamics._rhs", "n": 2, "s": 2, "B": batch, "unit": "us/call"},
-                    RHS_CALLS, functools.partial(rhs_calls, args)))
+                    CALLS, functools.partial(calls, mc.dynamics._rhs, *args)))
+
+    for width in (1, 3, 8):
+        out.append(({"layer": "dynamics.check_angles", "s": width, "unit": "us/call"}, CALLS,
+                    functools.partial(calls, mc.dynamics.check_angles, [0.3] * width)))
+    for name, args in (("order_bound_curvatures", (1.7, [0.3] * 3)),
+                       ("predict_class", (1.7, 0.3, 3))):
+        out.append(({"layer": f"classify.{name}", "s": 3, "unit": "us/call"}, CALLS,
+                    functools.partial(calls, getattr(mc, name), *args)))
 
     for n, s in FRENET_GRID:
         traj = mc.exact_flow(_setup(mc, n, s, [n, s]), times)

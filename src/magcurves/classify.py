@@ -30,7 +30,7 @@ from enum import Enum
 import numpy as np
 
 from . import model_space as ms
-from .dynamics import Trajectory, _sum_in_order, check_angles
+from .dynamics import Trajectory, check_angles
 from .errors import InconsistentCaseError, typed_number
 from .frenet import FrenetSeries, Measurement
 
@@ -146,7 +146,7 @@ def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
     """
     if q == 0:
         raise ValueError("q must be nonzero")
-    check_angles([cos_theta] * s)
+    check_angles([cos_theta] * ms.positive_int("s", s))
     if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
         kind = CurveKind.GEODESIC
     elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and check_circle_existence(q, s):
@@ -162,15 +162,14 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     """(k1, k2) of a normal magnetic curve with per-direction contact values.
 
     Valid without the slant assumption; with equal cosines it reduces to the
-    slant formulas.  k2 factors q^2 out of its sum where q^2 overflows.
+    slant formulas.  The cosines must pass ``check_angles``, which gives A;
+    B adds in the same bit order (that of ``model_space``).  k2 factors q^2
+    out of its sum where q^2 overflows.
     """
     cos = np.asarray(cosines, dtype=float)
-    s = cos.shape[-1]
     a_sum = check_angles(cos)
-    if cos.ndim == 1 and s < ms._COLUMN_ADD_WIDTH:  # np.sum's bits, as check_angles takes them
-        b_sum = _sum_in_order(cos.tolist())
-    else:
-        b_sum = float(np.sum(cos))
+    s = len(cos)
+    b_sum = ms._scalar_sum(cos.tolist())
     k1 = abs(q) * math.sqrt(max(0.0, 1.0 - a_sum))
     k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
     if not math.isfinite(k2sq):
@@ -255,7 +254,7 @@ def rho(cos_theta: float, s: int) -> float:
     resolved here.  The angle must pass ``check_angles`` as in
     ``predict_class``.
     """
-    check_angles(np.full(s, cos_theta))
+    check_angles(np.full(ms.positive_int("s", s), cos_theta))
     return math.sqrt(max(0.0, s - s * s * cos_theta * cos_theta))
 
 

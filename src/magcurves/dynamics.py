@@ -139,8 +139,8 @@ class Trajectory:
     The (N, dim) arrays are stored column-major, so each coordinate's series
     is contiguous; arrays in another layout are copied here, the one place
     that fixes the layout.  Component sums give the same bits in any layout
-    (``model_space._rowsum``); a sum over the samples does not, so each such
-    sum (``frenet.Measurement.cosines``) runs on a C-ordered copy.
+    (the bit order of ``model_space``); a sum over the samples does not, so
+    each such sum (``frenet.Measurement.cosines``) runs on a C-ordered copy.
     """
 
     sig: ms.SpaceSignature
@@ -183,36 +183,21 @@ class Trajectory:
         return ms.eta_comps(self.sig, self.points, self.velocities)
 
 
-def _sum_in_order(values) -> float:
-    """0.0 + values[0] + values[1] + ..., added in Python floats in that
-    order: the bits of np.sum on a 1-D float array shorter than 8
-    (``model_space._COLUMN_ADD_WIDTH``), without numpy's per-call cost.
-    (The builtin sum may compensate its rounding, as from Python 3.12.)"""
-    total = 0.0
-    for v in values:
-        total += v
-    return total
-
-
 def check_angles(cosines) -> float:
     """sum_a cos^2(theta_a) of the contact angles, checked realizable.
 
-    A unit tangent has eta^a(T) = cos(theta_a) for every a exactly when the
-    sum is at most 1; for slant angles that is |cos(theta)| <= 1/sqrt(s).
-    The sum gets 1e-12 of slack, so that cosines rounded from 1/sqrt(s)
-    pass; a larger sum, or NaN, raises InfeasibleAngleError.
-
-    The sum has the bits of np.sum(cos * cos).  A 1-D input shorter than 8
-    is summed in Python floats as 0.0 + c_0^2 + c_1^2 + ..., in that order,
-    which is how np.sum adds a row that short (see ``_sum_in_order``); from
-    width 8 on, where np.sum adds pairwise, np.sum takes it.
+    This is the one check of contact-angle input: cosines must be a
+    nonempty 1-D sequence, else ValueError.  A unit tangent has eta^a(T) =
+    cos(theta_a) for every a exactly when the sum is at most 1; for slant
+    angles that is |cos(theta)| <= 1/sqrt(s).  The sum gets 1e-12 of slack,
+    so that cosines rounded from 1/sqrt(s) pass; a larger sum, or NaN,
+    raises InfeasibleAngleError.  The sum has the bits of np.sum(cos * cos)
+    (the bit order of ``model_space``).
     """
     cos = np.asarray(cosines, dtype=float)
-    if cos.ndim == 1 and len(cos) < ms._COLUMN_ADD_WIDTH:
-        a_sum = _sum_in_order([c * c for c in cos.tolist()])  # an overflow is inf
-    else:
-        with np.errstate(over="ignore"):  # an overflowing sum is inf, and rejected below
-            a_sum = float(np.sum(cos * cos))
+    if cos.ndim != 1 or len(cos) == 0:
+        raise ValueError(f"contact angles must be a nonempty 1-D sequence, got shape {cos.shape}")
+    a_sum = ms._scalar_sum([c * c for c in cos.tolist()])  # an overflow is inf
     if not a_sum <= 1.0 + _FEASIBILITY_SLACK:
         raise InfeasibleAngleError(
             f"sum of squared cosines exceeds 1 by {a_sum - 1.0:.3g} "
@@ -359,9 +344,9 @@ def integrate_many(setups, cfg) -> list[Trajectory]:
     after its own end raises nothing.
 
     A batch is padded to its largest n and s.  The padding adds exact zeros
-    to each row's sums, so each row has the bits of its setup alone while the
-    sums add in order, up to n = 15 and s = 7; from n = 16 BLAS ddot, and
-    from s = 8 numpy's sum, add in blocks and the last bits can differ.
+    to each row's sums, so each row has the bits of its setup alone while
+    they add in order (the bit order of ``model_space``): up to n = 15 for
+    BLAS ddot and s = 7 for np.sum.
     Rows that take every recorded sample at the batch's width return views
     of them; padded or shorter rows copy their own columns and samples.  If
     any setup diverges, raises the DivergenceError of the first in list

@@ -28,12 +28,16 @@ leading batch axes.  ``frame_matrix`` and the Christoffel helpers check
 their points (last axis of length 2n + s, finite).  The Reeb field xi_a is the constant array with 2
 in slot z_a.
 
-Layout and reduction order.  Sampled curves are stored column-major: an
-(N, 2n + s) array of samples is F-contiguous, so each coordinate's series
-is contiguous (``dynamics.Trajectory`` fixes this).  The batched operations
-take any layout and give the same bits for all of them: every sum over the
-component axis is ``_rowsum``, whose order of additions does not depend on
-how the array is laid out, and their outputs follow the inputs' layout.
+Bit order of the sums.  Sampled curves are stored column-major, each
+coordinate's series contiguous (``dynamics.Trajectory`` fixes this), but
+every sum over components or contact angles has the bits of np.sum on a
+C-contiguous row, so no result depends on the layout: a row shorter than 8
+(``_COLUMN_ADD_WIDTH``) adds as 0.0 + v_0 + v_1 + ... in that order, signed
+zeros and NaN included, and from 8 on np.sum adds it pairwise.  ``_rowsum``
+sums the last axis of an array, ``_scalar_sum`` a 1-D sequence (the
+contact-angle sums of ``dynamics.check_angles`` and
+``classify.order_bound_curvatures``).  The dot products of ``dynamics._rhs``
+and ``inverse_metric_matrix`` are np.vecdot, which adds like BLAS ddot.
 """
 from __future__ import annotations
 
@@ -101,17 +105,23 @@ def _as_coords(sig: SpaceSignature, values, what: str, batched: bool = False) ->
 _COLUMN_ADD_WIDTH = 8  # numpy's np.sum adds a contiguous row pairwise from here
 
 
-def _rowsum(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
-    """Sum over the last axis with the bits of np.sum on a C-contiguous copy
-    of a, whatever a's layout.
+def _scalar_sum(values) -> float:
+    """Sum of a 1-D sequence of floats in the bit order above (an overflow
+    is inf), short rows in Python floats: no numpy call cost, and none of
+    the builtin sum's compensated rounding (as from Python 3.12)."""
+    if len(values) < _COLUMN_ADD_WIDTH:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    with np.errstate(over="ignore"):
+        return float(np.sum(values))
 
-    Below width 8 the sum is 0.0 + a[..., 0] + a[..., 1] + ..., in that
-    order, which is what np.sum does on a contiguous row that short, signed
-    zeros and NaN included; each add then runs over the long axes, so a
-    column-major array is not walked row by row.  From width 8 on np.sum
-    adds pairwise, and it runs on a C-contiguous copy, where that pairing is
-    the same for every layout.
-    """
+
+def _rowsum(a: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """Sum over the last axis in the bit order above, whatever a's layout:
+    below width 8 each add runs over the long axes, so a column-major array
+    is not walked row by row, and from 8 on np.sum gets a C-contiguous copy."""
     if a.shape[-1] < _COLUMN_ADD_WIDTH:
         out = 0.0 + a[..., 0]
         for k in range(1, a.shape[-1]):

@@ -43,8 +43,9 @@ SWEEP_COLUMNS = [
 class SweepSpec:
     """Grids plus per-cell tolerance, seed and integrator settings.
 
-    Every (s, cos theta) pair of the grid must pass ``check_angles`` (s
-    cos^2(theta) <= 1 + 1e-12), else ValueError naming the inadmissible cell;
+    Every s must be a positive integer, and every (s, cos theta) pair of the
+    grid must pass ``check_angles`` (s cos^2(theta) <= 1 + 1e-12), else
+    ValueError, naming the inadmissible cell for an angle;
     a grid whose widest cell's samples would not fit in physical memory is
     refused too.
     """
@@ -84,7 +85,7 @@ class SweepSpec:
         for s in self.s_values:
             for ct in self.cos_theta_values:
                 try:
-                    check_angles(np.full(s, ct))
+                    check_angles(np.full(ms.positive_int("s", s), ct))
                 except InfeasibleAngleError as exc:
                     raise ValueError(
                         f"inadmissible cell s = {s}, cos_theta = {ct!r}: {exc}") from exc

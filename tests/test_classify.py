@@ -207,12 +207,17 @@ def _np_sum_order_bound(q, cos):
 def test_scalar_sums_have_the_bits_of_np_sum(width):
     # both sides of the width-8 switch, signed zeros included
     rng = np.random.default_rng(width)
-    for trial in range(300):
+    for trial in range(301):
         cos = rng.uniform(-1.0, 1.0, size=width) / math.sqrt(width)
         cos[rng.random(width) < 0.2] = 0.0
         cos[rng.random(width) < 0.2] = -0.0
         if trial == 0:
             cos[:] = -0.0
+        if trial == 300 and width >= 3:
+            # B is 1.0 added in order, and 1.0 + 2^-52 added in reverse: the
+            # order of the additions is pinned, not only their value
+            cos[:] = 0.0
+            cos[:3] = (1.0, 1e-16, 1e-16)
         q = float(rng.uniform(0.5, 3.0) * rng.choice([-1.0, 1.0]))
         assert_same_bits(check_angles(cos), float(np.sum(cos * cos)))
         for got, want in zip(order_bound_curvatures(q, cos), _np_sum_order_bound(q, cos)):
@@ -231,6 +236,30 @@ def test_check_angles_contract_on_both_sides_of_width_8(width):
     assert check_angles(np.full(width, 1.0 / math.sqrt(width))) == pytest.approx(1.0, abs=1e-12)
     assert check_angles([1.0 / math.sqrt(width)] * width) == check_angles(
         np.full(width, 1.0 / math.sqrt(width)))
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: order_bound_curvatures(2.0, [[0.3, 0.4], [0.1, 0.2]]),
+                 r"nonempty 1-D sequence, got shape \(2, 2\)", id="order_bound_curvatures-2d"),
+    pytest.param(lambda: order_bound_curvatures(2.0, []),
+                 r"nonempty 1-D sequence, got shape \(0,\)", id="order_bound_curvatures-empty"),
+    pytest.param(lambda: order_bound_curvatures(2.0, 0.3),
+                 r"nonempty 1-D sequence, got shape \(\)", id="order_bound_curvatures-scalar"),
+    pytest.param(lambda: check_angles(0.3),
+                 r"nonempty 1-D sequence, got shape \(\)", id="check_angles-scalar"),
+    pytest.param(lambda: predict_class(2.0, 0.3, 0),
+                 "s must be a positive integer, got 0", id="predict_class-s0"),
+    pytest.param(lambda: predict_class(2.0, 0.3, 1.5),
+                 "s must be a positive integer, got 1.5", id="predict_class-s1.5"),
+    pytest.param(lambda: rho(0.3, 0), "s must be a positive integer, got 0", id="rho-s0"),
+    pytest.param(lambda: SweepSpec(q_values=[2.0], cos_theta_values=[0.3], s_values=[-1]),
+                 "s must be a positive integer, got -1", id="SweepSpec-s-1"),
+])
+def test_malformed_contact_angle_input_raises_value_error(call, message):
+    # once silently wrong sums, an IndexError, a ZeroDivisionError or a TypeError
+    with pytest.raises(ValueError, match=message) as info:
+        call()
+    assert not isinstance(info.value, InfeasibleAngleError)
 
 
 def test_typed_number_keeps_its_contract():
