@@ -8,11 +8,17 @@ package (default: this checkout's src) is imported into one process under
 its own module name.  After one warm-up round, every round runs each case of
 every package once, each case of one package next to the same case of the
 others (in the order of ``--src``, reversed every other round), so that the
-speed changes of a shared host fall on all of them alike.  A record keeps, per case, the best and the median time per unit of
-work and the spread (worst / best - 1).  With ``--out`` each record is
-stored in that JSON file under its ``--label`` (an earlier record of the
-same label is replaced, others are kept); the last lines of standard output
-are the records.
+speed changes of a shared host fall on all of them alike.
+
+A record keeps, per case, the best and the median time per unit of work and
+the spread (worst / best - 1).  The record of each label after the first
+also keeps, under ``paired``, the ratios of its time to the first label's in
+the same round: their median and quartiles, and the number of rounds it won
+(ratio below 1).  Compare packages by these ratios: on a shared host their
+best-of-N times can differ by more than the noise that the ratios show.
+With ``--out`` each record is stored in that JSON file under its ``--label``
+(an earlier record of the same label is replaced, others are kept); the
+last lines of standard output are the records.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-_MEASURED = ("work", "repeats", "best_s", "per_unit", "median_per_unit", "spread")
+_MEASURED = ("work", "repeats", "best_s", "per_unit", "median_per_unit", "spread", "paired")
 
 
 def machine() -> dict:
@@ -78,9 +84,19 @@ def _summary(desc: dict, work: int, runs: list[float]) -> dict:
             "spread": max(runs) / min(runs) - 1.0}
 
 
+def _paired(runs: list[float], first: list[float]) -> dict:
+    """The round-by-round ratios runs / first: median, quartiles, and the
+    number of rounds won (ratio below 1)."""
+    ratios = np.asarray(runs) / np.asarray(first)
+    q1, median, q3 = np.quantile(ratios, [0.25, 0.5, 0.75])
+    return {"median_ratio": float(median), "quartiles": [float(q1), float(q3)],
+            "rounds_won": int(np.sum(ratios < 1.0))}
+
+
 def measure(packages: dict, cases, repeats: int) -> dict[str, list[dict]]:
     """The cases of each package (label -> package), timed round robin for
-    repeats rounds after a warm-up round.  Returns each label's cases."""
+    repeats rounds after a warm-up round.  Returns each label's cases, those
+    of the labels after the first paired with the first's."""
     with tempfile.TemporaryDirectory() as tmp:
         tables = {}
         for i, (label, mc) in enumerate(packages.items()):
@@ -99,9 +115,14 @@ def measure(packages: dict, cases, repeats: int) -> dict[str, list[dict]]:
                     table[k][2]()
                     if round_:
                         seconds[label][k].append(time.perf_counter() - t0)
-    return {label: [_summary(desc, work, runs)
-                    for (desc, work, _), runs in zip(table, seconds[label])]
-            for label, table in tables.items()}
+    first = next(iter(tables))
+    timed = {label: [_summary(desc, work, runs)
+                     for (desc, work, _), runs in zip(table, seconds[label])]
+             for label, table in tables.items()}
+    for label in list(tables)[1:]:
+        for case, runs, base in zip(timed[label], seconds[label], seconds[first]):
+            case["paired"] = {"to": first, **_paired(runs, base)}
+    return timed
 
 
 def main(doc: str, cases, topic: str, repeats: int) -> None:
@@ -132,6 +153,8 @@ def main(doc: str, cases, topic: str, repeats: int) -> None:
         print(f"  {cases_k[0]['layer']:<27} {where:<36}" + "".join(
             f"  {label} {case['per_unit']:.4g} {case['unit']} (median"
             f" {case['median_per_unit']:.4g}, spread {case['spread']:.0%})"
+            + (f" x{p['median_ratio']:.3f} [{p['quartiles'][0]:.3f}-{p['quartiles'][1]:.3f}]"
+               f" won {p['rounds_won']}/{case['repeats']}" if (p := case.get("paired")) else "")
             for label, case in zip(timed, cases_k)))
     if args.out:
         out = Path(args.out)

@@ -31,7 +31,8 @@ import numpy as np
 
 from . import model_space as ms
 from .dynamics import Trajectory, check_angles
-from .errors import InconsistentCaseError, typed_number
+from .errors import (InconsistentCaseError, nonzero_real, positive_int, positive_real,
+                     typed_number)
 from .frenet import FrenetSeries, Measurement
 
 __all__ = [
@@ -113,10 +114,6 @@ class InverseResult:
                              f"got {self.q_candidates!r}")
 
 
-def _sign(x: float) -> int:
-    return int(np.sign(x))
-
-
 def _slant_class(kind: CurveKind, q: float | None, cos_theta: float, s: int,
                  measured: dict | None = None) -> CurveClass:
     """The slant family ``kind`` with its curvatures (k1, k2) and sign
@@ -131,7 +128,7 @@ def _slant_class(kind: CurveKind, q: float | None, cos_theta: float, s: int,
     else:
         k1 = abs(q) * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
         k2 = math.sqrt(s) * abs(1.0 - q * cos_theta)
-    eps = None if q is None else _sign(1.0 - q * cos_theta)
+    eps = None if q is None else int(np.sign(1.0 - q * cos_theta))
     return CurveClass(kind, q=q, cos_theta=cos_theta, kappa1=k1, kappa2=k2,
                       epsilon=eps, measured=measured)
 
@@ -144,9 +141,8 @@ def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
     InfeasibleAngleError.  The angle regimes are exact-equality conditions;
     numerically each gets a band of 1e-9 around it.
     """
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    check_angles([cos_theta] * ms.positive_int("s", s))
+    nonzero_real("q", q)
+    check_angles([cos_theta] * positive_int("s", s))
     if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
         kind = CurveKind.GEODESIC
     elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and check_circle_existence(q, s):
@@ -166,6 +162,7 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     B adds in the same bit order (that of ``model_space``).  k2 factors q^2
     out of its sum where q^2 overflows.
     """
+    q = typed_number("q", q)
     cos = np.asarray(cosines, dtype=float)
     a_sum = check_angles(cos)
     s = len(cos)
@@ -197,7 +194,7 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
     """
     kappa1 = typed_number("kappa1", kappa1)
     kappa2 = typed_number("kappa2", kappa2)
-    ms.positive_int("s", s)
+    positive_int("s", s)
     if not kappa1 > 0:
         raise ValueError(
             "kappa1 must be positive; kappa1 = 0 is the geodesic case, "
@@ -242,9 +239,7 @@ def check_circle_existence(q: float, s: int) -> bool:
 
     None exists for 0 < |q| <= sqrt(s); the boundary is excluded exactly.
     """
-    if q == 0:
-        raise ValueError("q must be nonzero")
-    return abs(q) > math.sqrt(s)
+    return abs(nonzero_real("q", q)) > math.sqrt(positive_int("s", s))
 
 
 def rho(cos_theta: float, s: int) -> float:
@@ -254,7 +249,7 @@ def rho(cos_theta: float, s: int) -> float:
     resolved here.  The angle must pass ``check_angles`` as in
     ``predict_class``.
     """
-    check_angles(np.full(ms.positive_int("s", s), cos_theta))
+    check_angles(np.full(positive_int("s", s), cos_theta))
     return math.sqrt(max(0.0, s - s * s * cos_theta * cos_theta))
 
 
@@ -268,7 +263,12 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     part of the contract being tested).  Magnetic curves dispatch on the
     measured angles and curvature medians: equal angles reproduce the slant
     families, constant-but-unequal angles are GENERAL_MAGNETIC.
+    A tol that is not finite and positive, or a sample whose point or
+    velocity is not finite, raises ValueError.
     """
+    positive_real("tol", tol)
+    if (k := traj.first_nonfinite()) is not None:
+        raise ValueError(f"sample {k} (t = {traj.times[k]:.6g}) has a non-finite point or velocity")
     s = traj.sig.s
     m = Measurement(traj, series)
     q_hat, res = m.fit

@@ -41,7 +41,8 @@ from .dynamics import (
     integrate,
     speed_drift,
 )
-from .errors import ConfigError, DivergenceError, check_memory, typed_number
+from .errors import (ConfigError, DivergenceError, check_memory, positive_int, positive_real,
+                     typed_number)
 from .frenet import _MIN_SAMPLES, frenet_apparatus, residual
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
@@ -220,24 +221,20 @@ def _cmd_closed_form(args) -> int:
 def _cmd_classify(args) -> int:
     if (args.config is None) == (args.traj is None):
         raise ConfigError("classify needs exactly one of --config or --traj")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ConfigError(f"--tol must be finite and positive, got {args.tol!r}")
+    positive_real("--tol", args.tol)
     if args.config is not None:
         doc = _load_config(args.config)
-        s = ms.positive_int("s", _field(doc, "s", Integral))
+        s = positive_int("s", _field(doc, "s", Integral))
         cosines = _resolve_cosines(doc, s)
         q = _field(doc, "q")
         if np.max(cosines) - np.min(cosines) > 0:
             k1, k2 = order_bound_curvatures(q, cosines)
             cls = CurveClass(CurveKind.GENERAL_MAGNETIC, q=q, kappa1=k1, kappa2=k2)
-            print(cls.to_json())
-            return EXIT_OK
-        cls = predict_class(q, float(cosines[0]), s)
-        print(cls.to_json())
-        return EXIT_OK
-    traj = read_trajectory(args.traj)
-    series = frenet_apparatus(traj)
-    cls = classify_trajectory(traj, series, tol=args.tol)
+        else:
+            cls = predict_class(q, float(cosines[0]), s)
+    else:
+        traj = read_trajectory(args.traj)
+        cls = classify_trajectory(traj, frenet_apparatus(traj), tol=args.tol)
     print(cls.to_json())
     return EXIT_OK
 
@@ -258,9 +255,7 @@ def _cmd_verify(args) -> int:
                                ("--points", args.points, 1), ("--cases", args.cases, 0)):
         if value < least:
             raise ConfigError(f"{flag} must be at least {least}, got {value}")
-    if not math.isfinite(args.inject_metric_perturbation):
-        raise ConfigError("--inject-metric-perturbation must be finite, "
-                          f"got {args.inject_metric_perturbation!r}")
+    typed_number("--inject-metric-perturbation", args.inject_metric_perturbation)
     report = verify_mod.run_all(
         seed=args.seed,
         samples=args.samples,

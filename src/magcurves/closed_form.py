@@ -40,7 +40,7 @@ import numpy as np
 
 from . import model_space as ms
 from .dynamics import MagneticSetup, Trajectory, check_angles, exact_flow
-from .errors import InvalidParamsError
+from .errors import InvalidParamsError, nonzero_real, positive_int, typed_number
 
 __all__ = [
     "CaseAParams",
@@ -56,8 +56,10 @@ _CONSTRAINT_TOL = 1e-12
 
 
 def lambda_(q: float, s: int, cos_theta: float) -> float:
-    """Dichotomy coefficient -q + 2 s cos(theta) of the x/y equations."""
-    return -q + 2.0 * s * cos_theta
+    """Dichotomy coefficient -q + 2 s cos(theta) of the x/y equations (q = 0,
+    the geodesic's, is allowed here)."""
+    return (-typed_number("q", q)
+            + 2.0 * positive_int("s", s) * typed_number("cos_theta", cos_theta))
 
 
 def _lambda_vanishes(q: float, s: int, cos_theta: float) -> bool:
@@ -104,8 +106,7 @@ class CaseAParams:
     h: np.ndarray
 
     def __post_init__(self):
-        if self.q == 0:
-            raise InvalidParamsError("q must be nonzero")
+        nonzero_real("q", self.q)
         check_angles(np.full(self.sig.s, self.cos_theta))
         n, s = self.sig.n, self.sig.s
         for name in ("a", "b", "c", "d"):
@@ -212,8 +213,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
     uniformly in [-1, 1].  The family is selected by whether
     lambda = -q + 2 s cos(theta) vanishes (band 1e-12).
     """
-    if q == 0:
-        raise InvalidParamsError("q must be nonzero")
+    nonzero_real("q", q)
     check_angles(np.full(sig.s, cos_theta))
     rng = np.random.default_rng(seed)
     n, s = sig.n, sig.s

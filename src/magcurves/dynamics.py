@@ -30,12 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model_space as ms
-from .errors import (
-    DegenerateDirectionError,
-    DivergenceError,
-    InfeasibleAngleError,
-    check_memory,
-)
+from .errors import (DegenerateDirectionError, DivergenceError, InfeasibleAngleError,
+                     check_memory, nonzero_real, positive_int, positive_real)
 
 __all__ = [
     "MagneticSetup",
@@ -66,10 +62,7 @@ class MagneticSetup:
     T0: np.ndarray
 
     def __post_init__(self):
-        if not math.isfinite(self.q):
-            raise ValueError(f"field strength q must be finite, got {self.q!r}")
-        if self.q == 0:
-            raise ValueError("field strength q must be nonzero")
+        nonzero_real("q", self.q)
         # read-only copies, so that the checks here hold for the setup's life
         for name in ("p0", "T0"):
             arr = ms._as_coords(self.sig, getattr(self, name), name).copy()
@@ -91,20 +84,12 @@ class IntegratorConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        for name in ("t_end", "step"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not self.step > 0:
-            raise ValueError("step must be positive")
-        if not self.t_end > 0:
-            raise ValueError("t_end must be positive")
-        if self.step > self.t_end:
+        positive_real("t_end", self.t_end)
+        if positive_real("step", self.step) > self.t_end:
             raise ValueError("step must not exceed t_end")
         if not math.isfinite(self.t_end / self.step):
             raise ValueError(f"t_end / step = {self.t_end!r} / {self.step!r} overflows")
-        if not (isinstance(self.record_every, (int, np.integer))
-                and not isinstance(self.record_every, bool)
-                and 1 <= self.record_every <= self.n_steps):
+        if positive_int("record_every", self.record_every) > self.n_steps:
             raise ValueError("record_every must be a positive integer, at most the step count")
 
     @property
@@ -174,6 +159,11 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def first_nonfinite(self) -> int | None:
+        """Index of the first sample whose point or velocity is not finite, or None."""
+        finite = np.isfinite(self.points).all(axis=1) & np.isfinite(self.velocities).all(axis=1)
+        return None if finite.all() else int(np.argmin(finite))
 
     def speeds(self) -> np.ndarray:
         return ms.norm(self.sig, self.points, self.velocities)
@@ -496,13 +486,12 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
         az = dot(vx * vy) + dot(y * vy) * w
         acc = np.concatenate([vy * w, vx * -w, np.broadcast_to(az, (sig.s, len(t)))]).T
 
-    finite = np.all(np.isfinite(pts), axis=1) & np.all(np.isfinite(vel), axis=1)
-    if not np.all(finite):
-        k = int(np.argmin(finite))
+    traj = Trajectory(sig, t, pts, vel, q=setup.q, accelerations=acc)
+    if (k := traj.first_nonfinite()) is not None:
         t_last = float(t[k - 1]) if k else math.nan
         raise DivergenceError(
             f"nonfinite sample at t = {t[k]:.6g}; last valid time {t_last:.6g}", t_last=t_last)
-    return Trajectory(sig, t, pts, vel, q=setup.q, accelerations=acc)
+    return traj
 
 
 def speed_drift(traj: Trajectory) -> float:

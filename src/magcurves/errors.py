@@ -1,6 +1,7 @@
-"""Exception types shared across the package, the typed-number check
-behind every value read from a config or trajectory file, and the memory
-bound on the arrays a run allocates."""
+"""Exception types shared across the package, the scalar-input checks of
+every public entry (each names the value in its error and returns it
+unchanged; bool and str are not numbers to them), and the memory bound on
+the arrays a run allocates."""
 import os
 import sys
 from numbers import Integral, Real
@@ -60,6 +61,30 @@ def typed_number(key: str, value, kind=Real):
     if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+def positive_int(name: str, value):
+    """value if it is a positive integer (n, s, record_every), else ValueError."""
+    if not ((type(value) is int or isinstance(value, Integral) and not isinstance(value, bool))
+            and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
+def nonzero_real(name: str, value):
+    """value if it is a finite nonzero real (the field strength q), else ValueError."""
+    if not ((type(value) is float or isinstance(value, Real) and not isinstance(value, bool))
+            and 0 < abs(value) <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and nonzero, got {value!r}")
+    return value
+
+
+def positive_real(name: str, value):
+    """value if it is a finite positive real (tol, t_end, step), else ValueError."""
+    if not ((type(value) is float or isinstance(value, Real) and not isinstance(value, bool))
+            and 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    return value
 
 
 def check_memory(nbytes: int, what: str) -> None:

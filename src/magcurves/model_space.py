@@ -45,9 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import positive_int
+
 __all__ = [
     "SpaceSignature",
-    "positive_int",
     "inverse_metric_matrix",
     "metric_derivatives",
     "christoffel_array",
@@ -58,14 +59,6 @@ __all__ = [
     "norm",
     "gamma_bilinear",
 ]
-
-
-def positive_int(name: str, value):
-    """value, when it is a positive integer (bool is not); otherwise
-    ValueError naming name."""
-    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)

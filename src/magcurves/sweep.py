@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,8 @@ from .dynamics import (
     # name, and every traced benchmark run fails with an AttributeError without it
     integrate,  # noqa: F401
 )
-from .errors import DivergenceError, InfeasibleAngleError
+from .errors import (DivergenceError, InfeasibleAngleError, nonzero_real, positive_int,
+                     positive_real, typed_number)
 from .frenet import Measurement, frenet_apparatus
 
 __all__ = ["SweepSpec", "SWEEP_COLUMNS", "run_sweep", "in_tolerance", "write_sweep_csv"]
@@ -43,8 +43,8 @@ SWEEP_COLUMNS = [
 class SweepSpec:
     """Grids plus per-cell tolerance, seed and integrator settings.
 
-    Every s must be a positive integer, and every (s, cos theta) pair of the
-    grid must pass ``check_angles`` (s cos^2(theta) <= 1 + 1e-12), else
+    Each q must be finite and nonzero, each s a positive integer, tol finite
+    and positive, and each grid cell's angle pass ``check_angles``, else
     ValueError, naming the inadmissible cell for an angle;
     a grid whose widest cell's samples would not fit in physical memory is
     refused too.
@@ -74,18 +74,15 @@ class SweepSpec:
             if not all(isinstance(v, kind) and not isinstance(v, bool) for v in vals):
                 raise ValueError(f"{name} entries must be {what}, got {vals!r}")
             object.__setattr__(self, name, tuple(vals))
-        for name in ("q_values", "cos_theta_values"):
-            # false for NaN, the infinities and integers beyond the float range
-            if not all(abs(v) <= sys.float_info.max for v in getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
-        if any(q == 0 for q in self.q_values):
-            raise ValueError("q grid must not contain 0")
+        for q in self.q_values:
+            nonzero_real("q_values", q)
+        for ct in self.cos_theta_values:
+            typed_number("cos_theta_values", ct)
+        positive_real("tol", self.tol)
         for s in self.s_values:
             for ct in self.cos_theta_values:
                 try:
-                    check_angles(np.full(ms.positive_int("s", s), ct))
+                    check_angles(np.full(positive_int("s", s), ct))
                 except InfeasibleAngleError as exc:
                     raise ValueError(
                         f"inadmissible cell s = {s}, cos_theta = {ct!r}: {exc}") from exc
@@ -150,9 +147,10 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
 
 
 def in_tolerance(row: dict, tol: float) -> bool:
-    """The sweep's pass rule for one row: kappa1_meas is finite and within tol
-    of kappa1_pred, and kappa2_meas is within tol of kappa2_pred unless it is
-    not finite (it is undefined wherever kappa1 is at its noise floor)."""
+    """The sweep's pass rule for one row, at a finite positive tol: kappa1_meas
+    is finite and within tol of kappa1_pred, and kappa2_meas is within tol of
+    kappa2_pred unless it is not finite (undefined at kappa1's noise floor)."""
+    positive_real("tol", tol)
     k1, k2 = row["kappa1_meas"], row["kappa2_meas"]
     return (math.isfinite(k1) and abs(k1 - row["kappa1_pred"]) <= tol
             and (not math.isfinite(k2) or abs(k2 - row["kappa2_pred"]) <= tol))

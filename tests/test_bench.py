@@ -4,6 +4,7 @@ when a script is next run."""
 import functools
 import importlib
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -54,3 +55,28 @@ def test_every_case_of_each_script_builds(harness, tmp_path, script):
     for desc, work, fn in table:
         assert desc["layer"] and desc["unit"].split("/")[0] in ("us", "ms")
         assert work > 0 and callable(fn)
+
+
+def test_paired_ratios_of_known_rounds(harness):
+    # ratios 0.5, 1, 1.5, 2: one round won, quartiles by linear interpolation
+    assert harness._paired([1.0, 2.0, 3.0, 4.0], [2.0] * 4) == {
+        "median_ratio": 1.25, "quartiles": [0.875, 1.625], "rounds_won": 1}
+
+
+def test_measure_pairs_each_label_after_the_first(harness, monkeypatch):
+    clock = [0.0]
+    monkeypatch.setattr(harness, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    # seconds per call, the warm-up round first
+    durations = {"a": iter([9.0, 2.0, 2.0, 2.0]), "b": iter([9.0, 1.0, 3.0, 1.0])}
+
+    def cases(mc, tmp):
+        def run():
+            clock[0] += next(durations[mc])
+        return [({"layer": "toy.case", "unit": "us/call"}, 1, run)]
+
+    timed = harness.measure({"a": "a", "b": "b"}, cases, repeats=3)
+    assert "paired" not in timed["a"][0]
+    # ratios 0.5, 1.5, 0.5 to the first label's round
+    assert timed["b"][0]["paired"] == {"to": "a", "median_ratio": 0.5,
+                                       "quartiles": [0.5, 1.0], "rounds_won": 2}
+    assert timed["b"][0]["per_unit"] == pytest.approx(1e6)

@@ -1,6 +1,8 @@
 import decimal
+import functools
 import json
 import math
+import re
 from numbers import Integral
 
 import numpy as np
@@ -26,16 +28,18 @@ from magcurves import (
     random_params,
     rho,
     sample_case_b,
+    CaseAParams,
     CaseBParams,
+    lambda_,
     exact_flow,
     residual,
     speed_drift,
 )
 from magcurves import model_space as ms
-from magcurves.cli import main
+from magcurves.cli import build_parser, main
 from magcurves.dynamics import check_angles
 from magcurves.errors import ConfigError, InconsistentCaseError, InfeasibleAngleError, typed_number
-from magcurves.sweep import SweepSpec
+from magcurves.sweep import SweepSpec, in_tolerance
 from conftest import assert_same_bits, slant_setup
 
 
@@ -254,12 +258,99 @@ def test_check_angles_contract_on_both_sides_of_width_8(width):
     pytest.param(lambda: rho(0.3, 0), "s must be a positive integer, got 0", id="rho-s0"),
     pytest.param(lambda: SweepSpec(q_values=[2.0], cos_theta_values=[0.3], s_values=[-1]),
                  "s must be a positive integer, got -1", id="SweepSpec-s-1"),
+    pytest.param(lambda: predict_class(2.0, 0.3, True),
+                 "s must be a positive integer, got True", id="predict_class-sTrue"),
+    pytest.param(lambda: rho(0.3, "2"), "s must be a positive integer, got '2'", id="rho-s'2'"),
+    pytest.param(lambda: check_circle_existence(2.0, 0),
+                 "s must be a positive integer, got 0", id="check_circle_existence-s0"),
+    pytest.param(lambda: check_circle_existence(2.0, -1),
+                 "s must be a positive integer, got -1", id="check_circle_existence-s-1"),
+    pytest.param(lambda: lambda_(2.0, 0, 0.3),
+                 "s must be a positive integer, got 0", id="lambda_-s0"),
+    pytest.param(lambda: lambda_(2.0, 1.5, 0.3),
+                 "s must be a positive integer, got 1.5", id="lambda_-s1.5"),
 ])
 def test_malformed_contact_angle_input_raises_value_error(call, message):
     # once silently wrong sums, an IndexError, a ZeroDivisionError or a TypeError
     with pytest.raises(ValueError, match=message) as info:
         call()
     assert not isinstance(info.value, InfeasibleAngleError)
+
+
+@functools.cache
+def _exact_helix():
+    """An exact q = 2, cos theta = 0.3 slant helix, and its Frenet series."""
+    traj = exact_flow(slant_setup(1, 1, 2.0, 0.3), np.arange(401) * 0.01)
+    return traj, frenet_apparatus(traj)
+
+
+def _classify_cli_tol(tol):
+    """The classify subcommand with --tol, called past main's exit-code mapping."""
+    args = build_parser().parse_args(["classify", "--traj", "missing.csv", f"--tol={tol}"])
+    return args.func(args)
+
+
+_NOT_NUMBERS = [math.nan, math.inf, -math.inf, True, "2"]
+_NOT_POSITIVE = _NOT_NUMBERS + [0.0, -1.0]
+_NOT_COUNTS = _NOT_NUMBERS + [0, -1, 1.5]
+_ZERO_ROW = {"kappa1_pred": 0.0, "kappa2_pred": 0.0, "kappa1_meas": 0.0, "kappa2_meas": 0.0}
+_SIG11 = SpaceSignature(1, 1)
+
+# (public entry, the name its message starts with, the call with the bad
+# scalar x, the bad values): the field strength q is finite and nonzero (0
+# is allowed where it is the geodesic's), tol, t_end and step are finite
+# and positive, record_every a positive integer
+_SCALAR_ENTRIES = [
+    ("MagneticSetup", "q", lambda x: slant_setup(1, 1, x, 0.3), _NOT_NUMBERS + [0.0]),
+    ("IntegratorConfig", "t_end", lambda x: IntegratorConfig(t_end=x, step=1e-3), _NOT_POSITIVE),
+    ("IntegratorConfig", "step", lambda x: IntegratorConfig(t_end=1.0, step=x), _NOT_POSITIVE),
+    ("IntegratorConfig", "record_every", lambda x: IntegratorConfig(1.0, 1e-3, x), _NOT_COUNTS),
+    ("predict_class", "q", lambda x: predict_class(x, 0.3, 1), _NOT_NUMBERS + [0.0]),
+    ("check_circle_existence", "q", lambda x: check_circle_existence(x, 1), _NOT_NUMBERS + [0]),
+    ("order_bound_curvatures", "q", lambda x: order_bound_curvatures(x, [0.3, 0.4]),
+     _NOT_NUMBERS),
+    ("lambda_", "q", lambda x: lambda_(x, 1, 0.3), _NOT_NUMBERS),
+    ("lambda_", "cos_theta", lambda x: lambda_(2.0, 1, x), _NOT_NUMBERS),
+    ("CaseAParams", "q", lambda x: CaseAParams(_SIG11, x, 0.5, a=[0.0], b=[0.0],
+                                               c=[math.sqrt(3.0)], d=[0.0], h=[0.0]),
+     _NOT_NUMBERS + [0.0]),
+    ("random_params", "q", lambda x: random_params(_SIG11, x, 0.3, 0), _NOT_NUMBERS + [0.0]),
+    ("SweepSpec", "q_values", lambda x: SweepSpec(q_values=[2.0, x], cos_theta_values=[0.3]),
+     _NOT_NUMBERS + [0]),
+    *[("SweepSpec", key, lambda x, key=key: SweepSpec(q_values=[2.0], cos_theta_values=[0.3],
+                                                      **{key: x}), bad)
+      for key, bad in (("tol", _NOT_POSITIVE), ("t_end", _NOT_POSITIVE),
+                       ("step", _NOT_POSITIVE), ("record_every", _NOT_COUNTS))],
+    ("classify_trajectory", "tol", lambda x: classify_trajectory(*_exact_helix(), tol=x),
+     _NOT_POSITIVE),
+    ("in_tolerance", "tol", lambda x: in_tolerance(_ZERO_ROW, x), _NOT_POSITIVE),
+    # argparse reads --tol as a float, so only floats reach the check
+    ("classify", "--tol", _classify_cli_tol, [math.nan, math.inf, -math.inf, 0.0, -1.0]),
+]
+
+
+@pytest.mark.parametrize("call, key, bad", [
+    pytest.param(call, key, bad, id=f"{entry}-{key}-{bad!r}")
+    for entry, key, call, values in _SCALAR_ENTRIES for bad in values])
+def test_malformed_scalar_input_raises_value_error(call, key, bad):
+    # each was once returned, computed with (a NaN curvature, a class with
+    # q = True, a geodesic at tol = inf), or failed by accident
+    with pytest.raises(ValueError, match=rf"^{re.escape(key)}( entries)? must be"):
+        call(bad)
+
+
+def test_classify_trajectory_refuses_non_finite_samples():
+    traj, series = _exact_helix()
+    for field, k, j, bad in (("points", 7, 0, math.nan), ("points", 0, 2, math.inf),
+                             ("velocities", 399, 1, -math.inf), ("velocities", 12, 2, math.nan)):
+        arrays = {"points": traj.points.copy(), "velocities": traj.velocities.copy()}
+        arrays[field][k, j] = bad
+        arrays[field][k + 1:, j] = math.nan  # only the first non-finite sample is named
+        broken = Trajectory(traj.sig, traj.times, q=traj.q, **arrays)
+        # raised before the Frenet series is read, so the stale one of the intact curve is fine
+        with pytest.raises(ValueError, match=rf"^sample {k} \(t = {traj.times[k]:.6g}\) has a "
+                                             "non-finite point or velocity$"):
+            classify_trajectory(broken, series)
 
 
 def test_typed_number_keeps_its_contract():

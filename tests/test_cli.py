@@ -379,6 +379,15 @@ MALFORMED_TRAJECTORY_FILES = {
     "json column huge int": ("json", "too large",
                              lambda t: _x_1(t, lambda c: [10 ** 400] + c[1:])),
     "json not an object": ("json", "must hold a JSON object", lambda t: "[1, 2]"),
+    # a non-finite point or velocity cell reads, but is no sample to classify
+    **{f"nan csv {name}": ("csv", "sample 4 (t = 0.004) has a non-finite point or velocity",
+                           lambda t, col=col: _csv_row(t, 5, lambda ln: ",".join(
+                               "nan" if j == col else cell
+                               for j, cell in enumerate(ln.split(",")))))
+       for col, name in enumerate(("x_1", "y_1", "z_1", "vx_1", "vy_1", "vz_1"), 1)},
+    "inf json vy_1": ("json", "sample 4 (t = 0.004) has a non-finite point or velocity",
+                      lambda t: _json_with(t, vy_1=[math.inf if k == 4 else v for k, v
+                                                    in enumerate(json.loads(t)["vy_1"])])),
 }
 
 
