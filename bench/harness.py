@@ -150,12 +150,16 @@ def main(doc: str, cases, topic: str, repeats: int) -> None:
     for cases_k in zip(*timed.values()):  # the same case of each package
         where = " ".join(f"{key}={value}" for key, value in cases_k[0].items()
                          if key not in ("layer", "unit", *_MEASURED))
-        print(f"  {cases_k[0]['layer']:<27} {where:<36}" + "".join(
-            f"  {label} {case['per_unit']:.4g} {case['unit']} (median"
-            f" {case['median_per_unit']:.4g}, spread {case['spread']:.0%})"
-            + (f" x{p['median_ratio']:.3f} [{p['quartiles'][0]:.3f}-{p['quartiles'][1]:.3f}]"
-               f" won {p['rounds_won']}/{case['repeats']}" if (p := case.get("paired")) else "")
-            for label, case in zip(timed, cases_k)))
+        line = f"  {cases_k[0]['layer']:<27} {where:<36}"
+        for label, case in zip(timed, cases_k):
+            line += (f"  {label} {case['per_unit']:.4g} {case['unit']} (median"
+                     f" {case['median_per_unit']:.4g}, spread {case['spread']:.0%})")
+            if "paired" in case:
+                p = case["paired"]
+                q1, q3 = p["quartiles"]
+                line += (f" x{p['median_ratio']:.3f} [{q1:.3f}-{q3:.3f}]"
+                         f" won {p['rounds_won']}/{case['repeats']}")
+        print(line)
     if args.out:
         out = Path(args.out)
         stored = json.loads(out.read_text()) if out.exists() else {"topic": topic, "records": []}

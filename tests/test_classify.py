@@ -333,8 +333,8 @@ _SCALAR_ENTRIES = [
     pytest.param(call, key, bad, id=f"{entry}-{key}-{bad!r}")
     for entry, key, call, values in _SCALAR_ENTRIES for bad in values])
 def test_malformed_scalar_input_raises_value_error(call, key, bad):
-    # each was once returned, computed with (a NaN curvature, a class with
-    # q = True, a geodesic at tol = inf), or failed by accident
+    # many of these once returned a result (NaN curvatures, a class with
+    # q = True, a geodesic at tol = inf) or failed by accident
     with pytest.raises(ValueError, match=rf"^{re.escape(key)}( entries)? must be"):
         call(bad)
 
