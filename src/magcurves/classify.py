@@ -32,7 +32,7 @@ import numpy as np
 from . import model_space as ms
 from .dynamics import Trajectory, check_angles
 from .errors import (InconsistentCaseError, nonzero_real, positive_int, positive_real,
-                     typed_number)
+                     real_vector, typed_number)
 from .frenet import FrenetSeries, Measurement
 
 __all__ = [
@@ -163,10 +163,10 @@ def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
     out of its sum where q^2 overflows.
     """
     q = typed_number("q", q)
-    cos = np.asarray(cosines, dtype=float)
+    cos = real_vector("cosines", cosines)
     a_sum = check_angles(cos)
     s = len(cos)
-    b_sum = ms._scalar_sum(cos.tolist())
+    b_sum = ms._scalar_sum(cos)
     k1 = abs(q) * math.sqrt(max(0.0, 1.0 - a_sum))
     k2sq = a_sum * q * q - a_sum * s + b_sum * b_sum - 2.0 * b_sum * q + s
     if not math.isfinite(k2sq):
@@ -249,7 +249,7 @@ def rho(cos_theta: float, s: int) -> float:
     resolved here.  The angle must pass ``check_angles`` as in
     ``predict_class``.
     """
-    check_angles(np.full(positive_int("s", s), cos_theta))
+    check_angles([cos_theta] * positive_int("s", s))
     return math.sqrt(max(0.0, s - s * s * cos_theta * cos_theta))
 
 

@@ -42,7 +42,7 @@ from .dynamics import (
     speed_drift,
 )
 from .errors import (ConfigError, DivergenceError, check_memory, positive_int, positive_real,
-                     typed_number)
+                     real_vector, typed_number)
 from .frenet import _MIN_SAMPLES, frenet_apparatus, residual
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
@@ -72,9 +72,10 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
     """The config value doc[key], or default when the key is absent.
 
     A real number (kind Real) comes back as a finite float and an integer
-    (Integral) as an int; with ``length`` the value must be a list of that
-    many real numbers and comes back as a float array.  bool, str, None and
-    containers in the place of a number raise ConfigError naming the key.
+    (Integral) as an int; with ``length`` the value must be that many real
+    numbers and comes back as a float array.  bool, str, None and containers
+    in the place of a number raise ConfigError naming the key, by the rules
+    of ``typed_number`` and ``real_vector``, which the library applies too.
     """
     if key not in doc:
         if default is _REQUIRED:
@@ -83,9 +84,7 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
     value = doc[key]
     if length is None:
         return typed_number(key, value, kind)
-    if not (isinstance(value, list) and len(value) == length):
-        raise ConfigError(f"{key} must be a list of {length} real numbers, got {value!r}")
-    return np.array([typed_number(key, v, kind) for v in value])
+    return real_vector(key, value, length)
 
 
 def _signature(doc: dict) -> ms.SpaceSignature:

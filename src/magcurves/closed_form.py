@@ -40,7 +40,7 @@ import numpy as np
 
 from . import model_space as ms
 from .dynamics import MagneticSetup, Trajectory, check_angles, exact_flow
-from .errors import InvalidParamsError, nonzero_real, positive_int, typed_number
+from .errors import InvalidParamsError, nonzero_real, positive_int, real_vector, typed_number
 
 __all__ = [
     "CaseAParams",
@@ -83,15 +83,6 @@ def _check_amplitudes(c: np.ndarray, s: int, cos_theta: float):
         )
 
 
-def _vector(values, length: int, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.shape != (length,):
-        raise InvalidParamsError(f"{name} must have length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidParamsError(f"{name} must be finite")
-    return arr
-
-
 @dataclass(frozen=True)
 class CaseAParams:
     """Free constants of the oscillatory family (lambda != 0)."""
@@ -107,11 +98,10 @@ class CaseAParams:
 
     def __post_init__(self):
         nonzero_real("q", self.q)
-        check_angles(np.full(self.sig.s, self.cos_theta))
+        check_angles([self.cos_theta] * self.sig.s)
         n, s = self.sig.n, self.sig.s
-        for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _vector(getattr(self, name), n, name))
-        object.__setattr__(self, "h", _vector(self.h, s, "h"))
+        for name, length in (("a", n), ("b", n), ("c", n), ("d", n), ("h", s)):
+            object.__setattr__(self, name, real_vector(name, getattr(self, name), length))
         _check_amplitudes(self.c, s, self.cos_theta)
         if _lambda_vanishes(self.q, s, self.cos_theta):
             raise InvalidParamsError(
@@ -160,15 +150,14 @@ class CaseBParams:
     h: np.ndarray
 
     def __post_init__(self):
-        check_angles(np.full(self.sig.s, self.cos_theta))
+        check_angles([self.cos_theta] * self.sig.s)
         if self.cos_theta == 0:
             raise InvalidParamsError(
                 "cos(theta) = 0 implies q = 2 s cos(theta) = 0, which is excluded"
             )
         n, s = self.sig.n, self.sig.s
-        object.__setattr__(self, "c", _vector(self.c, 2 * n, "c"))
-        object.__setattr__(self, "d", _vector(self.d, 2 * n, "d"))
-        object.__setattr__(self, "h", _vector(self.h, s, "h"))
+        for name, length in (("c", 2 * n), ("d", 2 * n), ("h", s)):
+            object.__setattr__(self, name, real_vector(name, getattr(self, name), length))
         _check_amplitudes(self.c, s, self.cos_theta)
 
     @property
@@ -214,7 +203,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
     lambda = -q + 2 s cos(theta) vanishes (band 1e-12).
     """
     nonzero_real("q", q)
-    check_angles(np.full(sig.s, cos_theta))
+    check_angles([cos_theta] * sig.s)
     rng = np.random.default_rng(seed)
     n, s = sig.n, sig.s
     radius = _amplitude_radius(s, cos_theta)

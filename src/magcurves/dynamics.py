@@ -31,7 +31,7 @@ import numpy as np
 
 from . import model_space as ms
 from .errors import (DegenerateDirectionError, DivergenceError, InfeasibleAngleError,
-                     check_memory, nonzero_real, positive_int, positive_real)
+                     check_memory, nonzero_real, positive_int, positive_real, real_vector)
 
 __all__ = [
     "MagneticSetup",
@@ -65,7 +65,7 @@ class MagneticSetup:
         nonzero_real("q", self.q)
         # read-only copies, so that the checks here hold for the setup's life
         for name in ("p0", "T0"):
-            arr = ms._as_coords(self.sig, getattr(self, name), name).copy()
+            arr = real_vector(name, getattr(self, name), self.sig.dim).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         speed = ms.inner(self.sig, self.p0, self.T0, self.T0)
@@ -176,7 +176,8 @@ class Trajectory:
 def check_angles(cosines) -> float:
     """sum_a cos^2(theta_a) of the contact angles, checked realizable.
 
-    This is the one check of contact-angle input: cosines must be a
+    This is the one check of contact-angle input: each cosine must be a
+    real number (the entry rule of ``errors.real_vector``), and cosines a
     nonempty 1-D sequence, else ValueError.  A unit tangent has eta^a(T) =
     cos(theta_a) for every a exactly when the sum is at most 1; for slant
     angles that is |cos(theta)| <= 1/sqrt(s).  The sum gets 1e-12 of slack,
@@ -184,10 +185,11 @@ def check_angles(cosines) -> float:
     raises InfeasibleAngleError.  The sum has the bits of np.sum(cos * cos)
     (the bit order of ``model_space``).
     """
-    cos = np.asarray(cosines, dtype=float)
-    if cos.ndim != 1 or len(cos) == 0:
-        raise ValueError(f"contact angles must be a nonempty 1-D sequence, got shape {cos.shape}")
-    a_sum = ms._scalar_sum([c * c for c in cos.tolist()])  # an overflow is inf
+    cos = real_vector("cosines", cosines)
+    if type(cos) is not list or not cos or type(cos[0]) is list:
+        raise ValueError(
+            f"contact angles must be a nonempty 1-D sequence, got shape {np.shape(cosines)}")
+    a_sum = ms._scalar_sum([c * c for c in cos])  # an overflow is inf
     if not a_sum <= 1.0 + _FEASIBILITY_SLACK:
         raise InfeasibleAngleError(
             f"sum of squared cosines exceeds 1 by {a_sum - 1.0:.3g} "
@@ -200,15 +202,15 @@ def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.n
     """Unit tangent at p0 with prescribed contact-form values.
 
     ``cosines`` gives the target cos(theta_a) = eta^a(T) per Reeb direction,
-    which ``check_angles`` must accept.  The remaining
+    s finite real numbers that ``check_angles`` must accept, and
+    ``direction``, when given, 2n finite real numbers.  The remaining
     contact-distribution part, of norm sqrt(1 - sum cos^2), points along the
     frame combination sum_k direction_k X_k normalized over the 2n frame
     vectors X_1..X_2n (default: X_1).  The split is g-orthogonal, so the
     result is exactly unit speed.
     """
-    cos = np.asarray(cosines, dtype=float)
-    if cos.shape != (sig.s,):
-        raise ValueError(f"cosines must have length s={sig.s}, got shape {cos.shape}")
+    cos = real_vector("cosines", cosines, sig.s)
+    u = None if direction is None else real_vector("direction", direction, 2 * sig.n)
     a_sum = check_angles(cos)
     check_memory(8 * sig.dim ** 2, "the frame matrix at p0")
     # cosines like 1/sqrt(s) put a_sum within rounding of 1; treat that as the
@@ -219,15 +221,10 @@ def initial_tangent(sig: ms.SpaceSignature, p0, cosines, direction=None) -> np.n
     frame = ms.frame_matrix(sig, p0)
     comps = frame[:, 2 * sig.n:] @ cos
     if contact_norm > 0:
-        if direction is None:
+        if u is None:
             u = np.zeros(2 * sig.n)
             u[0] = 1.0
         else:
-            u = np.asarray(direction, dtype=float)
-            if u.shape != (2 * sig.n,):
-                raise ValueError(
-                    f"direction must have length 2n={2 * sig.n}, got shape {u.shape}"
-                )
             big = np.max(np.abs(u))
             if big == 0:
                 raise DegenerateDirectionError(

@@ -1,10 +1,12 @@
-"""Exception types shared across the package, the scalar-input checks of
-every public entry (each names the value in its error and returns it
-unchanged; bool and str are not numbers to them), and the memory bound on
-the arrays a run allocates."""
+"""Exception types shared across the package, the input checks of every
+public entry, which the CLI shares (each names the argument in its error,
+none coerces, and bool and str are not numbers to them; ``real_vector`` is
+the rule of every vector), and the memory bound on the arrays a run allocates."""
 import os
 import sys
 from numbers import Integral, Real
+
+import numpy as np
 
 
 class InfeasibleAngleError(ValueError):
@@ -61,6 +63,40 @@ def typed_number(key: str, value, kind=Real):
     if not abs(value) <= sys.float_info.max:  # NaN, infinite, or an integer beyond floats
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+_FLOAT = frozenset((float,))
+
+
+def real_vector(name: str, values, length=None, batched=False):
+    """values (a point, tangent, direction or constant vector) as a float64
+    array, else ConfigError naming it.  In this order: every entry is a real
+    number (an int or a float, numpy's included; not a bool, str, None,
+    container or complex), there are length entries (with batched, on the
+    last axis), and each is finite (an integer beyond the float range is
+    not).  A float64 array comes back uncopied; every entry keeps its bits.
+    Without a length only the entry rule applies, and the entries come back
+    as a list of floats (nested as values is), as check_angles sums them."""
+    if type(values) is list and _FLOAT.issuperset(map(type, values)):
+        if length is None:
+            return values
+        arr = np.array(values)
+    elif type(values) is np.ndarray and values.dtype.kind in "fiu":
+        arr = values
+    else:  # each entry as given, nothing converted yet
+        arr = np.array(values, dtype=object)
+        if not all(isinstance(v, Real) and not isinstance(v, bool) for v in arr.flat):
+            raise ConfigError(f"{name} entries must be real numbers, got {values!r}")
+    if length is not None and (arr.shape[-1:] if batched else arr.shape) != (length,):
+        raise ConfigError(f"{name} must have {length} entries, got shape {arr.shape}")
+    try:
+        arr = arr.astype(float, copy=False)
+        finite = length is None or np.isfinite(arr).all()
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be finite, got {values!r}")
+    return arr if length is not None else arr.tolist()
 
 
 def positive_int(name: str, value):

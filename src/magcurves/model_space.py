@@ -25,8 +25,8 @@ test oracles and in the curvature-from-samples code.
 Points and tangent vectors are plain float arrays of length 2n + s, and
 every operation takes the signature alongside them and accepts arbitrary
 leading batch axes.  ``frame_matrix`` and the Christoffel helpers check
-their points (last axis of length 2n + s, finite).  The Reeb field xi_a is the constant array with 2
-in slot z_a.
+their points by ``errors.real_vector``.  The Reeb field xi_a is the
+constant array with 2 in slot z_a.
 
 Bit order of the sums.  Sampled curves are stored column-major, each
 coordinate's series contiguous (``dynamics.Trajectory`` fixes this), but
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import positive_int
+from .errors import positive_int, real_vector
 
 __all__ = [
     "SpaceSignature",
@@ -75,20 +75,6 @@ class SpaceSignature:
     @property
     def dim(self) -> int:
         return 2 * self.n + self.s
-
-
-def _as_coords(sig: SpaceSignature, values, what: str, batched: bool = False) -> np.ndarray:
-    """values as a float array of finite points: one point of length
-    sig.dim, or with batched any number of leading axes before it."""
-    arr = np.asarray(values, dtype=float)
-    if (arr.shape[-1:] if batched else arr.shape) != (sig.dim,):
-        raise ValueError(
-            f"{what} must have {sig.dim} components for (n={sig.n}, s={sig.s}), "
-            f"got shape {arr.shape}"
-        )
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite, got {arr}")
-    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +157,7 @@ def norm(sig: SpaceSignature, coords: np.ndarray, v: np.ndarray) -> np.ndarray:
 def inverse_metric_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
     """Closed-form inverse metric g^{ab} (from g^{-1} = F F^T, F the frame),
     of shape coords.shape + (dim,)."""
-    coords = _as_coords(sig, coords, "point", batched=True)
+    coords = real_vector("point", coords, sig.dim, batched=True)
     n, s, d = sig.n, sig.s, sig.dim
     y = coords[..., n:2 * n]
     ginv = np.zeros(coords.shape + (d,))
@@ -191,7 +177,7 @@ def metric_derivatives(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
         d_{y_k} g_{x_i x_j} = (s/4)(delta_ik y_j + delta_jk y_i)
         d_{y_k} g_{x_i z_a} = -delta_ik / 4
     """
-    coords = _as_coords(sig, coords, "point", batched=True)
+    coords = real_vector("point", coords, sig.dim, batched=True)
     n, s, d = sig.n, sig.s, sig.dim
     y = coords[..., n:2 * n]
     dg = np.zeros(coords.shape + (d, d))
@@ -269,7 +255,7 @@ def frame_matrix(sig: SpaceSignature, coords: np.ndarray) -> np.ndarray:
     batched over leading axes: points of shape (..., 2n + s), each finite,
     give frames of shape (..., 2n + s, 2n + s), each with the bits of its
     point's own frame."""
-    coords = _as_coords(sig, coords, "point", batched=True)
+    coords = real_vector("point", coords, sig.dim, batched=True)
     n, s, d = sig.n, sig.s, sig.dim
     y = coords[..., n:2 * n]
     F = np.zeros(coords.shape + (d,))

@@ -43,7 +43,7 @@ SWEEP_COLUMNS = [
 class SweepSpec:
     """Grids plus per-cell tolerance, seed and integrator settings.
 
-    Each q must be finite and nonzero, each s a positive integer, tol finite
+    Each q must be finite and nonzero, each n and s a positive integer, tol finite
     and positive, and each grid cell's angle pass ``check_angles``, else
     ValueError, naming the inadmissible cell for an angle;
     a grid whose widest cell's samples would not fit in physical memory is
@@ -79,6 +79,8 @@ class SweepSpec:
         for ct in self.cos_theta_values:
             typed_number("cos_theta_values", ct)
         positive_real("tol", self.tol)
+        for n in self.n_values:
+            positive_int("n", n)
         for s in self.s_values:
             for ct in self.cos_theta_values:
                 try:

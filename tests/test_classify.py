@@ -38,7 +38,8 @@ from magcurves import (
 from magcurves import model_space as ms
 from magcurves.cli import build_parser, main
 from magcurves.dynamics import check_angles
-from magcurves.errors import ConfigError, InconsistentCaseError, InfeasibleAngleError, typed_number
+from magcurves.errors import (ConfigError, InconsistentCaseError, InfeasibleAngleError,
+                              real_vector, typed_number)
 from magcurves.sweep import SweepSpec, in_tolerance
 from conftest import assert_same_bits, slant_setup
 
@@ -269,6 +270,12 @@ def test_check_angles_contract_on_both_sides_of_width_8(width):
                  "s must be a positive integer, got 0", id="lambda_-s0"),
     pytest.param(lambda: lambda_(2.0, 1.5, 0.3),
                  "s must be a positive integer, got 1.5", id="lambda_-s1.5"),
+    pytest.param(lambda: SweepSpec(q_values=[2.0], cos_theta_values=[0.3], n_values=[0]),
+                 "n must be a positive integer, got 0", id="SweepSpec-n0"),
+    pytest.param(lambda: SweepSpec(q_values=[2.0], cos_theta_values=[0.3], n_values=[True]),
+                 r"n_values entries must be integers, got \[True\]", id="SweepSpec-nTrue"),
+    pytest.param(lambda: SweepSpec(q_values=[2.0], cos_theta_values=[0.3], n_values=[1.5]),
+                 r"n_values entries must be integers, got \[1.5\]", id="SweepSpec-n1.5"),
 ])
 def test_malformed_contact_angle_input_raises_value_error(call, message):
     # once silently wrong sums, an IndexError, a ZeroDivisionError or a TypeError
@@ -367,6 +374,102 @@ def test_typed_number_keeps_its_contract():
         assert type(got) is float and float.hex(got) == float.hex(float(good))
     with pytest.raises(ConfigError, match="q must be finite"):
         typed_number("q", 10**400)
+
+
+_SIG13 = SpaceSignature(1, 3)
+_P0 = [0.5, -0.25, 2.0]
+_T0 = [0.0, 2.0, 0.0]  # unit speed at _P0: eta vanishes and the x, y part has norm 1
+_CASE_A = dict(a=[0.0], b=[0.0], c=[math.sqrt(3.0)], d=[0.0], h=[0.0])
+_CASE_B = dict(c=[1.0, 0.0], d=[0.0, 0.0], h=[0.0, 0.0, 0.0])  # sum c^2 = 4 (1 - 3 / 4)
+
+# (public entry, the name its message starts with, the call with the bad
+# vector x, a valid vector): every entry a real number, the given length,
+# every entry finite (ConfigError naming the argument)
+_VECTOR_ENTRIES = [
+    ("MagneticSetup", "p0", lambda x: MagneticSetup(_SIG11, 2.0, x, _T0), _P0),
+    ("MagneticSetup", "T0", lambda x: MagneticSetup(_SIG11, 2.0, _P0, x), _T0),
+    ("initial_tangent", "cosines", lambda x: initial_tangent(_SIG13, [0.0] * 5, x), [0.1] * 3),
+    ("initial_tangent", "direction", lambda x: initial_tangent(_SIG11, _P0, [0.5], x),
+     [1.0, -1.0]),
+    *[("CaseAParams", key, lambda x, key=key: CaseAParams(_SIG11, 2.0, 0.5, **{**_CASE_A, key: x}),
+       _CASE_A[key]) for key in _CASE_A],
+    *[("CaseBParams", key, lambda x, key=key: CaseBParams(_SIG13, 0.5, **{**_CASE_B, key: x}),
+       _CASE_B[key]) for key in _CASE_B],
+    ("frame_matrix", "point", lambda x: ms.frame_matrix(_SIG11, x), _P0),
+    ("frame_matrix-batched", "point", lambda x: ms.frame_matrix(_SIG11, [_P0, x]), _P0),
+    ("christoffel_array", "point", lambda x: ms.christoffel_array(_SIG11, x), _P0),
+]
+# contact angles: the entry rule, then check_angles' shape check and its sum
+# (NaN and inf are infeasible angles)
+_COSINE_ENTRIES = [
+    ("check_angles", check_angles, [0.3, 0.4]),
+    ("order_bound_curvatures", lambda x: order_bound_curvatures(2.0, x), [0.3, 0.4]),
+    ("predict_class", lambda x: predict_class(2.0, x[0], 2), [0.3]),
+    ("rho", lambda x: rho(x[0], 2), [0.3]),
+    ("random_params", lambda x: random_params(_SIG13, 2.0, x[0], 0), [0.3]),
+]
+_ENTRY_RULE = r"entries must be real numbers"
+_SHAPE_RULE = r"(cosines entries must be real numbers|contact angles must be a nonempty 1-D)"
+
+
+def _vector_cases():
+    for entry, name, call, valid in _VECTOR_ENTRIES:
+        key = re.escape(name)
+        wrong = rf"^{key} ({_ENTRY_RULE}|must have {len(valid)} entries)"
+        for label, first, want in (("bool", True, rf"^{key} {_ENTRY_RULE}"),
+                                   ("str", str(valid[0]), rf"^{key} {_ENTRY_RULE}"),
+                                   ("None", None, rf"^{key} {_ENTRY_RULE}"),
+                                   ("nested", [valid[0]], wrong),
+                                   ("nan", math.nan, rf"^{key} must be finite"),
+                                   ("inf", math.inf, rf"^{key} must be finite")):
+            yield pytest.param(call, [first, *valid[1:]], ConfigError, want,
+                               id=f"{entry}-{name}-{label}")
+        yield pytest.param(call, valid + [0.0], ConfigError, wrong, id=f"{entry}-{name}-length")
+    for entry, call, valid in _COSINE_ENTRIES:
+        for label, first, error, want in (
+                ("bool", True, ConfigError, rf"^cosines {_ENTRY_RULE}"),
+                ("str", str(valid[0]), ConfigError, rf"^cosines {_ENTRY_RULE}"),
+                ("None", None, ConfigError, rf"^cosines {_ENTRY_RULE}"),
+                ("nested", [valid[0]], ValueError, _SHAPE_RULE),
+                ("nan", math.nan, InfeasibleAngleError, "exceeds 1 by nan"),
+                ("inf", math.inf, InfeasibleAngleError, "exceeds 1 by inf")):
+            yield pytest.param(call, [first, *valid[1:]], error, want, id=f"{entry}-{label}")
+        if len(valid) > 1:  # a scalar cos_theta has no length of its own
+            yield pytest.param(call, [], ValueError, _SHAPE_RULE, id=f"{entry}-length")
+
+
+@pytest.mark.parametrize("call, bad, error, message", list(_vector_cases()))
+def test_malformed_vector_input_raises_value_error(call, bad, error, message):
+    # many of these once built a setup, a frame or a parameter set from bools
+    # and strings, returned NaN tangents, or raised TypeError
+    with pytest.raises(error, match=message) as info:
+        call(bad)
+    if error is not InfeasibleAngleError:
+        assert not isinstance(info.value, InfeasibleAngleError)
+
+
+@pytest.mark.parametrize("call, values", [pytest.param(call, values, id=entry) for entry, call, values in [
+    ("MagneticSetup-p0", lambda x: MagneticSetup(_SIG11, 2.0, x, _T0).p0, [1, -2, 3]),
+    ("MagneticSetup-T0", lambda x: MagneticSetup(_SIG11, 2.0, [1.0, -2.0, 3.0], x).T0, _T0),
+    ("initial_tangent-cosines", lambda x: initial_tangent(_SIG13, [0.0] * 5, x), [0, 0, 0]),
+    ("initial_tangent-direction", lambda x: initial_tangent(_SIG11, _P0, [0.5], x), [3, -4]),
+    ("CaseAParams", lambda x: CaseAParams(_SIG11, 1.0, 0.0, a=x[:1], b=x[1:2], c=x[2:3],
+                                          d=x[3:4], h=x[4:]).setup().T0, [1, -1, 2, 0, 3]),
+    ("CaseBParams", lambda x: CaseBParams(_SIG13, 0.5, c=x[:2], d=x[2:4],
+                                          h=x[4:]).setup().p0, [1, 0, 1, -1, 0, 1, 2]),
+    ("frame_matrix", lambda x: ms.frame_matrix(_SIG11, x), [1, -2, 3]),
+    ("christoffel_array", lambda x: ms.christoffel_array(_SIG11, x), [1, -2, 3]),
+    ("check_angles", check_angles, [0, 1, 0]),
+    ("order_bound_curvatures", lambda x: order_bound_curvatures(2.0, x), [0, 1, 0]),
+]])
+def test_vector_input_forms_give_the_same_bits(call, values):
+    # a list of floats, a tuple, ints, a float32 array and a float64 array
+    forms = [list(map(float, values)), tuple(values), [int(v) for v in values],
+             np.array(values, dtype=np.float32), np.array(values, dtype=np.float64)]
+    want = call(forms[-1])
+    for form in forms[:-1]:
+        assert_same_bits(call(form), want)
+    assert real_vector("values", forms[-1], len(values)) is forms[-1]  # taken without a copy
 
 
 # ---------------------------------------------------------------------------

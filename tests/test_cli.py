@@ -686,6 +686,8 @@ NONFINITE_CASES = [
     ("sweep", {"tol": math.inf}, "tol must be finite, got inf"),
     ("sweep", {"tol": -1}, "tol must be finite and positive, got -1.0"),
     ("sweep", {"tol": 0}, "tol must be finite and positive, got 0.0"),
+    ("integrate", {"p0": [0.0, math.nan, 0.0]}, "p0 must be finite"),
+    ("integrate", {"direction": [math.inf, 0.0]}, "direction must be finite"),
 ]
 
 
@@ -708,6 +710,7 @@ BAD_GRID_CASES = [
     ({"q_values": 2.0}, "q_values must be a list"),
     ({"q_values": [True]}, "q_values entries must be real numbers"),
     ({"q_values": [None]}, "q_values entries must be real numbers"),
+    ({"n_values": [0]}, "n must be a positive integer, got 0"),
 ]
 
 
