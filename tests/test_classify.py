@@ -448,7 +448,8 @@ def test_malformed_vector_input_raises_value_error(call, bad, error, message):
         assert not isinstance(info.value, InfeasibleAngleError)
 
 
-@pytest.mark.parametrize("call, values", [pytest.param(call, values, id=entry) for entry, call, values in [
+# (entry, the call with the vector x, integer-valued data for x)
+_VECTOR_DATA = [
     ("MagneticSetup-p0", lambda x: MagneticSetup(_SIG11, 2.0, x, _T0).p0, [1, -2, 3]),
     ("MagneticSetup-T0", lambda x: MagneticSetup(_SIG11, 2.0, [1.0, -2.0, 3.0], x).T0, _T0),
     ("initial_tangent-cosines", lambda x: initial_tangent(_SIG13, [0.0] * 5, x), [0, 0, 0]),
@@ -461,7 +462,11 @@ def test_malformed_vector_input_raises_value_error(call, bad, error, message):
     ("christoffel_array", lambda x: ms.christoffel_array(_SIG11, x), [1, -2, 3]),
     ("check_angles", check_angles, [0, 1, 0]),
     ("order_bound_curvatures", lambda x: order_bound_curvatures(2.0, x), [0, 1, 0]),
-]])
+]
+
+
+@pytest.mark.parametrize("call, values", [pytest.param(call, values, id=entry)
+                                          for entry, call, values in _VECTOR_DATA])
 def test_vector_input_forms_give_the_same_bits(call, values):
     # a list of floats, a tuple, ints, a float32 array and a float64 array
     forms = [list(map(float, values)), tuple(values), [int(v) for v in values],
