@@ -17,8 +17,7 @@ from .dynamics import (
     speed_drift,
     angle_drift,
 )
-from .frenet import (FrenetSeries, fit_field_strength, frenet_apparatus, osculating_order,
-                     residual)
+from .frenet import FrenetSeries, fit_field_strength, frenet_apparatus, residual
 from .closed_form import (
     CaseAParams,
     CaseBParams,
@@ -47,7 +46,7 @@ __all__ = [
     "initial_tangent", "integrate",
     "integrate_many", "exact_flow",
     "speed_drift", "angle_drift",
-    "FrenetSeries", "frenet_apparatus", "osculating_order", "residual",
+    "FrenetSeries", "frenet_apparatus", "residual",
     "CaseAParams", "CaseBParams", "lambda_", "sample_case_a", "sample_case_b",
     "random_params",
     "CurveKind", "CurveClass", "InverseResult", "predict_class",

@@ -87,6 +87,13 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
     return real_vector(key, value, length)
 
 
+def _given(doc: dict, *keys) -> dict:
+    """{key: _field(doc, key, kind)} for each (key, kind) pair whose key doc
+    holds, typed in the order given; a key doc lacks keeps the default of
+    the config it is passed to."""
+    return {key: _field(doc, key, kind) for key, kind in keys if key in doc}
+
+
 def _signature(doc: dict) -> ms.SpaceSignature:
     sig = ms.SpaceSignature(_field(doc, "n", Integral), _field(doc, "s", Integral))
     check_memory(8 * sig.dim, "the coordinates of one point")  # before any default allocates
@@ -133,11 +140,8 @@ def _cmd_integrate(args) -> int:
     p0 = _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim))
     direction = _field(doc, "direction", length=2 * sig.n, default=None)
     setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines, direction))
-    cfg = IntegratorConfig(
-        t_end=_field(doc, "t_end", default=10.0),
-        step=_field(doc, "step", default=1e-3),
-        record_every=_field(doc, "record_every", Integral, default=1),
-    )
+    cfg = IntegratorConfig(**_given(doc, ("t_end", Real), ("step", Real),
+                                    ("record_every", Integral)))
     if cfg.n_samples < _MIN_SAMPLES:  # the Lorentz residual's stencil, before any output
         raise ConfigError(f"integrate needs at least {_MIN_SAMPLES} recorded samples, "
                           f"got {cfg.n_samples}")
@@ -194,10 +198,8 @@ def _closed_form_params(doc: dict):
 def _cmd_closed_form(args) -> int:
     doc = _load_config(args.config)
     params = _closed_form_params(doc)
-    step = _field(doc, "step", default=1e-3)
-    t_end = _field(doc, "t_end", default=10.0)
     # the integrator's grid: same validation, and the times integrate records
-    cfg = IntegratorConfig(t_end, step)
+    cfg = IntegratorConfig(**_given(doc, ("step", Real), ("t_end", Real)))
     cfg.check_fits(3 * params.sig.dim + 1, "the closed-form samples")
     times = cfg.times
     if isinstance(params, CaseAParams):
@@ -275,24 +277,22 @@ def _cmd_verify(args) -> int:
 def _cmd_sweep(args) -> int:
     doc = _load_config(args.config)
 
-    def grid(*names, default=None):
+    def grid(*names, required=False) -> dict:
+        # {the SweepSpec field names[0]: the first of names that doc holds}
         for name in names:
             if name in doc:
-                return doc[name]
-        if default is not None:
-            return default
-        raise ConfigError(f"sweep config is missing {names[0]!r}")
+                return {names[0]: doc[name]}
+        if required:
+            raise ConfigError(f"sweep config is missing {names[0]!r}")
+        return {}
 
     spec = SweepSpec(
-        q_values=grid("q_values", "q"),
-        cos_theta_values=grid("cos_theta_values", "cos_theta"),
-        n_values=grid("n_values", "n", default=(1,)),
-        s_values=grid("s_values", "s", default=(1,)),
-        tol=_field(doc, "tol", default=1e-3),
-        seed=_field(doc, "seed", Integral, default=0),
-        t_end=_field(doc, "t_end", default=10.0),
-        step=_field(doc, "step", default=1e-3),
-        record_every=_field(doc, "record_every", Integral, default=1),
+        **grid("q_values", "q", required=True),
+        **grid("cos_theta_values", "cos_theta", required=True),
+        **grid("n_values", "n"),
+        **grid("s_values", "s"),
+        **_given(doc, ("tol", Real), ("seed", Integral), ("t_end", Real), ("step", Real),
+                 ("record_every", Integral)),
     )
     rows = run_sweep(spec)
     write_sweep_csv(rows, args.out)

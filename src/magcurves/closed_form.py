@@ -212,12 +212,7 @@ def random_params(sig: ms.SpaceSignature, q: float, cos_theta: float, seed) -> C
         if radius == 0.0:
             return np.zeros(k)
         u = rng.normal(size=k)
-        un = np.linalg.norm(u)
-        if un < 1e-12:
-            u = np.zeros(k)
-            u[0] = 1.0
-            un = 1.0
-        return u * (radius / un)
+        return u * (radius / np.linalg.norm(u))
 
     if _lambda_vanishes(q, s, cos_theta):
         return CaseBParams(

@@ -30,7 +30,7 @@ from .dynamics import Trajectory
 from .errors import InsufficientDataError, InvalidGridError
 
 __all__ = ["EPS_GEO", "FrenetSeries", "Measurement", "covariant_tt", "fit_field_strength",
-           "frenet_apparatus", "osculating_order", "residual"]
+           "frenet_apparatus", "residual"]
 
 # Degeneracy thresholds: below these a curvature counts as zero and the next
 # frame vector is not normalized out of noise.  kappa1 is clean (exact
@@ -258,32 +258,19 @@ class Measurement:
         return float(np.mean(vals)) if len(vals) else None
 
     def osculating_order(self, tol: float) -> int:
-        """``osculating_order(self.series, tol)``, from this record's medians
-        (taken only as far as the chain walk reads them)."""
-        return _order((getattr(self, name) for name in ("kappa1", "kappa2", "kappa3")), tol)
+        """Largest r with time-median kappa_{r-1} above tol (r = 1 when even
+        kappa1 stays below tol).
 
-
-def _order(medians, tol: float) -> int:
-    """1 plus the number of leading medians above tol: the chain walk of
-    ``osculating_order``, which stops reading at the first one that is not."""
-    r = 1
-    for med in medians:
-        if not (np.isfinite(med) and med > tol):
-            break
-        r += 1
-    return r
-
-
-def osculating_order(series: FrenetSeries, tol: float) -> int:
-    """Largest r with time-median kappa_{r-1} above tol (r = 1 when even
-    kappa1 stays below tol).
-
-    The chain is walked in order: once a curvature median falls below tol,
-    the later ones are Frenet-undefined (numerically they are differentiated
-    noise) and are not consulted.  Nothing caps the result at 3, so the
-    order bound for magnetic inputs is a checkable outcome rather than an
-    assumption.
-    """
-    if len(series.times) == 0:
-        raise InsufficientDataError("empty curvature series")
-    return _order((_nanmedian(k) for k in (series.kappa1, series.kappa2, series.kappa3)), tol)
+        The chain is walked in order: once a curvature median falls below tol,
+        the later ones are Frenet-undefined (numerically they are differentiated
+        noise) and are neither consulted nor computed.  Nothing caps the result
+        at 3, so the order bound for magnetic inputs is a checkable outcome
+        rather than an assumption.
+        """
+        r = 1
+        for name in ("kappa1", "kappa2", "kappa3"):
+            med = getattr(self, name)
+            if not (np.isfinite(med) and med > tol):
+                break
+            r += 1
+        return r

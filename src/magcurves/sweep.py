@@ -56,9 +56,9 @@ class SweepSpec:
     s_values: tuple[int, ...] = (1,)
     tol: float = 1e-3
     seed: int = 0
-    t_end: float = 10.0
-    step: float = 1e-3
-    record_every: int = 1
+    t_end: float = IntegratorConfig.t_end
+    step: float = IntegratorConfig.step
+    record_every: int = IntegratorConfig.record_every
     integrator: IntegratorConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -109,8 +109,6 @@ def _cell_setup(spec: SweepSpec, index: int, n: int, s: int, q: float, ct: float
     sig = ms.SpaceSignature(n, s)
     rng = np.random.default_rng([spec.seed, index])
     direction = rng.normal(size=2 * n)
-    if np.linalg.norm(direction) < 1e-12:
-        direction[0] = 1.0
     p0 = np.zeros(sig.dim)
     return MagneticSetup(sig, q, p0, initial_tangent(sig, p0, [ct] * s, direction))
 

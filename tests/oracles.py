@@ -8,7 +8,8 @@ independently of the code they check.
 * ``metric_matrix``: the coordinate components g_ab of the metric.
 * ``rk4_reference``: classical RK4 of the Lorentz equation for one setup, as
   a plain loop on a single state; the package's batched driver must give its
-  bits.
+  bits.  With a ``force`` it integrates a perturbed equation, whose curves
+  sit a chosen distance from magnetic.
 * ``connection_errors``: verify's connection suite as a loop over single
   points, each with its own Christoffel symbols, frame and contractions;
   ``verify.connection_suite`` must give its errors bit for bit.
@@ -115,13 +116,16 @@ def metric_matrix(sig: SpaceSignature, p) -> np.ndarray:
     return g
 
 
-def rk4_reference(setup, cfg) -> Trajectory:
+def rk4_reference(setup, cfg, force=None) -> Trajectory:
     """Classical RK4 of the Lorentz equation from setup under cfg: a 1-D
     state (p0, T0), ``dynamics._rhs`` with scalar q, the stage sum
     k1 + 2 k2 + 2 k3 + k4, and every record_every-th state kept by slicing.
-    A nonfinite state raises DivergenceError with the last valid time."""
+    A nonfinite state raises DivergenceError with the last valid time.
+    force(point, velocity), when given, is added to the acceleration."""
     sig, h = setup.sig, cfg.step
-    rhs = functools.partial(dynamics._rhs, sig.n, setup.q, sig.s, np.ones(sig.s))
+    lorentz = functools.partial(dynamics._rhs, sig.n, setup.q, sig.s, np.ones(sig.s))
+    rhs = lorentz if force is None else (lambda state: lorentz(state) + np.concatenate(
+        [np.zeros(sig.dim), force(state[:sig.dim], state[sig.dim:])]))
     state = np.concatenate([setup.p0, setup.T0])
     states = [state]
     with np.errstate(over="ignore", invalid="ignore"):

@@ -42,6 +42,7 @@ from magcurves.errors import (ConfigError, InconsistentCaseError, InfeasibleAngl
                               real_vector, typed_number)
 from magcurves.sweep import SweepSpec, in_tolerance
 from conftest import assert_same_bits, slant_setup
+from oracles import rk4_reference
 
 
 # ---------------------------------------------------------------------------
@@ -703,6 +704,64 @@ def test_a_strength_jump_fails_the_residual_rule():
     assert max(measured["speed_deviation"], measured["angle_deviation"]) <= 1e-15
     assert tol < measured["residual"] < 10 * tol
     assert cls.kind is CurveKind.NOT_MAGNETIC
+
+
+def _flow(q, cosines, speed=1.0):
+    # the exact flow from the origin on t in [0, 4], run at the given constant
+    # speed: sampled at times speed * t and recorded at t, so the velocities
+    # and accelerations scale by speed and speed^2, and at q_hat = speed * q
+    # the Lorentz residual stays at rounding level
+    sig = SpaceSignature(1, len(cosines))
+    p0 = np.zeros(sig.dim)
+    times = IntegratorConfig(t_end=4.0).times
+    flow = exact_flow(MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines)),
+                      speed * times)
+    return Trajectory(sig, times, flow.points, speed * flow.velocities,
+                      accelerations=speed ** 2 * flow.accelerations)
+
+
+def _tilted_helix(deviation):
+    # nabla_T T = -q phi T + eps (xi - eta(T) T) keeps unit speed, and eta(T)
+    # climbs at eps (1 - eta^2); eps is set so that eta strays about deviation
+    # from its mean.  The added force is g-orthogonal to phi T, so the fitted
+    # strength stays q, and the residual, eps sqrt(1 - eta^2), is deviation / 5
+    sig, q, ct, t_end = SpaceSignature(1, 1), 2.0, 0.3, 10.0
+    eps = 2.0 * deviation / ((1.0 - ct * ct) * t_end)
+    xi = np.array([0.0, 0.0, 2.0])
+
+    def force(p, v):
+        return eps * (xi - ms.eta_comps(sig, p, v)[0] * v)
+
+    return rk4_reference(slant_setup(1, 1, q, ct), IntegratorConfig(t_end, 1e-2), force)
+
+
+# each family rule of classify_trajectory at tol = 1e-3: a curve that puts the
+# rule's quantity at x, the quantity as measured, and the kinds at x = 2 tol
+# (past the threshold) and at x = tol / 2
+_RULE_CURVES = {
+    "speed": (lambda x: _flow(2.0, [0.3], speed=1.0 + x),
+              lambda m: m["speed_deviation"], CurveKind.NOT_MAGNETIC, CurveKind.SLANT_HELIX),
+    "angle_deviation": (_tilted_helix, lambda m: m["angle_deviation"],
+                        CurveKind.NOT_MAGNETIC, CurveKind.SLANT_HELIX),
+    "slant_spread": (lambda x: _flow(2.0, [0.3 + x / 2, 0.3 - x / 2]),
+                     lambda m: max(m["cosines"]) - min(m["cosines"]),
+                     CurveKind.GENERAL_MAGNETIC, CurveKind.SLANT_HELIX),
+    "geodesic_kappa1": (lambda x: _flow(3.0, [math.sqrt(1.0 - (x / 3.0) ** 2)]),
+                        lambda m: m["kappa1"], CurveKind.SLANT_HELIX, CurveKind.GEODESIC),
+    "legendre_cos_theta": (lambda x: _flow(2.0, [x]), lambda m: m["cosines"][0],
+                           CurveKind.SLANT_HELIX, CurveKind.LEGENDRE_HELIX),
+}
+
+
+@pytest.mark.parametrize("factor", [2.0, 0.5])
+@pytest.mark.parametrize("rule", list(_RULE_CURVES))
+def test_each_family_rule_switches_at_tol(rule, factor):
+    curve, quantity, past, within = _RULE_CURVES[rule]
+    tol = 1e-3
+    traj = curve(factor * tol)
+    cls = classify_trajectory(traj, frenet_apparatus(traj), tol=tol)
+    assert quantity(cls.measured) == pytest.approx(factor * tol, rel=0.05)
+    assert cls.kind is (past if factor > 1 else within)
 
 
 def test_fit_field_strength(circle_traj, geodesic_traj):

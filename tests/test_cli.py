@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -911,3 +913,13 @@ for _ in range(2):
     lines = done.stdout.splitlines()
     built = [int(line) for line in lines if line.isdigit()]
     assert built[0] == 0 and built[1] == built[2] > 0, done.stdout
+
+
+def test_every_exported_name_resolves():
+    # a deletion that leaves its name in an __all__ fails here, not at the
+    # first star import
+    modules = [magcurves] + [importlib.import_module(f"magcurves.{info.name}")
+                             for info in pkgutil.iter_modules(magcurves.__path__)]
+    stale = [(mod.__name__, name) for mod in modules for name in getattr(mod, "__all__", ())
+             if not hasattr(mod, name)]
+    assert len(modules) > 9 and not stale

@@ -92,6 +92,20 @@ def test_case_a_rejects_bad_amplitudes():
         CaseAParams(sig, q=2.0, cos_theta=0.5, a=[0.0], b=[0.0], c=[1.0], d=[0.0], h=[0.0])
 
 
+@pytest.mark.parametrize("miss, refused", [(1e-11, True), (5e-13, False)])
+def test_amplitude_check_refuses_a_miss_of_1e_11(miss, refused):
+    # the check's tolerance is 1e-12: 10 times it is refused, half of it passes
+    sig = SpaceSignature(1, 1)
+    c = [np.sqrt(3.0 + miss)]
+    for build in (lambda: CaseAParams(sig, 2.0, 0.5, a=[0.0], b=[0.0], c=c, d=[0.0], h=[0.0]),
+                  lambda: CaseBParams(sig, 0.5, c=[c[0], 0.0], d=[0.0, 0.0], h=[0.0])):
+        if refused:
+            with pytest.raises(InvalidParamsError, match="sum of c_i"):
+                build()
+        else:
+            build()
+
+
 def test_case_a_z_coordinates_differ_by_constants():
     rng = np.random.default_rng(10)
     sig = SpaceSignature(2, 3)
@@ -260,6 +274,15 @@ def test_random_params_selects_case_b_on_lambda_zero():
     ct = 0.25
     params = random_params(sig, q=2 * 2 * ct, cos_theta=ct, seed=0)
     assert isinstance(params, CaseBParams)
+
+
+@pytest.mark.parametrize("lam, family", [(1e-11, CaseAParams), (5e-13, CaseBParams)])
+def test_random_params_lambda_band_is_1e_12(lam, family):
+    sig = SpaceSignature(1, 2)
+    ct = 0.25
+    q = 2 * 2 * ct - lam
+    assert lambda_(q, 2, ct) == pytest.approx(lam, rel=1e-3)
+    assert type(random_params(sig, q=q, cos_theta=ct, seed=0)) is family
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,12 @@ from magcurves import (
     frenet_apparatus,
     initial_tangent,
     integrate_many,
-    osculating_order,
     rho,
 )
 from magcurves import frenet, verify
 from magcurves import model_space as ms
 from magcurves.errors import InsufficientDataError, InvalidGridError
-from magcurves.frenet import _EPS_LEVEL, EPS_GEO, covariant_tt
+from magcurves.frenet import _EPS_LEVEL, EPS_GEO, Measurement, covariant_tt
 from magcurves.sweep import SweepSpec, run_sweep
 from conftest import SIG_GRID, assert_same_bits, slant_setup
 
@@ -36,7 +35,7 @@ def interior(arr):
 def test_geodesic_order_one(geodesic_traj):
     series = frenet_apparatus(geodesic_traj)
     assert np.nanmax(series.kappa1) <= 1e-9
-    assert osculating_order(series, 1e-6) == 1
+    assert Measurement(geodesic_traj, series).osculating_order(1e-6) == 1
     assert np.all(np.isnan(series.v2))
 
 
@@ -45,7 +44,7 @@ def test_slant_circle_curvatures(circle_traj):
     k1 = interior(series.kappa1)
     assert np.abs(k1 - np.sqrt(3.0)).max() < 1e-4  # pointwise, not just the median
     assert np.nanmax(series.kappa2) < 1e-4
-    assert osculating_order(series, 1e-3) == 2
+    assert Measurement(circle_traj, series).osculating_order(1e-3) == 2
 
 
 def test_legendre_helix_curvatures(legendre_traj):
@@ -53,7 +52,7 @@ def test_legendre_helix_curvatures(legendre_traj):
     assert abs(np.nanmedian(series.kappa1) - 1.5) < 1e-4
     assert abs(np.nanmedian(series.kappa2) - np.sqrt(2.0)) < 1e-3
     assert np.nanmedian(series.kappa3) < 1e-3
-    assert osculating_order(series, 1e-3) == 3
+    assert Measurement(legendre_traj, series).osculating_order(1e-3) == 3
 
 
 def test_slant_helix_curvatures(helix_traj):
@@ -62,12 +61,12 @@ def test_slant_helix_curvatures(helix_traj):
     assert abs(np.nanmedian(series.kappa1) - abs(q) * np.sqrt(1 - s * ct * ct)) < 1e-4
     assert abs(np.nanmedian(series.kappa2) - np.sqrt(s) * abs(1 - q * ct)) < 1e-3
     assert np.nanmedian(series.kappa3) < 1e-3
-    assert osculating_order(series, 1e-3) == 3
+    assert Measurement(helix_traj, series).osculating_order(1e-3) == 3
 
 
 def test_nonslant_order_three(nonslant_traj):
     series = frenet_apparatus(nonslant_traj)
-    assert osculating_order(series, 1e-3) == 3
+    assert Measurement(nonslant_traj, series).osculating_order(1e-3) == 3
     assert abs(np.nanmedian(series.kappa2) - 1.0) < 1e-3
     assert np.nanmedian(series.kappa3) < 1e-3
 
@@ -180,8 +179,8 @@ def test_minimal_five_sample_series():
 def test_osculating_order_thresholds(circle_traj):
     series = frenet_apparatus(circle_traj)
     # a tolerance below the noise floor inflates the detected order
-    assert osculating_order(series, 1e-3) == 2
-    assert osculating_order(series, 1e-12) >= 3
+    assert Measurement(circle_traj, series).osculating_order(1e-3) == 2
+    assert Measurement(circle_traj, series).osculating_order(1e-12) >= 3
     assert EPS_GEO == 1e-9
 
 
@@ -346,14 +345,6 @@ def test_run_all_takes_one_frenet_apparatus_per_analysed_trajectory(monkeypatch)
     verify.run_all(0, samples=10, points=9, cases=3)
     assert len(calls) == 2 + 3  # the circle, the Legendre helix and the 3 cases
     assert len({id(traj) for _, traj in calls}) == len(calls)
-
-
-@pytest.mark.parametrize("tol", [1e-12, 1e-3, 1.0, 10.0])
-def test_measurement_order_is_osculating_order(circle_traj, helix_traj, geodesic_traj, tol):
-    for traj in (circle_traj, helix_traj, geodesic_traj):
-        series = frenet_apparatus(traj)
-        assert frenet.Measurement(traj, series).osculating_order(tol) == osculating_order(
-            series, tol)
 
 
 def test_run_all_takes_each_curvature_median_once(monkeypatch):
