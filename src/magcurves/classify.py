@@ -26,6 +26,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
 
 import numpy as np
 
@@ -189,8 +190,9 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
 
     ``eps`` is the orientation sign -sgn(g(phi T, v2)) and ``branch`` the
     sign of eta^a(v3); both depend on frame data absent from bare
-    curvatures, so the caller supplies them.  The curvatures must be finite
-    real numbers and s a positive integer.
+    curvatures, so the caller supplies them, each the integer +1 or -1 (a
+    bool or a float is refused).  The curvatures must be finite real numbers
+    and s a positive integer.
     """
     kappa1 = typed_number("kappa1", kappa1)
     kappa2 = typed_number("kappa2", kappa2)
@@ -202,7 +204,8 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
         )
     if kappa2 < 0:
         raise ValueError("kappa2 must be nonnegative")
-    if eps not in (1, -1) or branch not in (1, -1):
+    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v in (1, -1)
+               for v in (eps, branch)):
         raise ValueError("eps and branch must be +1 or -1")
 
     if case == "i":

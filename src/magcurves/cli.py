@@ -25,14 +25,7 @@ from .classify import (
     order_bound_curvatures,
     predict_class,
 )
-from .closed_form import (
-    CaseAParams,
-    CaseBParams,
-    _amplitude_radius,
-    _lambda_vanishes,
-    sample_case_a,
-    sample_case_b,
-)
+from .closed_form import RESIDUAL_TOL, family, sample_case_a, sample_case_b
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
@@ -41,8 +34,8 @@ from .dynamics import (
     integrate,
     speed_drift,
 )
-from .errors import (ConfigError, DivergenceError, check_memory, positive_int, positive_real,
-                     real_vector, typed_number)
+from .errors import (ConfigError, DivergenceError, check_memory, int_at_least, positive_int,
+                     positive_real, real_vector, typed_number)
 from .frenet import _MIN_SAMPLES, frenet_apparatus, residual
 from .io import read_trajectory, write_trajectory
 from .sweep import SweepSpec, in_tolerance, run_sweep, write_sweep_csv
@@ -159,40 +152,14 @@ def _cmd_integrate(args) -> int:
 
 
 def _closed_form_params(doc: dict):
+    """The config's family: its signature, one slant angle and a typed q;
+    ``family`` picks the case, fills the constants left out and checks them."""
     sig = _signature(doc)
     cosines = _resolve_cosines(doc, sig.s)
     if np.max(cosines) - np.min(cosines) > 0:
         raise ConfigError("closed-form families are slant: all contact angles must be equal")
-    ct = float(cosines[0])
-    n, s = sig.n, sig.s
-    case = doc.get("case")
-    q = _field(doc, "q", default=None)
-    if case is None:
-        case = "b" if q is None or _lambda_vanishes(q, s, ct) else "a"
-    if case not in ("a", "b"):
-        raise ConfigError(f"case must be 'a' or 'b', got {case!r}")
-
-    radius = _amplitude_radius(s, ct)
-    clen = n if case == "a" else 2 * n
-
-    def vec(key: str, length: int) -> np.ndarray:
-        return _field(doc, key, length=length, default=np.zeros(length))
-
-    c = _field(doc, "c", length=clen, default=np.r_[radius, np.zeros(clen - 1)])
-    h = vec("h", s)
-    if case == "a":
-        if q is None:
-            raise ConfigError("case a requires an explicit strength q")
-        return CaseAParams(
-            sig, q, ct,
-            a=vec("a", n), b=vec("b", n), c=c, d=vec("d", n), h=h,
-        )
-    params = CaseBParams(sig, ct, c=c, d=vec("d", 2 * n), h=h)
-    if q is not None and not _lambda_vanishes(q, s, ct):
-        raise ConfigError(
-            f"case b fixes q = 2 s cos(theta) = {params.q!r}, config says {q!r}"
-        )
-    return params
+    return family(sig, float(cosines[0]), _field(doc, "q", default=None), doc.get("case"),
+                  **{k: doc[k] for k in ("a", "b", "c", "d", "h") if k in doc})
 
 
 def _cmd_closed_form(args) -> int:
@@ -201,22 +168,18 @@ def _cmd_closed_form(args) -> int:
     # the integrator's grid: same validation, and the times integrate records
     cfg = IntegratorConfig(**_given(doc, ("step", Real), ("t_end", Real)))
     cfg.check_fits(3 * params.sig.dim + 1, "the closed-form samples")
-    times = cfg.times
-    if isinstance(params, CaseAParams):
-        traj = sample_case_a(params, times)
-    else:
-        traj = sample_case_b(params, times)
+    traj = (sample_case_a if params.case == "a" else sample_case_b)(params, cfg.times)
     res = residual(traj, traj.q)
     out = _out_path(args)
     write_trajectory(traj, out, fmt=args.format)
     print(json.dumps({
         "out": str(out),
-        "case": "a" if isinstance(params, CaseAParams) else "b",
+        "case": params.case,
         "q": traj.q,
         "samples": len(traj),
         "lorentz_residual": res,
     }))
-    return EXIT_OK if res <= 1e-10 else EXIT_VERIFY_FAIL
+    return EXIT_OK if res <= RESIDUAL_TOL else EXIT_VERIFY_FAIL
 
 
 def _cmd_classify(args) -> int:
@@ -254,8 +217,7 @@ def _cmd_invert(args) -> int:
 def _cmd_verify(args) -> int:
     for flag, value, least in (("--seed", args.seed, 0), ("--samples", args.samples, 1),
                                ("--points", args.points, 1), ("--cases", args.cases, 0)):
-        if value < least:
-            raise ConfigError(f"{flag} must be at least {least}, got {value}")
+        int_at_least(flag, value, least)
     typed_number("--inject-metric-perturbation", args.inject_metric_perturbation)
     report = verify_mod.run_all(
         seed=args.seed,

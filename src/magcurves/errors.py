@@ -107,6 +107,14 @@ def positive_int(name: str, value):
     return value
 
 
+def int_at_least(name: str, value, least: int):
+    """value if it is an integer of at least least (a seed or a count), else
+    ConfigError naming it."""
+    if typed_number(name, value, Integral) < least:
+        raise ConfigError(f"{name} must be at least {least}, got {value!r}")
+    return value
+
+
 def nonzero_real(name: str, value):
     """value if it is a finite nonzero real (the field strength q), else ValueError."""
     if not ((type(value) is float or isinstance(value, Real) and not isinstance(value, bool))

@@ -41,7 +41,7 @@ from .classify import (
     order_bound_curvatures,
     predict_class,
 )
-from .closed_form import random_params, sample_case_a
+from .closed_form import RESIDUAL_TOL, random_params, sample_case_a
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
@@ -53,6 +53,7 @@ from .dynamics import (
     integrate_many,
     speed_drift,
 )
+from .errors import int_at_least, real_vector
 from .frenet import Measurement, frenet_apparatus, residual
 
 __all__ = [
@@ -400,7 +401,7 @@ def _curve_checks(exact: Trajectory, trajs: list[Trajectory]) -> list[CheckRecor
     out.append(_record("curves", "legendre_kappa3", helix.kappa3, 1e-3))
 
     # closed form against the integrator, matched initial data
-    out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), 1e-10))
+    out.append(_record("curves", "closed_form_residual", residual(exact, 2.0), RESIDUAL_TOL))
     out.append(_record("curves", "closed_form_vs_rk4",
                        np.abs(traj_cf.points - exact.points), 1e-6))
     return out
@@ -545,7 +546,14 @@ def classification_suite(seed: int = 0, cases: int = 10) -> list[CheckRecord]:
 
 def run_all(seed: int = 0, samples: int = 200, points: int = 50, cases: int = 5,
             metric_perturbation: float = 0.0) -> dict:
-    """All suites; returns a deterministic report dictionary."""
+    """All suites; returns a deterministic report dictionary.  seed and
+    cases are integers of at least 0, samples and points of at least 1, and
+    metric_perturbation a real number, else ValueError (a non-finite one is a
+    negative control, which the structure suite fails)."""
+    for name, value, least in (("seed", seed, 0), ("samples", samples, 1),
+                               ("points", points, 1), ("cases", cases, 0)):
+        int_at_least(name, value, least)
+    real_vector("metric_perturbation", [metric_perturbation])
     checks: list[CheckRecord] = []
     checks += structure_suite(seed, samples, metric_perturbation)
     checks += connection_suite(seed, points)

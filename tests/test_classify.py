@@ -522,6 +522,19 @@ def test_invert_inconsistent_cases():
         invert_q(1.0, 0.0, 1, case="iii", eps=2)
 
 
+@pytest.mark.parametrize("key", ["eps", "branch"])
+@pytest.mark.parametrize("value, accepted", [
+    (1, True), (np.int64(1), True), (True, False), (1.0, False),
+])
+def test_invert_signs_are_the_integers_plus_minus_one(key, value, accepted):
+    call = functools.partial(invert_q, 1.0, 0.4, 1, case="iv", **{key: value})
+    if accepted:
+        assert call() == invert_q(1.0, 0.4, 1, case="iv")
+    else:
+        with pytest.raises(ValueError, match=r"^eps and branch must be \+1 or -1$"):
+            call()
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     k1=st.floats(0.05, 5.0),

@@ -27,6 +27,7 @@ from magcurves import (
     residual,
 )
 from magcurves import sweep as sweep_mod
+from magcurves.closed_form import RESIDUAL_TOL
 from magcurves.dynamics import exact_flow
 from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
@@ -266,6 +267,19 @@ def test_closed_form_configs_that_pass_the_paper_equations_exit_0(tmp_path, caps
             code, stdout, stderr = run_cli(capsys, "closed-form", "--config", cfg,
                                            "--out", str(tmp_path / "cf.csv"))
             assert code == 0, (doc, stdout, stderr)
+
+
+def test_closed_form_exit_code_holds_the_residual_bound(tmp_path, capsys, monkeypatch):
+    # one bound, closed_form.RESIDUAL_TOL, for the exit code and for verify's check
+    cfg = write_json(tmp_path / "cf.json", {"n": 1, "s": 1, "q": 2.0, "cos_theta": 0.5,
+                                            "t_end": 0.01})
+    for factor, want in ((1 + 1e-3, 1), (1 - 1e-3, 0)):
+        monkeypatch.setattr(cli, "residual", lambda traj, q: RESIDUAL_TOL * factor)
+        code, stdout, _ = run_cli(capsys, "closed-form", "--config", cfg,
+                                  "--out", str(tmp_path / "cf.csv"))
+        assert (code, json.loads(stdout)["lorentz_residual"]) == (want, RESIDUAL_TOL * factor)
+    tols = [r.tol for r in verify_mod.curve_suite(0) if r.name == "closed_form_residual"]
+    assert tols == [RESIDUAL_TOL]
 
 
 @pytest.mark.parametrize("doc", [

@@ -13,7 +13,8 @@ from magcurves import (
     sample_case_a,
     sample_case_b,
 )
-from magcurves.errors import InfeasibleAngleError, InvalidParamsError
+from magcurves.closed_form import family
+from magcurves.errors import ConfigError, InfeasibleAngleError, InvalidParamsError
 from conftest import SIG_GRID
 from oracles import paper_case_a, paper_equations
 
@@ -243,6 +244,64 @@ def test_samplers_match_the_paper_equations(n, s):
         for g, w in ((got.points, want.points), (got.velocities, want.velocities),
                      (got.accelerations, want.accelerations)):
             assert np.max(np.abs(g - w)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the family choice
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("q, case, want", [
+    (2.0, None, "a"),                      # lambda = -1
+    (None, None, "b"),                     # no strength: the straight-line family
+    (1.0, None, "b"),                      # lambda = 0
+    (1.0 - 1e-11, None, "a"),              # outside the 1e-12 band
+    (1.0 - 5e-13, None, "b"),              # inside it
+    (2.0, "a", "a"),
+    (None, "b", "b"),
+])
+def test_family_picks_the_case(q, case, want):
+    params = family(SpaceSignature(1, 1), 0.5, q, case)
+    assert params.case == want
+    assert type(params) is {"a": CaseAParams, "b": CaseBParams}[want]
+
+
+def test_family_fills_absent_constants():
+    sig = SpaceSignature(2, 1)
+    a = family(sig, 0.5, 2.0)
+    assert a.c.tolist() == [SQRT3, 0.0]
+    assert [getattr(a, k).tolist() for k in "abdh"] == [[0.0, 0.0]] * 3 + [[0.0]]
+    b = family(sig, 0.5, case="b")
+    assert b.c.tolist() == [SQRT3, 0.0, 0.0, 0.0]
+    assert (b.d.tolist(), b.h.tolist()) == ([0.0] * 4, [0.0])
+    # a constant given is kept as given; a and b, which case b lacks, are ignored
+    assert family(sig, 0.5, 2.0, c=[0.0, SQRT3]).c.tolist() == [0.0, SQRT3]
+    assert family(sig, 0.5, case="b", a=[9.0, 9.0], b="ignored").as_dict() == b.as_dict()
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    ({"case": "c"}, ConfigError, "case must be 'a' or 'b', got 'c'"),
+    ({"case": ["a"]}, ConfigError, "case must be 'a' or 'b', got ['a']"),
+    ({"case": "a"}, ConfigError, "case a requires an explicit strength q"),
+    ({"case": "b", "q": 2.0}, ConfigError,
+     "case b fixes q = 2 s cos(theta) = 1.0, config says 2.0"),
+    ({"q": 2.0, "c": [True]}, ConfigError, "c entries must be real numbers, got [True]"),
+    ({"q": 2.0, "c": [1.0]}, InvalidParamsError, "sum of c_i^2 must equal"),
+    ({"q": 2.0, "e": [0.0]}, TypeError, "family() got unexpected constants ['e']"),
+])
+def test_family_refusals(kwargs, error, message):
+    with pytest.raises(error) as exc:
+        family(SpaceSignature(1, 1), 0.5, **kwargs)
+    assert str(exc.value).startswith(message)
+
+
+@pytest.mark.parametrize("n, s", SIG_GRID)
+def test_family_rebuilds_its_own_record(n, s):
+    sig, ct = SpaceSignature(n, s), 0.3 / np.sqrt(s)
+    for q in (1.7, 2 * s * ct):
+        doc = random_params(sig, q, ct, seed=[n, s]).as_dict()
+        constants = {k: doc[k] for k in "abcdh" if k in doc}
+        assert family(sig, ct, doc["q"], doc["case"], **constants).as_dict() == doc
+        assert family(sig, ct, doc["q"], **constants).as_dict() == doc
 
 
 # ---------------------------------------------------------------------------

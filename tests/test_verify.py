@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -35,6 +36,20 @@ def test_nan_metric_fails_the_structure_suite():
     compat = [c for c in report["checks"] if c["name"] == "phi_metric_compat"]
     assert math.isnan(compat[0]["max_err"]) and not compat[0]["passed"]
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"cases": -1}, "cases must be at least 0, got -1"),
+    ({"seed": True}, "seed must be an integer, got True"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+    ({"samples": 0}, "samples must be at least 1, got 0"),
+    ({"samples": 2.5}, "samples must be an integer, got 2.5"),
+    ({"points": 0}, "points must be at least 1, got 0"),
+    ({"metric_perturbation": "0.1"}, "metric_perturbation entries must be real numbers"),
+])
+def test_run_all_refuses_bad_sizes(kwargs, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_all(**kwargs)
 
 
 def _nan_curvatures(fn):
