@@ -22,13 +22,16 @@ Cases (each a ``layer`` with its unit of work):
   microseconds per call;
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
 * ``dynamics.integrate_many``: n = s = 2 at B = 1, 5, 10, 64 (1000 steps)
-  and 1024 (100 steps), microseconds per row-step; 5 is the batch of
-  verify's curve suite and of its classification suite, 10 that of
-  ``verify.run_all``;
-* ``sweep.setup``, ``sweep.trajectory`` (``exact_flow`` per cell, as
-  ``run_sweep`` runs it) and ``sweep.frenet_row``: the stages of the
-  benchmark's ``sweep-grid`` seed-1 sweep (32 cells of 2001 samples, from
-  ``perfbench/inputs.py``'s generator), in milliseconds per cell;
+  and 1024 (100 steps), all rows under one config (so stepped at one float
+  step), microseconds per row-step; 5 is the batch of verify's curve suite
+  and of its classification suite, 10 that of ``verify.run_all``;
+* ``sweep.setup``, ``sweep.trajectory`` (the exact flow of each cell,
+  without accelerations, by the call ``run_sweep`` makes) and
+  ``sweep.frenet_row``: the stages of the benchmark's ``sweep-grid`` seed-1
+  sweep (32 cells of 2001 samples, from ``perfbench/inputs.py``'s
+  generator), in milliseconds per cell, and ``frenet.median``: the kappa1
+  and kappa2 medians of each of its cells (``frenet._nanmedian``), in
+  microseconds per cell;
 * ``closed_form.sample``: ``exact_flow(params.setup(), times)``, the call of
   ``sample_case_a``/``sample_case_b``, on the 8 configs of the benchmark's
   ``exact-roundtrip`` seed-1 workload (case a and case b for 4 signatures,
@@ -133,18 +136,31 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
     def setup_stage():
         return [sweep._cell_setup(spec, i, *cell) for i, cell in cells]
 
+    # run_sweep's cell flow; a package from before the acceleration-free
+    # body has only exact_flow, so that it can be timed as the parent
+    if hasattr(sweep, "_exact_flow"):
+        cell_flow = functools.partial(sweep._exact_flow, accelerations=False)
+    else:
+        cell_flow = sweep.exact_flow
+
     def trajectory_stage():
-        return [sweep.exact_flow(setup, spec.integrator.times) for setup in setups]
+        return [cell_flow(setup, spec.integrator.times) for setup in setups]
 
     def frenet_row_stage(cell_row=sweep._cell_row):
         return [cell_row(*cell, traj) for (_, cell), traj in zip(cells, trajs)]
+
+    def median_stage(median=mc.frenet._nanmedian):
+        return [(median(series.kappa1), median(series.kappa2)) for series in cell_series]
     setups = setup_stage()
     trajs = trajectory_stage()
-    for layer, fn, extra in (("sweep.setup", setup_stage, {}),
-                             ("sweep.trajectory", trajectory_stage, {"engine": "exact_flow"}),
-                             ("sweep.frenet_row", frenet_row_stage, {})):
+    cell_series = [mc.frenet_apparatus(traj) for traj in trajs]
+    for layer, fn, extra, unit in (
+            ("sweep.setup", setup_stage, {}, "ms/cell"),
+            ("sweep.trajectory", trajectory_stage, {"engine": "exact_flow"}, "ms/cell"),
+            ("sweep.frenet_row", frenet_row_stage, {}, "ms/cell"),
+            ("frenet.median", median_stage, {}, "us/cell")):
         out.append(({"layer": layer, "cells": len(cells), "samples": spec.integrator.n_samples,
-                     **extra, "unit": "ms/cell"}, len(cells), fn))
+                     **extra, "unit": unit}, len(cells), fn))
 
     docs = inputs.roundtrip_configs(np.random.default_rng([ROUNDTRIP_SEED, 1]), ROUNDTRIP_SEED)
     runs = [functools.partial(mc.exact_flow, cli._closed_form_params(doc).setup(),

@@ -299,7 +299,7 @@ def _rk4(rhs, state: np.ndarray, h, ends: np.ndarray, stride: int) -> np.ndarray
 
     if np.any(diverged):
         row = int(np.flatnonzero(diverged)[0])
-        k, step = int(diverged[row]), float(np.ravel(h)[row])
+        k, step = int(diverged[row]), float(h if np.ndim(h) == 0 else h[row, 0])
         raise DivergenceError(
             f"nonfinite state at t = {k * step:.6g}; last valid time {(k - 1) * step:.6g}",
             t_last=(k - 1) * step,
@@ -377,8 +377,10 @@ def integrate_many(setups, cfg) -> list[Trajectory]:
     else:
         q = np.array([st.q for st in setups])
         s_rows = np.array([st.sig.s for st in setups], dtype=float)
-        steps = np.array([c.step for c in cfgs])[:, None]
-        rec = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, steps, ends, stride)
+        # one shared step is stepped as a float, a step per row as a (B, 1) column
+        steps = {c.step for c in cfgs}
+        step = steps.pop() if len(steps) == 1 else np.array([c.step for c in cfgs])[:, None]
+        rec = _rk4(functools.partial(_rhs, n, q, s_rows, reeb), state, step, ends, stride)
     times = {c: c.times for c in cfgs}
     return [Trajectory(st.sig, times[c], *(rec[row] if view else rec[row, cols, :c.n_samples])
                        .reshape(2, -1, c.n_samples).mT, q=st.q)
@@ -430,6 +432,8 @@ def _rotation_integrals(z: np.ndarray):
 def exact_flow(setup: MagneticSetup, times) -> Trajectory:
     """The exact solution of the Lorentz equation from (p0, T0), sampled at
     the given times, for any signature and any unit-speed T0, slant or not.
+    times are finite real numbers (the rule of ``errors.real_vector``),
+    else ConfigError.
 
     Each eta^a(T) is a first integral, so w = 2 sum_a eta^a(T) - q is
     constant and u = vx + i vy obeys u' = -i w u.  With z = w t and the
@@ -452,9 +456,15 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
     along the samples, and the returned arrays are column-major views of
     them, with the bits of the same formulas on C-ordered (N, dim) arrays.
     """
+    return _exact_flow(setup, real_vector("times", times, np.size(times)), accelerations=True)
+
+
+def _exact_flow(setup: MagneticSetup, t: np.ndarray, accelerations: bool) -> Trajectory:
+    """``exact_flow`` at the float array t; without accelerations the
+    trajectory carries none, and its points and velocities keep their bits
+    (a sweep cell reads no acceleration)."""
     sig = setup.sig
     n = sig.n
-    t = np.asarray(times, dtype=float)
     p0, v0 = setup.p0, setup.T0
     x0, y0, z0 = p0[:n], p0[n:2 * n], p0[2 * n:]
     a, b = v0[:n], v0[n:2 * n]
@@ -480,8 +490,10 @@ def exact_flow(setup: MagneticSetup, times) -> Trajectory:
         two_eta = (2.0 * eta)[:, None]
         pts = np.concatenate([x0[:, None] + X, y, z0[:, None] + two_eta * t + int_y_vx]).T
         vel = np.concatenate([vx, vy, two_eta + dot(y * vx)]).T
-        az = dot(vx * vy) + dot(y * vy) * w
-        acc = np.concatenate([vy * w, vx * -w, np.broadcast_to(az, (sig.s, len(t)))]).T
+        acc = None
+        if accelerations:
+            az = dot(vx * vy) + dot(y * vy) * w
+            acc = np.concatenate([vy * w, vx * -w, np.broadcast_to(az, (sig.s, len(t)))]).T
 
     traj = Trajectory(sig, t, pts, vel, q=setup.q, accelerations=acc)
     if (k := traj.first_nonfinite()) is not None:

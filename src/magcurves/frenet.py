@@ -201,10 +201,34 @@ def frenet_apparatus(traj: Trajectory) -> FrenetSeries:
 
 
 def _nanmedian(arr: np.ndarray) -> float:
-    """Median of the finite values of arr, NaN when there are none."""
-    if not np.any(np.isfinite(arr)):
+    """Median of the values of arr that are not NaN (an infinite one
+    counts), NaN when none is finite: the bits of np.nanmedian, signed
+    zeros included, without np.median (whose NaN check imports numpy.ma).
+
+    Which of two equal zeros lands in the middle depends on the order
+    partitioned, so the NaNs are dropped in numpy's order (the non-NaN
+    values of the tail fill the NaN slots, and the tail is cut), the
+    partition is made at np.median's indices, and the middle is averaged as
+    np.mean averages it (an add.reduce, which starts from +0.0, so a -0.0
+    middle gives +0.0).
+    """
+    if not np.isfinite(arr).any():
         return float("nan")
-    return float(np.nanmedian(arr))
+    holes = np.flatnonzero(np.isnan(arr))
+    vals = arr.copy()
+    if holes.size:
+        tail = arr[-holes.size:]
+        tail = tail[~np.isnan(tail)]
+        vals[holes[:tail.size]] = tail
+        vals = vals[:-holes.size]
+    k = vals.size // 2
+    if vals.size % 2:
+        vals.partition([k, -1])
+        mid = vals[k:k + 1]
+    else:
+        vals.partition([k - 1, k, -1])
+        mid = vals[k - 1:k + 1]
+    return float(np.add.reduce(mid)) / mid.size
 
 
 @dataclass(frozen=True)
@@ -214,8 +238,9 @@ class Measurement:
     the fields it reads: ``dynamics.speed_drift`` and ``angle_drift`` (the
     latter from eta^a(T)(0)), the time-mean ``cosines`` of each eta^a(T) and
     the ``angle_deviation`` about them, the time-medians ``kappa1..kappa3``
-    and the largest kappa3 ``kappa3_max`` (of the finite values, NaN if
-    none), the ``fit`` of ``fit_field_strength`` and the ``v2_alignment``;
+    and the largest kappa3 ``kappa3_max`` (over the samples that are not
+    NaN, an infinite one included; NaN when none is finite), the ``fit`` of
+    ``fit_field_strength`` and the ``v2_alignment``;
     ``osculating_order(tol)`` walks the curvature medians.
     """
 
@@ -243,7 +268,7 @@ class Measurement:
     @cached_property
     def kappa3_max(self) -> float:
         k3 = self.series.kappa3
-        return float(np.nanmax(k3)) if np.any(np.isfinite(k3)) else float("nan")
+        return float(np.nanmax(k3)) if np.isfinite(k3).any() else float("nan")
 
     @cached_property
     def v2_alignment(self) -> float | None:

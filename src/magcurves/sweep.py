@@ -1,9 +1,10 @@
 """Deterministic parameter sweeps over (n, s, q, cos theta) grids.
 
 Each cell samples one slant trajectory from the origin with the exact flow
-(``dynamics.exact_flow``) on the integrator's time grid, measures its
-curvatures, and compares them with the predicted classification.  Cells are
-independent and run in grid order, so identical specs give identical bytes.
+(``dynamics.exact_flow``, without the accelerations that no row reads) on
+the integrator's time grid, measures its curvatures, and compares them with
+the predicted classification.  Cells are independent and run in grid
+order, so identical specs give identical bytes.
 """
 from __future__ import annotations
 
@@ -19,8 +20,8 @@ from .classify import predict_class
 from .dynamics import (
     IntegratorConfig,
     MagneticSetup,
+    _exact_flow,
     check_angles,
-    exact_flow,
     initial_tangent,
     # unused here, but kept bound: perfbench/spans.py wraps sweep.integrate by
     # name, and every traced benchmark run fails with an AttributeError without it
@@ -90,7 +91,8 @@ class SweepSpec:
                         f"inadmissible cell s = {s}, cos_theta = {ct!r}: {exc}") from exc
         # IntegratorConfig validates t_end, step and record_every
         cfg = IntegratorConfig(self.t_end, self.step, self.record_every)
-        # one cell at a time: its times, points, velocities and accelerations
+        # one cell at a time: its times, points and velocities, and one
+        # (N, dim) block at least for the flow's temporaries
         cfg.check_fits(3 * (2 * max(self.n_values) + max(self.s_values)) + 1,
                        "the samples of one sweep cell")
         object.__setattr__(self, "integrator", cfg)
@@ -136,7 +138,7 @@ def run_sweep(spec: SweepSpec) -> list[dict]:
     for index, (n, s, q, ct) in enumerate(spec.cells()):
         setup = _cell_setup(spec, index, n, s, q, ct)
         try:
-            traj = exact_flow(setup, times)
+            traj = _exact_flow(setup, times, accelerations=False)
         except DivergenceError as exc:
             raise DivergenceError(
                 f"sweep cell {index} (n = {n}, s = {s}, q = {q!r}, cos_theta = {ct!r}): {exc}",

@@ -156,6 +156,7 @@ def structure_suite(seed: int = 0, samples: int = 1000,
         eta_u = ms.eta_comps(sig, p, u)
         eta_v = ms.eta_comps(sig, p, v)
         xis = 2.0 * np.eye(sig.dim)[2 * n:]  # row a is xi_a
+        p_xi = p[np.arange(s) % samples]  # a point for each xi_a, p[:s] when samples >= s
 
         # phi^2 = -I + sum eta^a (x) xi_a
         phi_sq = -u
@@ -175,8 +176,8 @@ def structure_suite(seed: int = 0, samples: int = 1000,
             "phi_metric_compat": np.abs(g(phiu, phiv)
                                         - (g(u, v) - np.sum(eta_u * eta_v, axis=-1))),
             # eta^a(xi_b) = delta, phi xi = 0
-            "eta_xi_duality": np.abs(ms.eta_comps(sig, p[:s], xis) - np.eye(s)),
-            "phi_xi_kernel": np.abs(ms.phi_comps(sig, p[:s], xis)),
+            "eta_xi_duality": np.abs(ms.eta_comps(sig, p_xi, xis) - np.eye(s)),
+            "phi_xi_kernel": np.abs(ms.phi_comps(sig, p_xi, xis)),
             # eta(phi X) = 0 and eta^a(X) = g(X, xi_a)
             "eta_phi_kernel": np.abs(ms.eta_comps(sig, p, phiu)),
             "eta_metric_dual": np.abs(eta_u - ms.inner(sig, p[:, None], u[:, None], xis)),

@@ -147,6 +147,33 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["passed"] is True
 
 
+_NO_MASKED_ARRAYS = """
+import sys
+import numpy as np
+from magcurves import (SpaceSignature, classify_trajectory, cli, exact_flow, frenet_apparatus,
+                       random_params, verify)
+from magcurves.io import write_trajectory
+from magcurves.sweep import SweepSpec, run_sweep
+
+run_sweep(SweepSpec(q_values=(2.0, -1.5), cos_theta_values=(0.0, 0.3), n_values=(1, 2),
+                    t_end=0.5, step=1e-2))
+traj = exact_flow(random_params(SpaceSignature(1, 2), 1.5, 0.3, seed=0).setup(),
+                  np.arange(401) * 1e-2)
+classify_trajectory(traj, frenet_apparatus(traj))
+verify.run_all(samples=2, points=9, cases=1)
+write_trajectory(traj, sys.argv[1])
+assert cli.main(["classify", "--traj", sys.argv[1]]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_sweep_verify_and_classify_leave_numpy_ma_unimported(tmp_path):
+    # np.median's NaN check imports numpy.ma on its first call
+    done = run_python("-c", _NO_MASKED_ARRAYS, str(tmp_path / "curve.csv"))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
+
+
 def test_integrate_theta_in_radians(tmp_path, capsys):
     cfg = write_json(tmp_path / "run.json", {
         "n": 1, "s": 1, "q": 2.0, "theta": math.pi / 3.0, "t_end": 0.5, "step": 1e-3,

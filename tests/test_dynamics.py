@@ -20,8 +20,9 @@ from magcurves import (
     speed_drift,
 )
 from magcurves import dynamics, model_space as ms
-from magcurves.dynamics import _rhs, _rotation_integrals, exact_flow
-from magcurves.errors import DegenerateDirectionError, DivergenceError, InfeasibleAngleError
+from magcurves.dynamics import _exact_flow, _rhs, _rotation_integrals, exact_flow
+from magcurves.errors import (ConfigError, DegenerateDirectionError, DivergenceError,
+                              InfeasibleAngleError)
 from magcurves.sweep import SweepSpec, _cell_setup
 from conftest import SIG_GRID, assert_same_bits, integrate_slant, slant_setup
 from oracles import paper_equations, rk4_reference
@@ -577,6 +578,26 @@ def test_memory_guard_counts_the_allocated_bytes(monkeypatch):
         assert counted == [_owned_bytes(trajs)]
 
 
+def test_integrate_many_steps_a_uniform_batch_at_one_float(monkeypatch):
+    # rows that share a step are stepped at it as a float, rows with their
+    # own steps at a (B, 1) column; test_integrate_many_matches_integrate_bitwise
+    # holds the bits
+    steps = []
+
+    def spy(rhs, state, h, ends, stride):
+        steps.append(h)
+        return rk4(rhs, state, h, ends, stride)
+    rk4 = dynamics._rk4
+    monkeypatch.setattr(dynamics, "_rk4", spy)
+    setups = [slant_setup(1, 1, 2.0, 0.5), slant_setup(2, 1, -1.5, 0.3)]
+    fine, coarse = IntegratorConfig(t_end=0.1, step=1e-2), IntegratorConfig(t_end=0.1, step=2e-2)
+    integrate_many(setups, fine)
+    integrate_many(setups, [fine, IntegratorConfig(t_end=0.05, step=1e-2)])
+    integrate_many(setups, [fine, coarse])
+    assert steps[:2] == [1e-2, 1e-2] and all(type(h) is float for h in steps[:2])
+    assert steps[2].shape == (2, 1) and steps[2].ravel().tolist() == [1e-2, 2e-2]
+
+
 def test_integrate_many_rejects_bad_batches():
     with pytest.raises(ValueError):
         integrate_many([], IntegratorConfig(t_end=0.1, step=1e-2))
@@ -802,6 +823,33 @@ def test_exact_flow_overflow_raises_divergence():
     with pytest.raises(DivergenceError) as err:
         exact_flow(setup, times)
     assert err.value.t_last == 1e154
+
+
+def test_exact_flow_times_are_real_numbers():
+    setup = slant_setup(1, 1, 2.0, 0.3)
+    for times, message in ((["0", True], "times entries must be real numbers"),
+                           ([0.0, True], "times entries must be real numbers"),
+                           ([0.0, math.inf], "times must be finite"),
+                           (np.array([0.0, math.nan]), "times must be finite")):
+        with pytest.raises(ConfigError, match=message):
+            exact_flow(setup, times)
+    # integers are real numbers, and a float array is taken as it is
+    want = exact_flow(setup, np.arange(5.0))
+    for times in ([0, 1, 2, 3, 4], np.arange(5), [0.0, 1.0, 2.0, 3.0, 4.0]):
+        assert_same_bits(exact_flow(setup, times).points, want.points)
+
+
+@pytest.mark.parametrize("n,s", [(1, 1), (2, 3), (9, 1)])
+def test_exact_flow_without_accelerations_keeps_the_bits(n, s):
+    # a sweep cell's flow: the same samples, and no accelerations
+    setup = _random_setups(np.random.default_rng([n, s, 3]), SpaceSignature(n, s), 1)[0]
+    times = IntegratorConfig(t_end=2.0, step=1e-3).times
+    full = exact_flow(setup, times)
+    bare = _exact_flow(setup, times, accelerations=False)
+    assert full.accelerations is not None and bare.accelerations is None
+    for got, want in ((bare.times, full.times), (bare.points, full.points),
+                      (bare.velocities, full.velocities)):
+        assert_same_bits(got, want)
 
 
 def reference_exact_flow(setup, times):

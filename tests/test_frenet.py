@@ -308,6 +308,51 @@ def test_measurement_computes_each_field_once_on_first_read(monkeypatch, helix_t
     assert [name for name, _ in calls] == ["_nanmedian", "fit_field_strength"]
 
 
+_INF, _NAN = np.inf, np.nan
+_ZEROS = np.random.default_rng(7).choice([0.0, -0.0, _NAN, 1.0, -1.0], size=(6, 41))
+# the values np.nanmedian is asked for, and (where none is finite) the NaN
+# that _nanmedian gives instead of np.nanmedian's value or warning
+_MEDIAN_CASES = {
+    "odd": [3.0, -1.0, 2.0, 7.5, 0.25],
+    "even": [4.0, 1.0, -3.0, 2.0],
+    "nan_first": [_NAN, 2.0, 1.0, 3.0],
+    "nan_last": [2.0, 1.0, 3.0, 5.0, _NAN, _NAN],
+    "nan_both_ends": [_NAN, _NAN, 1.0, 4.0, 2.0, 3.0, _NAN, _NAN],
+    "nan_middle": [1.0, _NAN, 3.0, 2.0, _NAN, 5.0, 4.0],
+    "inf_odd": [_INF, 1.0, 2.0],
+    "inf_even": [_INF, _INF, 1.0, -_INF],
+    "minus_inf_middle": [-_INF, -_INF, -_INF, 1.0, 2.0],
+    "inf_middle": [_INF, _NAN, 1.0, _INF],
+    "zeros_plus_minus": [0.0, -0.0],
+    "zeros_minus_plus": [-0.0, 0.0],
+    "zeros_minus_minus": [-0.0, -0.0],
+    "zero_minus_odd": [1.0, -0.0, -1.0],
+    "zeros_mixed_odd": [-0.0, 0.0, -0.0, 1.0, -1.0],
+    "zeros_behind_nans": [-0.0, _NAN, 0.0, 1.0, -0.0, _NAN, -1.0, -0.0],
+    "zeros_minus_nan_tail": [0.0, _NAN, _NAN, -1.0, 1.0, -0.0, -0.0],
+    **{f"zeros_drawn_{k}": list(row[:40 + k % 2]) for k, row in enumerate(_ZEROS)},
+    "single": [2.5],
+    "single_minus_zero": [-0.0],
+    "single_behind_nans": [_NAN, _NAN, -0.0, _NAN],
+    "all_nan": [_NAN, _NAN, _NAN],
+    "all_inf": [_INF, -_INF, _INF],
+    "all_inf_and_nan": [_NAN, -_INF, -_INF, _NAN],
+}
+
+
+@pytest.mark.parametrize("name", list(_MEDIAN_CASES))
+def test_nanmedian_has_the_bits_of_np_nanmedian(name):
+    arr = np.array(_MEDIAN_CASES[name])
+    before = arr.copy()
+    got = frenet._nanmedian(arr)
+    assert type(got) is float
+    assert_same_bits(arr, before)  # the input is left as it was
+    if np.isfinite(arr).any():
+        assert_same_bits(got, float(np.nanmedian(arr)))
+    else:
+        assert np.isnan(got)
+
+
 def test_measurement_of_a_geodesic_has_nan_curvatures_without_warnings(geodesic_traj):
     # kappa2 and kappa3 are NaN on every sample; RuntimeWarnings are errors
     m = frenet.Measurement(geodesic_traj, frenet_apparatus(geodesic_traj))

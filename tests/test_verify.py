@@ -30,6 +30,13 @@ def test_metric_perturbation_is_detected():
     assert all(r.passed for r in clean)
 
 
+@pytest.mark.parametrize("samples", [1, 2, 3, 4])
+def test_structure_suite_runs_fewer_samples_than_reeb_directions(samples):
+    # the xi_a checks take a point for each of up to s = 3 Reeb directions
+    records = structure_suite(seed=3, samples=samples)
+    assert len(records) == 8 and all(r.passed for r in records)
+
+
 def test_nan_metric_fails_the_structure_suite():
     # a NaN error is the largest one, not skipped by the reduction
     report = run_all(seed=3, samples=20, points=9, cases=0, metric_perturbation=math.nan)
