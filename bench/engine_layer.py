@@ -136,12 +136,7 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
     def setup_stage():
         return [sweep._cell_setup(spec, i, *cell) for i, cell in cells]
 
-    # run_sweep's cell flow; a package from before the acceleration-free
-    # body has only exact_flow, so that it can be timed as the parent
-    if hasattr(sweep, "_exact_flow"):
-        cell_flow = functools.partial(sweep._exact_flow, accelerations=False)
-    else:
-        cell_flow = sweep.exact_flow
+    cell_flow = functools.partial(sweep._exact_flow, accelerations=False)  # run_sweep's call
 
     def trajectory_stage():
         return [cell_flow(setup, spec.integrator.times) for setup in setups]

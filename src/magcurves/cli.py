@@ -2,7 +2,7 @@
 
 Subcommands: integrate, closed-form, classify, invert, verify, sweep.
 Exit codes: 0 success, 1 verification failure, 2 invalid configuration,
-3 numerical divergence.
+3 numerical divergence; a config key outside ``_CONFIG_KEYS`` exits 2.
 """
 from __future__ import annotations
 
@@ -47,7 +47,23 @@ EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3
 
 
-def _load_config(path: str) -> dict:
+_ANGLE_KEYS = ("cos_theta", "theta", "cosines", "thetas")  # a config holds one of them
+_RUN_KEYS = {"t_end": Real, "step": Real, "record_every": Integral}  # key: kind it is typed to
+_SWEEP_KEYS = {"tol": Real, "seed": Integral, **_RUN_KEYS}
+_GRID_KEYS = ("q_values", "cos_theta_values", "n_values", "s_values")
+# The keys each command's config may hold, one spelling each; classify
+# --config classifies the curve that an integrate config describes.
+_CONFIG_KEYS = {
+    "integrate": ("n", "s", "q", *_ANGLE_KEYS, "p0", "direction", *_RUN_KEYS),
+    "closed-form": ("n", "s", "q", "case", *_ANGLE_KEYS, "a", "b", "c", "d", "h",
+                    "t_end", "step"),
+    "sweep": (*_GRID_KEYS, *_SWEEP_KEYS),
+}
+_CONFIG_KEYS["classify"] = _CONFIG_KEYS["integrate"]
+
+
+def _load_config(path: str, command: str) -> dict:
+    """The JSON object at path, holding only keys that command reads."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -55,6 +71,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
+    if unknown := set(doc).difference(_CONFIG_KEYS[command]):
+        raise ConfigError(f"unknown config keys {sorted(unknown)}")
     return doc
 
 
@@ -80,11 +98,10 @@ def _field(doc: dict, key: str, kind=Real, default=_REQUIRED, length=None):
     return real_vector(key, value, length)
 
 
-def _given(doc: dict, *keys) -> dict:
-    """{key: _field(doc, key, kind)} for each (key, kind) pair whose key doc
-    holds, typed in the order given; a key doc lacks keeps the default of
-    the config it is passed to."""
-    return {key: _field(doc, key, kind) for key, kind in keys if key in doc}
+def _given(doc: dict, kinds: dict) -> dict:
+    """{key: _field(doc, key, kind)} for each key of kinds that doc holds, typed in
+    that order; a key doc lacks keeps the default of the config it is passed to."""
+    return {key: _field(doc, key, kind) for key, kind in kinds.items() if key in doc}
 
 
 def _signature(doc: dict) -> ms.SpaceSignature:
@@ -94,16 +111,11 @@ def _signature(doc: dict) -> ms.SpaceSignature:
 
 
 def _resolve_cosines(doc: dict, s: int) -> np.ndarray:
-    """Contact angles from exactly one of cos_theta / theta / cosines / thetas.
-
-    cos_theta is the preferred form; plain angles are converted once here.
-    """
-    given = [k for k in ("cos_theta", "theta", "cosines", "thetas") if k in doc]
+    """Contact angles from exactly one of _ANGLE_KEYS; plain angles are converted here."""
+    given = [k for k in _ANGLE_KEYS if k in doc]
     if len(given) != 1:
-        raise ConfigError(
-            "config must contain exactly one of 'cos_theta', 'theta', 'cosines', 'thetas'; "
-            f"found {given or 'none'}"
-        )
+        raise ConfigError("config must contain exactly one of "
+                          f"{', '.join(map(repr, _ANGLE_KEYS))}; found {given or 'none'}")
     key = given[0]
     check_memory(8 * s, "the contact angles")
     if key == "cos_theta":
@@ -126,15 +138,14 @@ def _out_path(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def _cmd_integrate(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, "integrate")
     sig = _signature(doc)
     cosines = _resolve_cosines(doc, sig.s)
     q = _field(doc, "q")
     p0 = _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim))
     direction = _field(doc, "direction", length=2 * sig.n, default=None)
     setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines, direction))
-    cfg = IntegratorConfig(**_given(doc, ("t_end", Real), ("step", Real),
-                                    ("record_every", Integral)))
+    cfg = IntegratorConfig(**_given(doc, _RUN_KEYS))
     if cfg.n_samples < _MIN_SAMPLES:  # the Lorentz residual's stencil, before any output
         raise ConfigError(f"integrate needs at least {_MIN_SAMPLES} recorded samples, "
                           f"got {cfg.n_samples}")
@@ -163,10 +174,10 @@ def _closed_form_params(doc: dict):
 
 
 def _cmd_closed_form(args) -> int:
-    doc = _load_config(args.config)
+    doc = _load_config(args.config, "closed-form")
     params = _closed_form_params(doc)
     # the integrator's grid: same validation, and the times integrate records
-    cfg = IntegratorConfig(**_given(doc, ("step", Real), ("t_end", Real)))
+    cfg = IntegratorConfig(**_given(doc, {"step": Real, "t_end": Real}))
     cfg.check_fits(3 * params.sig.dim + 1, "the closed-form samples")
     traj = (sample_case_a if params.case == "a" else sample_case_b)(params, cfg.times)
     res = residual(traj, traj.q)
@@ -187,7 +198,7 @@ def _cmd_classify(args) -> int:
         raise ConfigError("classify needs exactly one of --config or --traj")
     positive_real("--tol", args.tol)
     if args.config is not None:
-        doc = _load_config(args.config)
+        doc = _load_config(args.config, "classify")
         s = positive_int("s", _field(doc, "s", Integral))
         cosines = _resolve_cosines(doc, s)
         q = _field(doc, "q")
@@ -237,25 +248,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    doc = _load_config(args.config)
-
-    def grid(*names, required=False) -> dict:
-        # {the SweepSpec field names[0]: the first of names that doc holds}
-        for name in names:
-            if name in doc:
-                return {names[0]: doc[name]}
-        if required:
-            raise ConfigError(f"sweep config is missing {names[0]!r}")
-        return {}
-
-    spec = SweepSpec(
-        **grid("q_values", "q", required=True),
-        **grid("cos_theta_values", "cos_theta", required=True),
-        **grid("n_values", "n"),
-        **grid("s_values", "s"),
-        **_given(doc, ("tol", Real), ("seed", Integral), ("t_end", Real), ("step", Real),
-                 ("record_every", Integral)),
-    )
+    doc = _load_config(args.config, "sweep")
+    for key in ("q_values", "cos_theta_values"):  # the grids without a default
+        if key not in doc:
+            raise ConfigError(f"sweep config is missing {key!r}")
+    spec = SweepSpec(**{key: doc[key] for key in _GRID_KEYS if key in doc},
+                     **_given(doc, _SWEEP_KEYS))
     rows = run_sweep(spec)
     write_sweep_csv(rows, args.out)
     bad = sum(not in_tolerance(r, spec.tol) for r in rows)

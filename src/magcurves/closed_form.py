@@ -197,13 +197,15 @@ def family(sig: ms.SpaceSignature, cos_theta: float, q=None, case=None,
 
     A constant left out is zero, but for c, which then lies on the first axis
     of its sphere (radius 2 sqrt(1 - s cos^2 theta)).  Case b has no a or b
-    and ignores them.  Case a needs q; case b fixes q = 2 s cos(theta), so a q
+    and refuses them.  Case a needs q; case b fixes q = 2 s cos(theta), so a q
     given there must make lambda vanish.  The family checks the constants.
     """
     unknown = set(constants) - set(_CONSTANTS["a"](1, 1))  # case a has all five
     if unknown:
         raise TypeError(f"family() got unexpected constants {sorted(unknown)}")
     case = _case(sig, cos_theta, q, case)
+    if lacking := set(constants) - set(_CONSTANTS[case](1, 1)):
+        raise ConfigError(f"case {case} has no constants {sorted(lacking)}")
     if case == "a" and q is None:
         raise ConfigError("case a requires an explicit strength q")
     given = {name: constants[name] if name in constants else np.zeros(length)

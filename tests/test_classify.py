@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from magcurves import (
+    CurveClass,
     CurveKind,
     IntegratorConfig,
     MagneticSetup,
@@ -520,6 +521,25 @@ def test_invert_inconsistent_cases():
         invert_q(0.0, 0.0, 1, case="iii")
     with pytest.raises(ValueError):
         invert_q(1.0, 0.0, 1, case="iii", eps=2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: invert_q(1.0, -0.5, 1, case="iv"), "kappa2 must be nonnegative"),
+    (lambda: invert_q(1.0, 0.4, 1, case="v"),
+     "unknown case 'v': expected one of 'i', 'ii', 'iii', 'iv'"),
+    (lambda: CurveClass(CurveKind.GENERAL_MAGNETIC, kappa1=-1.0),
+     "kappa1 must be nonnegative, got -1.0"),
+], ids=["invert-negative-kappa2", "invert-case-v", "curve-class-negative-kappa1"])
+def test_classification_refusal_messages(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_real_vector_refuses_an_integer_beyond_the_float_range():
+    with pytest.raises(ConfigError) as exc:
+        real_vector("p0", [10**400, 0, 0], 3)
+    assert str(exc.value) == f"p0 must be finite, got {[10**400, 0, 0]!r}"
 
 
 @pytest.mark.parametrize("key", ["eps", "branch"])

@@ -1,5 +1,6 @@
 import contextlib
 import importlib
+import importlib.util
 import io
 import json
 import math
@@ -32,6 +33,7 @@ from magcurves.dynamics import exact_flow
 from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
+import golden
 from conftest import SIG_GRID
 from oracles import paper_equations
 
@@ -899,6 +901,129 @@ def test_fuzzed_config_exits_with_a_documented_code(command, data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(_cli_argv(command, cfg, Path(tmp) / "x.csv"))
     assert code in (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the key table: each command reads its declared keys and refuses any other
+# ---------------------------------------------------------------------------
+
+def _wrong_typed(command, key):
+    """The valid config of command with a str, which no key takes, at key
+    (an angle key in the place of the config's own angle key)."""
+    doc = dict(VALID_CONFIGS[command])
+    if key in cli._ANGLE_KEYS:
+        del doc["cos_theta"]
+    return {**doc, key: "x"}
+
+
+@pytest.mark.parametrize("command, key", [
+    (command, key) for command in ("integrate", "closed-form", "sweep")
+    for key in cli._CONFIG_KEYS[command]])
+def test_every_declared_key_is_read(tmp_path, capsys, command, key):
+    cfg = write_json(tmp_path / "cfg.json", _wrong_typed(command, key))
+    code, stdout, stderr = run_cli(capsys, *_cli_argv(command, cfg, tmp_path / "x.csv"))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith(f"invalid configuration: {key} "), stderr
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command", sorted(VALID_CONFIGS))
+def test_an_undeclared_key_exits_2_and_writes_nothing(tmp_path, capsys, command):
+    cfg = write_json(tmp_path / "cfg.json", {**VALID_CONFIGS[command], "stpe": 0.005})
+    code, stdout, stderr = run_cli(capsys, *_cli_argv(command, cfg, tmp_path / "x.csv"))
+    assert (code, stdout, stderr) == (2, "", "invalid configuration: unknown config keys "
+                                             "['stpe']\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_classify_config_takes_the_integrate_keys(tmp_path, capsys):
+    # the curve that an integrate config describes: the keys classify does
+    # not read (n, p0, direction and the grid) change nothing
+    run = write_json(tmp_path / "run.json", VALID_CONFIGS["integrate"])
+    triple = write_json(tmp_path / "triple.json",
+                        {k: VALID_CONFIGS["integrate"][k] for k in ("q", "s", "cos_theta")})
+    assert cli._CONFIG_KEYS["classify"] == cli._CONFIG_KEYS["integrate"]
+    got = run_cli(capsys, "classify", "--config", run)
+    assert got[0] == 0 and got == run_cli(capsys, "classify", "--config", triple)
+
+
+def test_golden_configs_pass_the_key_check(tmp_path):
+    commands = {argv[argv.index("--config") + 1]: argv[0] for _, argv, _ in golden.RUNS
+                if "--config" in argv}
+    docs = golden._configs()
+    assert sorted(commands) == sorted(docs)
+    for name, doc in docs.items():
+        cli._load_config(write_json(tmp_path / name, doc), commands[name])
+
+
+def test_benchmark_configs_pass_the_key_check(tmp_path):
+    # the configs perfbench/inputs.py writes for the CLI (verify-default
+    # writes an argv, not a config)
+    found = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(found)
+    found.loader.exec_module(inputs)
+    for seed in range(1, 7):
+        for workload in ("sweep-grid", "exact-roundtrip"):
+            out = tmp_path / f"{workload}-{seed}"
+            inputs.generate(workload, seed, out)
+            paths = sorted(out.iterdir())
+            assert len(paths) == (1 if workload == "sweep-grid" else 8)
+            for path in paths:
+                cli._load_config(str(path), "sweep" if workload == "sweep-grid"
+                                 else "closed-form")
+
+
+# ---------------------------------------------------------------------------
+# the CLI's own refusals
+# ---------------------------------------------------------------------------
+
+def test_unreadable_configs_exit_2(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, stderr = run_cli(capsys, "integrate", "--config", str(missing),
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert stderr.startswith(f"invalid configuration: cannot read config {missing}: "
+                             "[Errno 2] No such file or directory")
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"n": 1,')
+    code, _, stderr = run_cli(capsys, "integrate", "--config", str(broken),
+                              "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert stderr.startswith(f"invalid configuration: cannot read config {broken}: Expecting")
+    listed = write_json(tmp_path / "list.json", [VALID_CONFIGS["integrate"]])
+    assert run_cli(capsys, "integrate", "--config", listed, "--out", str(tmp_path / "x.csv")) \
+        == (2, "", "invalid configuration: config must be a JSON object\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+# the first three were ignored with exit 0 before each command declared its keys
+@pytest.mark.parametrize("command, doc, message", [
+    ("integrate", {"n": 1, "s": 1, "q": 2.0, "cos_theta": 0.5, "t_end": 0.01, "stpe": 0.005},
+     "unknown config keys ['stpe']"),
+    ("closed-form", {"n": 1, "s": 1, "q": 1.0, "cos_theta": 0.5, "case": "b", "a": [3.0],
+                     "t_end": 0.01, "step": 1e-3},
+     "case b has no constants ['a']"),
+    ("sweep", {"q": [2.0], "cos_theta": [0.5]}, "unknown config keys ['cos_theta', 'q']"),
+    ("integrate", {k: v for k, v in VALID_CONFIGS["integrate"].items() if k != "q"},
+     "config is missing required key 'q'"),
+    ("closed-form", {"n": 1, "s": 2, "q": 2.0, "cosines": [0.1, 0.2]},
+     "closed-form families are slant: all contact angles must be equal"),
+    ("sweep", {"cos_theta_values": [0.5]}, "sweep config is missing 'q_values'"),
+    ("sweep", {"q_values": [2.0]}, "sweep config is missing 'cos_theta_values'"),
+], ids=["misspelt-step", "case-b-a", "sweep-short-grids", "integrate-no-q",
+        "closed-form-unequal-cosines", "sweep-no-q-values", "sweep-no-cos-theta-values"])
+def test_config_refusal_messages(tmp_path, capsys, command, doc, message):
+    cfg = write_json(tmp_path / "cfg.json", doc)
+    assert run_cli(capsys, *_cli_argv(command, cfg, tmp_path / "x.csv")) == (
+        2, "", f"invalid configuration: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_sweep_spec_refuses_an_empty_grid():
+    with pytest.raises(ValueError) as exc:
+        SweepSpec(q_values=[], cos_theta_values=[0.5])
+    assert str(exc.value) == "q_values must be nonempty"
 
 
 # ---------------------------------------------------------------------------

@@ -273,9 +273,10 @@ def test_family_fills_absent_constants():
     b = family(sig, 0.5, case="b")
     assert b.c.tolist() == [SQRT3, 0.0, 0.0, 0.0]
     assert (b.d.tolist(), b.h.tolist()) == ([0.0] * 4, [0.0])
-    # a constant given is kept as given; a and b, which case b lacks, are ignored
+    # a constant given is kept as given; a and b, which case b lacks, are refused
     assert family(sig, 0.5, 2.0, c=[0.0, SQRT3]).c.tolist() == [0.0, SQRT3]
-    assert family(sig, 0.5, case="b", a=[9.0, 9.0], b="ignored").as_dict() == b.as_dict()
+    with pytest.raises(ConfigError, match=r"^case b has no constants \['a', 'b'\]$"):
+        family(sig, 0.5, case="b", a=[9.0, 9.0], b="ignored")
 
 
 @pytest.mark.parametrize("kwargs, error, message", [

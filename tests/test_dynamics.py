@@ -90,6 +90,29 @@ def test_integrator_config_validation():
             IntegratorConfig(t_end=t_end, step=step)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"t_end": 1e300, "step": 1e-10}, "t_end / step = 1e+300 / 1e-10 overflows"),
+    ({"t_end": 0.01, "step": 1e-3, "record_every": 11},
+     "record_every must be a positive integer, at most the step count"),
+], ids=["steps-overflow", "record-every-above-steps"])
+def test_integrator_config_refusal_messages(kwargs, message):
+    with pytest.raises(ValueError) as exc:
+        IntegratorConfig(**kwargs)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("times, accelerations, message", [
+    ([], None, "times must be a nonempty 1-d array"),
+    ([0.0, 1.0], np.zeros((2, 4)), "accelerations must have shape (2, 3), got (2, 4)"),
+], ids=["empty-times", "accelerations-shape"])
+def test_trajectory_refusal_messages(times, accelerations, message):
+    shape = (len(times), 3)
+    with pytest.raises(ValueError) as exc:
+        Trajectory(SpaceSignature(1, 1), times, np.zeros(shape), np.zeros(shape),
+                   accelerations=accelerations)
+    assert str(exc.value) == message
+
+
 def test_trajectory_invariants():
     sig = SpaceSignature(1, 1)
     with pytest.raises(ValueError):

@@ -76,6 +76,25 @@ def test_header_mismatch_rejected(tmp_path):
         read_trajectory(path)
 
 
+def test_header_in_the_wrong_order_rejected(tmp_path, circle_traj):
+    # the right number of x_ and z_ columns, but x_1 and y_1 swapped
+    path = tmp_path / "swapped.csv"
+    write_trajectory_csv(circle_traj, path)
+    header, rest = path.read_text().split("\n", 1)
+    path.write_text(header.replace("x_1,y_1", "y_1,x_1") + "\n" + rest)
+    with pytest.raises(ValueError) as exc:
+        read_trajectory(path)
+    assert str(exc.value) == "CSV header does not match the fixed trajectory column order"
+
+
+def test_unknown_trajectory_format_rejected(tmp_path, circle_traj):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(circle_traj, path)
+    with pytest.raises(ValueError) as exc:
+        read_trajectory(path, fmt="txt")
+    assert str(exc.value) == "unknown trajectory format 'txt' (expected csv or json)"
+
+
 # ---------------------------------------------------------------------------
 # golden bytes: the writers against the per-cell reference they replaced
 # ---------------------------------------------------------------------------
