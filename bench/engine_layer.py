@@ -16,10 +16,10 @@ Cases (each a ``layer`` with its unit of work):
   trajectory of every (n, s) in {1, 2, 3}^2 and of (9, 1), whose component
   sums are 8 or more wide, in microseconds per sample;
 * ``dynamics.check_angles`` at widths 1, 3 and 8, and
-  ``classify.order_bound_curvatures`` and ``classify.predict_class`` at
-  s = 3: the formula checks verify makes about 2,000 times per report, on
-  slant cosines given as a list (as verify gives them), 1000 calls,
-  microseconds per call;
+  ``classify.order_bound_curvatures``, ``classify.predict_class`` and
+  ``classify.invert_q`` (case iv, the last family row) at s = 3: the formula
+  checks verify makes about 2,000 times per report, on slant cosines given
+  as a list (as verify gives them), 1000 calls, microseconds per call;
 * ``dynamics.integrate``: n = s = 2, 1000 RK4 steps, microseconds per step;
 * ``dynamics.integrate_many``: n = s = 2 at B = 1, 5, 10, 64 (1000 steps)
   and 1024 (100 steps), all rows under one config (so stepped at one float
@@ -106,7 +106,8 @@ def cases(mc, tmp) -> list[tuple[dict, int, object]]:
         out.append(({"layer": "dynamics.check_angles", "s": width, "unit": "us/call"}, CALLS,
                     functools.partial(calls, mc.dynamics.check_angles, [0.3] * width)))
     for name, args in (("order_bound_curvatures", (1.7, [0.3] * 3)),
-                       ("predict_class", (1.7, 0.3, 3))):
+                       ("predict_class", (1.7, 0.3, 3)),
+                       ("invert_q", (1.0, 0.4, 3, "iv"))):
         out.append(({"layer": f"classify.{name}", "s": 3, "unit": "us/call"}, CALLS,
                     functools.partial(calls, getattr(mc, name), *args)))
 

@@ -1,23 +1,10 @@
 """Classification of normal magnetic trajectories and its inverse map.
 
 A slant normal magnetic curve of strength q with contact angle theta
-(cos theta = eta^a(T) for every a) is exactly one of:
-
-  * a geodesic along (+-1/sqrt(s)) sum_a xi_a          (cos theta = +-1/sqrt(s))
-  * a slant circle, k1 = sqrt(q^2 - s), k2 = 0         (cos theta = 1/q, |q| > sqrt(s))
-  * a Legendre helix, k1 = |q|, k2 = sqrt(s)           (cos theta = 0)
-  * a slant helix of order 3,
-        k1 = |q| sqrt(1 - s cos^2 theta),  k2 = sqrt(s) |1 - q cos theta|.
-
-Dropping the slant assumption, a normal magnetic curve with contact-form
-values cos(theta_a) still has osculating order at most 3 with
-
-    A  = sum_a cos^2(theta_a),   B = sum_a cos(theta_a),
-    k1 = |q| sqrt(1 - A),        k2 = sqrt(A q^2 - A s + B^2 - 2 B q + s).
-
-The inverse direction recovers which strengths a given slant helix is a
-magnetic curve for; the case tags mirror the angle regimes above
-("i" geodesic / "ii" Legendre / "iii" circle / "iv" generic slant).
+(cos theta = eta^a(T) for every a) is exactly one of four families, the
+rows of ``_FAMILIES``: each holds the family's defining equality, existence
+condition, curvatures (k1, k2) and inverse (a case of ``invert_q``).
+``order_bound_curvatures`` drops the slant assumption, and
 ``classify_trajectory`` sorts a sampled curve by its ``frenet.Measurement``.
 """
 from __future__ import annotations
@@ -27,6 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from numbers import Integral
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -115,53 +103,88 @@ class InverseResult:
                              f"got {self.q_candidates!r}")
 
 
+def _invert_geodesic(kappa1, kappa2, s, eps, branch):
+    raise InconsistentCaseError(
+        "case i is the geodesic family (kappa1 = 0) with arbitrary strength")
+
+
+def _invert_circle(kappa1, kappa2, s, eps, branch):
+    if kappa2 > _CURVATURE_SLACK:
+        raise InconsistentCaseError(f"case iii is a circle: kappa2 must be 0, got {kappa2!r}")
+    root = math.sqrt(kappa1 * kappa1 + s)
+    return (eps * root,), eps / root
+
+
+def _invert_legendre(kappa1, kappa2, s, eps, branch):
+    if abs(kappa2 - math.sqrt(s)) > _CURVATURE_SLACK:
+        raise InconsistentCaseError(
+            f"case ii requires kappa2 = sqrt(s) = {math.sqrt(s)!r}, got {kappa2!r}")
+    return (kappa1, -kappa1), 0.0
+
+
+def _invert_helix(kappa1, kappa2, s, eps, branch):
+    if kappa2 <= _CURVATURE_SLACK:
+        raise InconsistentCaseError("case iv requires kappa2 > 0 (use case iii for circles)")
+    w = eps * math.sqrt(s) + branch * kappa2
+    root = math.sqrt(kappa1 * kappa1 + w * w)
+    return (eps * root,), w / (math.sqrt(s) * root)
+
+
+class _Family(NamedTuple):
+    kind: CurveKind
+    case: str  # its tag in invert_q
+    residual: Callable  # (q, cos theta, s) -> 0 on the defining equality
+    exists: Callable  # (q, s) -> whether the family has a curve of strength q
+    curvatures: Callable  # (q, cos theta, s) -> (k1, k2); q None for a geodesic only
+    inverse: Callable  # (k1, k2, s, eps, branch) -> (q candidates, cos theta)
+
+
+# The slant families in dispatch order; the helix, with no equality, takes the rest.
+_FAMILIES = (
+    _Family(CurveKind.GEODESIC, "i", lambda q, c, s: abs(c) - 1.0 / math.sqrt(s),
+            lambda q, s: True, lambda q, c, s: (0.0, 0.0), _invert_geodesic),
+    _Family(CurveKind.SLANT_CIRCLE, "iii", lambda q, c, s: c - 1.0 / q,
+            lambda q, s: check_circle_existence(q, s),
+            lambda q, c, s: (math.sqrt(max(0.0, q * q - s)), 0.0), _invert_circle),
+    _Family(CurveKind.LEGENDRE_HELIX, "ii", lambda q, c, s: c, lambda q, s: True,
+            lambda q, c, s: (abs(q), math.sqrt(s)), _invert_legendre),
+    _Family(CurveKind.SLANT_HELIX, "iv", lambda q, c, s: 0.0, lambda q, s: True,
+            lambda q, c, s: (abs(q) * math.sqrt(max(0.0, 1.0 - s * c * c)),
+                             math.sqrt(s) * abs(1.0 - q * c)), _invert_helix),
+)
+_CURVATURES = {row.kind: row.curvatures for row in _FAMILIES}
+_BY_CASE = {row.case: row for row in _FAMILIES}
+
+
 def _slant_class(kind: CurveKind, q: float | None, cos_theta: float, s: int,
                  measured: dict | None = None) -> CurveClass:
-    """The slant family ``kind`` with its curvatures (k1, k2) and sign
-    eps = sgn(1 - q cos theta); q None (an indeterminate strength, for a
-    geodesic only) leaves eps None."""
-    if kind is CurveKind.GEODESIC:
-        k1, k2 = 0.0, 0.0
-    elif kind is CurveKind.SLANT_CIRCLE:
-        k1, k2 = math.sqrt(max(0.0, q * q - s)), 0.0
-    elif kind is CurveKind.LEGENDRE_HELIX:
-        k1, k2 = abs(q), math.sqrt(s)
-    else:
-        k1 = abs(q) * math.sqrt(max(0.0, 1.0 - s * cos_theta * cos_theta))
-        k2 = math.sqrt(s) * abs(1.0 - q * cos_theta)
-    eps = None if q is None else int(np.sign(1.0 - q * cos_theta))
+    """The slant family ``kind`` with its row's (k1, k2) and eps = sgn(1 - q cos theta);
+    q None (a geodesic of indeterminate strength) leaves eps None."""
+    k1, k2 = _CURVATURES[kind](q, cos_theta, s)
+    d = None if q is None else 1.0 - q * cos_theta
     return CurveClass(kind, q=q, cos_theta=cos_theta, kappa1=k1, kappa2=k2,
-                      epsilon=eps, measured=measured)
+                      epsilon=None if d is None else int(d > 0) - int(d < 0), measured=measured)
 
 
 def predict_class(q: float, cos_theta: float, s: int) -> CurveClass:
-    """Classification of the slant normal magnetic curve with data (q, theta).
-
-    The angle must pass ``check_angles`` with cos(theta) in each of the s
-    directions, that is s cos^2(theta) <= 1 + 1e-12, else
-    InfeasibleAngleError.  The angle regimes are exact-equality conditions;
-    numerically each gets a band of 1e-9 around it.
-    """
+    """The class of (q, theta): the first row of ``_FAMILIES`` whose equality
+    holds to within 1e-9 and that has a curve of strength q.  The angle must
+    pass ``check_angles`` in each of the s directions (s cos^2(theta) <= 1 +
+    1e-12), else InfeasibleAngleError."""
     nonzero_real("q", q)
     check_angles([cos_theta] * positive_int("s", s))
-    if abs(abs(cos_theta) - 1.0 / math.sqrt(s)) <= _DISPATCH_BAND:
-        kind = CurveKind.GEODESIC
-    elif abs(cos_theta - 1.0 / q) <= _DISPATCH_BAND and check_circle_existence(q, s):
-        kind = CurveKind.SLANT_CIRCLE
-    elif abs(cos_theta) <= _DISPATCH_BAND:
-        kind = CurveKind.LEGENDRE_HELIX
-    else:
-        kind = CurveKind.SLANT_HELIX
-    return _slant_class(kind, q, cos_theta, s)
+    for row in _FAMILIES:
+        if abs(row.residual(q, cos_theta, s)) <= _DISPATCH_BAND and row.exists(q, s):
+            return _slant_class(row.kind, q, cos_theta, s)
 
 
 def order_bound_curvatures(q: float, cosines) -> tuple[float, float]:
-    """(k1, k2) of a normal magnetic curve with per-direction contact values.
-
-    Valid without the slant assumption; with equal cosines it reduces to the
-    slant formulas.  The cosines must pass ``check_angles``, which gives A;
-    B adds in the same bit order (that of ``model_space``).  k2 factors q^2
-    out of its sum where q^2 overflows.
+    """(k1, k2) = (|q| sqrt(1 - A), sqrt(A q^2 - A s + B^2 - 2 B q + s)) of a
+    normal magnetic curve with contact values cos(theta_a), for A = sum_a
+    cos^2(theta_a) and B = sum_a cos(theta_a): valid without the slant
+    assumption, and the slant formulas for equal cosines.  The cosines must
+    pass ``check_angles``, which gives A; B adds in the same bit order (that
+    of ``model_space``).  k2 factors q^2 out of its sum where q^2 overflows.
     """
     q = typed_number("q", q)
     cos = real_vector("cosines", cosines)
@@ -180,13 +203,9 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
              eps: int = 1, branch: int = 1) -> InverseResult:
     """Strengths for which a slant helix with these curvatures is magnetic.
 
-    ``case`` selects the angle regime being inverted:
-      * "ii"  Legendre (cos theta = 0): requires kappa2 = sqrt(s); the curve
-        is magnetic for both of +-kappa1.
-      * "iii" slant circle: requires kappa2 = 0; q = eps sqrt(kappa1^2 + s)
-        and cos theta = 1/q.
-      * "iv"  generic slant helix: with w = eps sqrt(s) + branch kappa2,
-        q = eps sqrt(kappa1^2 + w^2), cos theta = w / (sqrt(s) |q|).
+    ``case`` tags the family inverted ("ii" Legendre, "iii" slant circle,
+    "iv" generic slant helix; "i", the geodesic, is refused).  Its row of
+    ``_FAMILIES`` checks the curvatures at 1e-12 and gives q and cos theta.
 
     ``eps`` is the orientation sign -sgn(g(phi T, v2)) and ``branch`` the
     sign of eta^a(v3); both depend on frame data absent from bare
@@ -198,43 +217,18 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
     kappa2 = typed_number("kappa2", kappa2)
     positive_int("s", s)
     if not kappa1 > 0:
-        raise ValueError(
-            "kappa1 must be positive; kappa1 = 0 is the geodesic case, "
-            "magnetic for an arbitrary strength"
-        )
+        raise ValueError("kappa1 must be positive; kappa1 = 0 is the geodesic case, "
+                         "magnetic for an arbitrary strength")
     if kappa2 < 0:
         raise ValueError("kappa2 must be nonnegative")
     if not all(isinstance(v, Integral) and not isinstance(v, bool) and v in (1, -1)
                for v in (eps, branch)):
         raise ValueError("eps and branch must be +1 or -1")
-
-    if case == "i":
-        raise InconsistentCaseError(
-            "case i is the geodesic family (kappa1 = 0) with arbitrary strength"
-        )
-    if case == "ii":
-        if abs(kappa2 - math.sqrt(s)) > _CURVATURE_SLACK:
-            raise InconsistentCaseError(
-                f"case ii requires kappa2 = sqrt(s) = {math.sqrt(s)!r}, got {kappa2!r}"
-            )
-        return InverseResult("ii", (kappa1, -kappa1), 0.0)
-    if case == "iii":
-        if kappa2 > _CURVATURE_SLACK:
-            raise InconsistentCaseError(
-                f"case iii is a circle: kappa2 must be 0, got {kappa2!r}"
-            )
-        q = eps * math.sqrt(kappa1 * kappa1 + s)
-        return InverseResult("iii", (q,), eps / math.sqrt(kappa1 * kappa1 + s))
-    if case == "iv":
-        if kappa2 <= _CURVATURE_SLACK:
-            raise InconsistentCaseError(
-                "case iv requires kappa2 > 0 (use case iii for circles)"
-            )
-        w = eps * math.sqrt(s) + branch * kappa2
-        root = math.sqrt(kappa1 * kappa1 + w * w)
-        q = eps * root
-        return InverseResult("iv", (q,), w / (math.sqrt(s) * root))
-    raise ValueError(f"unknown case {case!r}: expected one of 'i', 'ii', 'iii', 'iv'")
+    row = _BY_CASE.get(case) if isinstance(case, str) else None
+    if row is None:
+        raise ValueError(f"unknown case {case!r}: expected one of 'i', 'ii', 'iii', 'iv'")
+    q_candidates, cos_theta = row.inverse(kappa1, kappa2, s, eps, branch)
+    return InverseResult(row.case, q_candidates, cos_theta)
 
 
 def check_circle_existence(q: float, s: int) -> bool:

@@ -137,15 +137,19 @@ def _out_path(args) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _cmd_integrate(args) -> int:
-    doc = _load_config(args.config, "integrate")
+def _integrate_setup(doc: dict) -> tuple[MagneticSetup, IntegratorConfig]:
+    """The start and the run of an integrate config, each key typed and checked."""
     sig = _signature(doc)
     cosines = _resolve_cosines(doc, sig.s)
     q = _field(doc, "q")
     p0 = _field(doc, "p0", length=sig.dim, default=np.zeros(sig.dim))
     direction = _field(doc, "direction", length=2 * sig.n, default=None)
     setup = MagneticSetup(sig, q, p0, initial_tangent(sig, p0, cosines, direction))
-    cfg = IntegratorConfig(**_given(doc, _RUN_KEYS))
+    return setup, IntegratorConfig(**_given(doc, _RUN_KEYS))
+
+
+def _cmd_integrate(args) -> int:
+    setup, cfg = _integrate_setup(_load_config(args.config, "integrate"))
     if cfg.n_samples < _MIN_SAMPLES:  # the Lorentz residual's stencil, before any output
         raise ConfigError(f"integrate needs at least {_MIN_SAMPLES} recorded samples, "
                           f"got {cfg.n_samples}")
@@ -157,7 +161,7 @@ def _cmd_integrate(args) -> int:
         "samples": len(traj),
         "speed_drift": speed_drift(traj),
         "angle_drift": angle_drift(traj),
-        "lorentz_residual": residual(traj, q),
+        "lorentz_residual": residual(traj, setup.q),
     }))
     return EXIT_OK
 
@@ -199,6 +203,8 @@ def _cmd_classify(args) -> int:
     positive_real("--tol", args.tol)
     if args.config is not None:
         doc = _load_config(args.config, "classify")
+        if not doc.keys() <= {"s", "q", *_ANGLE_KEYS}:  # an integrate config
+            _integrate_setup(doc)  # typed and checked as integrate does
         s = positive_int("s", _field(doc, "s", Integral))
         cosines = _resolve_cosines(doc, s)
         q = _field(doc, "q")

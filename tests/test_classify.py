@@ -555,6 +555,36 @@ def test_invert_signs_are_the_integers_plus_minus_one(key, value, accepted):
             call()
 
 
+# each inverse checks its family's kappa2 at 1e-12, from both sides (s = 2,
+# kappa1 = 1): case ii at sqrt(s), case iii at 0, case iv away from 0
+@pytest.mark.parametrize("case, kappa2, accepted", [
+    ("ii", math.sqrt(2.0) + 5e-13, True), ("ii", math.sqrt(2.0) + 1e-11, False),
+    ("iii", 5e-13, True), ("iii", 1e-11, False),
+    ("iv", 5e-13, False), ("iv", 1e-11, True),
+])
+def test_inverse_curvature_check_is_at_1e_12(case, kappa2, accepted):
+    call = functools.partial(invert_q, 1.0, kappa2, 2, case=case)
+    if accepted:
+        assert call().case_tag == case
+    else:
+        with pytest.raises(InconsistentCaseError, match=f"^case {case} "):
+            call()
+
+
+@pytest.mark.parametrize("case", [None, 4, ["iv"], "IV"])
+def test_invert_refuses_a_case_outside_the_table(case):
+    with pytest.raises(ValueError) as exc:
+        invert_q(1.0, 0.4, 1, case=case)
+    assert str(exc.value) == f"unknown case {case!r}: expected one of 'i', 'ii', 'iii', 'iv'"
+
+
+@pytest.mark.parametrize("q, epsilon", [(2.0, 0), (1.5, 1), (4.0, -1), (np.float64(4.0), -1)])
+def test_epsilon_is_the_integer_sign_of_one_minus_q_cos_theta(q, epsilon):
+    # (2, 0.5) is the slant circle, where 1 - q cos theta vanishes
+    cls = predict_class(q, 0.5, 1)
+    assert type(cls.epsilon) is int and cls.epsilon == epsilon
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     k1=st.floats(0.05, 5.0),
@@ -783,6 +813,8 @@ _RULE_CURVES = {
                         lambda m: m["kappa1"], CurveKind.SLANT_HELIX, CurveKind.GEODESIC),
     "legendre_cos_theta": (lambda x: _flow(2.0, [x]), lambda m: m["cosines"][0],
                            CurveKind.SLANT_HELIX, CurveKind.LEGENDRE_HELIX),
+    "circle_kappa2": (lambda x: _flow(2.0, [(1.0 - x) / 2.0]), lambda m: m["kappa2"],
+                      CurveKind.SLANT_HELIX, CurveKind.SLANT_CIRCLE),
 }
 
 

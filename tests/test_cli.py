@@ -947,6 +947,30 @@ def test_classify_config_takes_the_integrate_keys(tmp_path, capsys):
     assert got[0] == 0 and got == run_cli(capsys, "classify", "--config", triple)
 
 
+@pytest.mark.parametrize("key", cli._CONFIG_KEYS["integrate"])
+def test_classify_config_checks_each_integrate_key_as_integrate_does(tmp_path, capsys, key):
+    # an integrate config: a wrong-typed key it holds exits 2 under classify
+    # with integrate's own message
+    cfg = write_json(tmp_path / "cfg.json", _wrong_typed("integrate", key))
+    got = run_cli(capsys, "classify", "--config", cfg)
+    assert got[0] == 2 and got[2].startswith(f"invalid configuration: {key} "), got
+    assert got == run_cli(capsys, *_cli_argv("integrate", cfg, tmp_path / "x.csv"))
+
+
+def test_classify_config_refuses_what_integrate_refuses(tmp_path, capsys):
+    cfg = write_json(tmp_path / "cfg.json", {"n": "x", "s": 1, "q": 2.0, "cos_theta": 0.5,
+                                             "p0": [True], "step": -1})
+    for argv in (["classify", "--config", cfg], _cli_argv("integrate", cfg, tmp_path / "x.csv")):
+        assert run_cli(capsys, *argv) == (
+            2, "", "invalid configuration: n must be an integer, got 'x'\n")
+    # a key beyond s, q and the angle makes the config an integrate config,
+    # which needs n
+    for extra in ({"step": 1e-3}, {"p0": [0.0, 0.0, 0.0]}, {"record_every": 1}):
+        cfg = write_json(tmp_path / "cfg.json", {**VALID_CONFIGS["classify"], **extra})
+        assert run_cli(capsys, "classify", "--config", cfg) == (
+            2, "", "invalid configuration: config is missing required key 'n'\n")
+
+
 def test_golden_configs_pass_the_key_check(tmp_path):
     commands = {argv[argv.index("--config") + 1]: argv[0] for _, argv, _ in golden.RUNS
                 if "--config" in argv}
