@@ -221,9 +221,9 @@ def invert_q(kappa1: float, kappa2: float, s: int, case: str,
                          "magnetic for an arbitrary strength")
     if kappa2 < 0:
         raise ValueError("kappa2 must be nonnegative")
-    if not all(isinstance(v, Integral) and not isinstance(v, bool) and v in (1, -1)
-               for v in (eps, branch)):
-        raise ValueError("eps and branch must be +1 or -1")
+    for v in (eps, branch):
+        if not (isinstance(v, Integral) and not isinstance(v, bool) and v in (1, -1)):
+            raise ValueError("eps and branch must be +1 or -1")
     row = _BY_CASE.get(case) if isinstance(case, str) else None
     if row is None:
         raise ValueError(f"unknown case {case!r}: expected one of 'i', 'ii', 'iii', 'iv'")
