@@ -98,9 +98,10 @@ class InverseResult:
     cos_theta: float
 
     def __post_init__(self):
-        if not all(q != 0 and math.isfinite(q) for q in self.q_candidates):
-            raise ValueError(f"inverse strengths must be finite and nonzero, "
-                             f"got {self.q_candidates!r}")
+        for q in self.q_candidates:
+            if q == 0 or not math.isfinite(q):
+                raise ValueError(f"inverse strengths must be finite and nonzero, "
+                                 f"got {self.q_candidates!r}")
 
 
 def _invert_geodesic(kappa1, kappa2, s, eps, branch):
@@ -260,26 +261,31 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
     part of the contract being tested).  Magnetic curves dispatch on the
     measured angles and curvature medians: equal angles reproduce the slant
     families, constant-but-unequal angles are GENERAL_MAGNETIC.
-    A tol that is not finite and positive, or a sample whose point or
-    velocity is not finite, raises ValueError.
+    A tol that is not finite and positive, a sample whose point or velocity
+    is not finite, or a measured value that is not (huge velocities
+    overflow the Lorentz terms and the g-norms), raises ValueError.
     """
     positive_real("tol", tol)
     if (k := traj.first_nonfinite()) is not None:
         raise ValueError(f"sample {k} (t = {traj.times[k]:.6g}) has a non-finite point or velocity")
     s = traj.sig.s
     m = Measurement(traj, series)
-    q_hat, res = m.fit
-    measured = {
-        "q": q_hat,
-        "cosines": [float(c) for c in m.cosines],
-        "kappa1": m.kappa1,
-        "kappa2": None if np.isnan(m.kappa2) else m.kappa2,
-        "kappa3": None if np.isnan(m.kappa3) else m.kappa3,
-        "residual": res,
-        "speed_deviation": m.speed_drift,
-        "angle_deviation": m.angle_deviation,
-        "v2_alignment": m.v2_alignment,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        q_hat, res = m.fit
+        measured = {
+            "q": q_hat,
+            "cosines": [float(c) for c in m.cosines],
+            "kappa1": m.kappa1,
+            "kappa2": None if np.isnan(m.kappa2) else m.kappa2,
+            "kappa3": None if np.isnan(m.kappa3) else m.kappa3,
+            "residual": res,
+            "speed_deviation": m.speed_drift,
+            "angle_deviation": m.angle_deviation,
+            "v2_alignment": m.v2_alignment,
+        }
+    for name, v in measured.items():
+        if v is not None and not np.isfinite(v).all():
+            raise ValueError(f"measured {name} is not finite: got {v!r}")
 
     if m.speed_drift > tol or m.angle_deviation > tol or res > tol:
         return CurveClass(CurveKind.NOT_MAGNETIC, q=q_hat, measured=measured)

@@ -155,7 +155,7 @@ def _cmd_integrate(args) -> int:
                           f"got {cfg.n_samples}")
     traj = integrate(setup, cfg)
     out = _out_path(args)
-    write_trajectory(traj, out, fmt=args.format)
+    write_trajectory(traj, out)
     print(json.dumps({
         "out": str(out),
         "samples": len(traj),
@@ -186,7 +186,7 @@ def _cmd_closed_form(args) -> int:
     traj = (sample_case_a if params.case == "a" else sample_case_b)(params, cfg.times)
     res = residual(traj, traj.q)
     out = _out_path(args)
-    write_trajectory(traj, out, fmt=args.format)
+    write_trajectory(traj, out)
     print(json.dumps({
         "out": str(out),
         "case": params.case,

@@ -29,8 +29,8 @@ from . import dynamics, model_space as ms
 from .dynamics import Trajectory
 from .errors import InsufficientDataError, InvalidGridError
 
-__all__ = ["EPS_GEO", "FrenetSeries", "Measurement", "covariant_tt", "fit_field_strength",
-           "frenet_apparatus", "residual"]
+__all__ = ["EPS_GEO", "FrenetSeries", "Measurement", "fit_field_strength", "frenet_apparatus",
+           "residual"]
 
 # Degeneracy thresholds: below these a curvature counts as zero and the next
 # frame vector is not normalized out of noise.  kappa1 is clean (exact
@@ -86,14 +86,11 @@ def _five_point(field: np.ndarray, h: float) -> np.ndarray:
     return (-field[4:] + 8.0 * field[3:-1] - 8.0 * field[1:-3] + field[:-4]) / (12.0 * h)
 
 
-def covariant_tt(traj: Trajectory) -> tuple[slice, np.ndarray]:
-    """nabla_T T along the trajectory, with the index range where it is valid.
-
-    Uses the exact recorded accelerations when the trajectory carries them;
-    otherwise d(T)/dt comes from the fourth-order five-point difference of
-    the velocities and the first and last two samples are excluded.
-    """
-    sig = traj.sig
+def _lorentz_terms(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(points, nabla_T T, phi T), the two terms of the Lorentz residual
+    nabla_T T + q phi T: at every sample from the exact recorded
+    accelerations when the trajectory carries them, otherwise from the
+    five-point difference of the velocities at samples 2..N-3."""
     if traj.accelerations is not None:
         sl = slice(None)
         acc = traj.accelerations
@@ -105,23 +102,16 @@ def covariant_tt(traj: Trajectory) -> tuple[slice, np.ndarray]:
         acc = _five_point(traj.velocities, _uniform_step(traj.times))
     pts = traj.points[sl]
     vel = traj.velocities[sl]
-    return sl, acc + ms.gamma_bilinear(sig, pts, vel, vel)
-
-
-def _lorentz_terms(traj: Trajectory) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(points, nabla_T T, phi T) where ``covariant_tt`` is valid: the two
-    terms of the Lorentz residual nabla_T T + q phi T."""
-    sl, ntt = covariant_tt(traj)
-    pts = traj.points[sl]
-    return pts, ntt, ms.phi_comps(traj.sig, pts, traj.velocities[sl])
+    return pts, acc + ms.gamma_bilinear(traj.sig, pts, vel, vel), ms.phi_comps(traj.sig, pts, vel)
 
 
 def residual(traj: Trajectory, q: float) -> float:
     """max_t || nabla_T T + q phi T ||_g over the trajectory.
 
     Uses the trajectory's exact accelerations when present; otherwise the
-    acceleration is reconstructed from the recorded velocities by the
-    fourth-order five-point difference of ``covariant_tt``.
+    acceleration is reconstructed from the recorded velocities by a
+    fourth-order five-point difference, and the first and last two samples
+    are excluded.
     """
     pts, ntt, phit = _lorentz_terms(traj)
     return float(np.max(ms.norm(traj.sig, pts, ntt + q * phit)))
@@ -176,7 +166,7 @@ def frenet_apparatus(traj: Trajectory) -> FrenetSeries:
     def gnorm(field: np.ndarray) -> np.ndarray:
         return ms.norm(sig, P, field)
 
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # huge rates give infinite curvatures
         ntt = trim(rate(V), 1)
         kappa1 = gnorm(ntt)
         v2 = _unit(ntt, kappa1, _EPS_LEVEL[0])

@@ -106,17 +106,6 @@ def write_trajectory_json(traj: Trajectory, path) -> None:
         fh.write("}\n")
 
 
-def write_trajectory(traj: Trajectory, path, fmt: str | None = None) -> None:
-    """Write CSV or JSON; the format defaults to the path suffix."""
-    fmt = fmt or Path(path).suffix.lstrip(".").lower()
-    if fmt == "csv":
-        write_trajectory_csv(traj, path)
-    elif fmt == "json":
-        write_trajectory_json(traj, path)
-    else:
-        raise ValueError(f"unknown trajectory format {fmt!r} (expected csv or json)")
-
-
 def _sig_from_header(header: list[str]) -> ms.SpaceSignature:
     n = sum(1 for c in header if c.startswith("x_"))
     s = sum(1 for c in header if c.startswith("z_"))
@@ -184,8 +173,25 @@ def _read_json_table(path) -> tuple[ms.SpaceSignature, np.ndarray, float | None]
     return sig, table, q
 
 
-def read_trajectory(path, fmt: str | None = None) -> Trajectory:
-    """Read a trajectory written by this module.
+_FORMATS = {"csv": (write_trajectory_csv, _read_csv_table),
+            "json": (write_trajectory_json, _read_json_table)}
+
+
+def _format(path) -> tuple:
+    """(writer, reader) of the format that the path's suffix names."""
+    fmt = Path(path).suffix.lstrip(".").lower()
+    if fmt not in _FORMATS:
+        raise ValueError(f"unknown trajectory format {fmt!r} (expected csv or json)")
+    return _FORMATS[fmt]
+
+
+def write_trajectory(traj: Trajectory, path) -> None:
+    """Write CSV or JSON, as the path's suffix says."""
+    _format(path)[0](traj, path)
+
+
+def read_trajectory(path) -> Trajectory:
+    """Read a trajectory written by this module, as the path's suffix says.
 
     Speed and contact-form columns are derived quantities and are not
     trusted on input.  CSV carries no strength, so q is None there.  A
@@ -193,13 +199,6 @@ def read_trajectory(path, fmt: str | None = None) -> Trajectory:
     that is not a number, metadata of the wrong type, times that are not
     finite and increasing) raises ValueError.
     """
-    fmt = fmt or Path(path).suffix.lstrip(".").lower()
-    if fmt == "csv":
-        sig, table, q = _read_csv_table(path)
-    elif fmt == "json":
-        sig, table, q = _read_json_table(path)
-    else:
-        raise ValueError(f"unknown trajectory format {fmt!r} (expected csv or json)")
+    sig, table, q = _format(path)[1](path)
     d = sig.dim
     return Trajectory(sig, table[:, 0], table[:, 1:1 + d], table[:, 1 + d:1 + 2 * d], q=q)
-

@@ -22,6 +22,7 @@ from magcurves import verify as verify_mod
 from magcurves import (
     MagneticSetup,
     SpaceSignature,
+    Trajectory,
     initial_tangent,
     integrate,
     random_params,
@@ -450,6 +451,22 @@ def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
     assert stdout == ""
     assert err.startswith("invalid configuration: ") and "Traceback" not in err
     assert message in err
+
+
+@pytest.mark.parametrize("suffix", ["csv", "json"])
+def test_classify_traj_refuses_measurements_that_overflow(tmp_path, capsys, suffix):
+    # a finite file whose velocities (1e150) overflow the Lorentz terms: the
+    # fitted q and the median kappa1 are not finite, so classify exits 2
+    # before it prints (Tier-1 turns a leaked RuntimeWarning into an error)
+    flow = exact_flow(MagneticSetup(SpaceSignature(1, 1), 2.0, np.zeros(3),
+                                    initial_tangent(SpaceSignature(1, 1), np.zeros(3), [0.3])),
+                      1e-3 * np.arange(2001))
+    path = tmp_path / f"huge.{suffix}"
+    write_trajectory(Trajectory(flow.sig, flow.times, flow.points, 1e150 * flow.velocities,
+                                q=flow.q), path)
+    code, stdout, stderr = run_cli(capsys, "classify", "--traj", str(path))
+    assert (code, stdout) == (2, "")
+    assert stderr == "invalid configuration: measured q is not finite: got inf\n"
 
 
 # finite configs whose curvature formula overflows: kappa1 = sqrt(q^2 - s)

@@ -228,6 +228,18 @@ def test_initial_tangent_targets_met_at_random_points():
             assert ms.inner(sig, p0, T0, T0) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("e, contact", [(2e-13, True), (5e-14, False)])
+def test_initial_tangent_drops_a_contact_part_below_1e_13(e, contact):
+    # cos theta = sqrt(1 - e): the contact part's squared norm e at 2x and
+    # 0.5x the band where T0 is taken in the Reeb span
+    sig = SpaceSignature(1, 1)
+    T0 = initial_tangent(sig, np.zeros(sig.dim), [np.sqrt(1.0 - e)])
+    if contact:
+        assert T0[1] == pytest.approx(2.0 * np.sqrt(e), rel=1e-3)  # X_1 = 2 d/dy_1
+    else:
+        assert np.array_equal(T0[:2], [0.0, 0.0])
+
+
 def test_initial_tangent_errors():
     sig = SpaceSignature(1, 2)
     p0 = np.zeros(sig.dim)

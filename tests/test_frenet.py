@@ -19,7 +19,7 @@ from magcurves import (
 from magcurves import frenet, verify
 from magcurves import model_space as ms
 from magcurves.errors import InsufficientDataError, InvalidGridError
-from magcurves.frenet import _EPS_LEVEL, EPS_GEO, Measurement, covariant_tt
+from magcurves.frenet import _EPS_LEVEL, EPS_GEO, Measurement, _lorentz_terms
 from magcurves.sweep import SweepSpec, run_sweep
 from conftest import SIG_GRID, assert_same_bits, slant_setup
 
@@ -136,6 +136,50 @@ def test_rejects_nonuniform_grid(circle_traj):
         frenet_apparatus(bad)
 
 
+def _flow11(q, cos_theta, times):
+    """The exact flow of (n, s) = (1, 1) from the origin, sampled at times."""
+    return exact_flow(slant_setup(1, 1, q, cos_theta), times)
+
+
+@pytest.mark.parametrize("shift, uniform", [(2e-9, False), (5e-10, True)])
+def test_grid_uniformity_is_checked_at_1e_9(shift, uniform):
+    # a step of 1e-2 with samples 25 and later shifted: 2x and 0.5x _GRID_RTOL
+    times = 1e-2 * np.arange(50)
+    times[25:] += shift
+    traj = _flow11(2.0, 0.3, times)
+    if uniform:
+        assert len(frenet_apparatus(traj).times) == 46
+    else:
+        with pytest.raises(InvalidGridError):
+            frenet_apparatus(traj)
+
+
+@pytest.mark.parametrize("kappa2, resolved", [(2e-7, True), (5e-8, False)])
+def test_v3_is_normalized_only_above_the_kappa2_floor(kappa2, resolved):
+    # a slant helix of kappa2 = sqrt(s) |1 - q cos theta| at 2x and 0.5x
+    # the floor _EPS_LEVEL[1]; below it v3 is never formed
+    traj = _flow11(2.0, (1.0 - kappa2) / 2.0, 1e-3 * np.arange(2001))
+    series = frenet_apparatus(traj)
+    m = Measurement(traj, series)
+    assert m.kappa2 == pytest.approx(kappa2, rel=1e-3)
+    defined = np.isfinite(series.v3).all(axis=1)
+    if resolved:
+        assert defined.mean() > 0.99 and np.isfinite(m.kappa3)
+    else:
+        assert not defined.any() and np.isnan(m.kappa3)
+
+
+@pytest.mark.parametrize("eps, determinate", [(2e-12, True), (5e-13, False)])
+def test_fit_is_indeterminate_below_1e_12_mean_phi_t_squared(eps, determinate):
+    # cos theta = sqrt(1 - eps): ||phi T||^2 = eps on every sample, at 2x and
+    # 0.5x the band of fit_field_strength
+    q, res = fit_field_strength(_flow11(2.0, np.sqrt(1.0 - eps), 1e-3 * np.arange(2001)))
+    if determinate:
+        assert q == pytest.approx(2.0, rel=1e-9) and res < 1e-20
+    else:
+        assert q is None and res > 1e-7
+
+
 def test_trim_layout(circle_traj):
     series = frenet_apparatus(circle_traj)
     assert np.array_equal(series.times, circle_traj.times[2:-2])
@@ -150,15 +194,18 @@ def test_trim_layout(circle_traj):
 
 
 def test_covariant_tt_needs_five_samples_without_accelerations(circle_traj):
+    # nabla_T T (with phi T) of _lorentz_terms, from the five-point stencil
     for m, width in ((4, None), (5, 1), (6, 2)):
         short = Trajectory(circle_traj.sig, circle_traj.times[:m], circle_traj.points[:m],
                            circle_traj.velocities[:m])
         if width is None:
-            with pytest.raises(InsufficientDataError):
-                covariant_tt(short)
+            with pytest.raises(InsufficientDataError) as exc:
+                _lorentz_terms(short)
+            assert str(exc.value) == "need at least 5 samples to reconstruct accelerations"
         else:
-            sl, ntt = covariant_tt(short)
-            assert sl == slice(2, -2) and len(ntt) == width
+            pts, ntt, phit = _lorentz_terms(short)
+            assert np.array_equal(pts, short.points[2:-2]) and len(ntt) == width
+            assert len(phit) == width
 
 
 def test_minimal_five_sample_series():
@@ -276,10 +323,10 @@ def test_covariant_tt_is_fourth_order(n, s):
     errs = []
     for h in (8e-3, 4e-3, 2e-3):
         exact = exact_flow(setup, IntegratorConfig(t_end=1.0, step=h).times)
-        sl, want = covariant_tt(exact)
-        sl, got = covariant_tt(Trajectory(exact.sig, exact.times, exact.points,
-                                          exact.velocities))
-        errs.append(np.max(np.abs(got - want[sl])))
+        _, want, _ = _lorentz_terms(exact)
+        _, got, _ = _lorentz_terms(Trajectory(exact.sig, exact.times, exact.points,
+                                              exact.velocities))
+        errs.append(np.max(np.abs(got - want[2:-2])))
     assert errs[0] / errs[1] >= 12.0 and errs[1] / errs[2] >= 12.0, errs
 
 

@@ -88,11 +88,20 @@ def test_header_in_the_wrong_order_rejected(tmp_path, circle_traj):
 
 
 def test_unknown_trajectory_format_rejected(tmp_path, circle_traj):
-    path = tmp_path / "traj.csv"
+    path = tmp_path / "traj.txt"
     write_trajectory_csv(circle_traj, path)
     with pytest.raises(ValueError) as exc:
-        read_trajectory(path, fmt="txt")
+        read_trajectory(path)
     assert str(exc.value) == "unknown trajectory format 'txt' (expected csv or json)"
+
+
+@pytest.mark.parametrize("name, fmt", [("traj.txt", "txt"), ("traj", ""), ("traj.csv.gz", "gz")])
+def test_unknown_suffix_refused_before_the_file_is_made(tmp_path, circle_traj, name, fmt):
+    path = tmp_path / name
+    with pytest.raises(ValueError) as exc:
+        write_trajectory(circle_traj, path)
+    assert str(exc.value) == f"unknown trajectory format {fmt!r} (expected csv or json)"
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------------
