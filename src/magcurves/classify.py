@@ -284,8 +284,9 @@ def classify_trajectory(traj: Trajectory, series: FrenetSeries, tol: float = 1e-
             "v2_alignment": m.v2_alignment,
         }
     for name, v in measured.items():
-        if v is not None and not np.isfinite(v).all():
-            raise ValueError(f"measured {name} is not finite: got {v!r}")
+        for x in v if isinstance(v, list) else (v,):
+            if x is not None and not math.isfinite(x):
+                raise ValueError(f"measured {name} is not finite: got {v!r}")
 
     if m.speed_drift > tol or m.angle_deviation > tol or res > tol:
         return CurveClass(CurveKind.NOT_MAGNETIC, q=q_hat, measured=measured)
