@@ -35,7 +35,7 @@ from magcurves.cli import main
 from magcurves.io import read_trajectory, write_trajectory
 from magcurves.sweep import SWEEP_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
 import golden
-from conftest import SIG_GRID
+from conftest import SIG_GRID, slant_setup
 from oracles import paper_equations
 
 
@@ -454,19 +454,24 @@ def test_malformed_trajectory_files_exit_2(tmp_path, capsys, circle_traj, case):
 
 
 @pytest.mark.parametrize("suffix", ["csv", "json"])
-def test_classify_traj_refuses_measurements_that_overflow(tmp_path, capsys, suffix):
-    # a finite file whose velocities (1e150) overflow the Lorentz terms: the
-    # fitted q and the median kappa1 are not finite, so classify exits 2
-    # before it prints (Tier-1 turns a leaked RuntimeWarning into an error)
-    flow = exact_flow(MagneticSetup(SpaceSignature(1, 1), 2.0, np.zeros(3),
-                                    initial_tangent(SpaceSignature(1, 1), np.zeros(3), [0.3])),
-                      1e-3 * np.arange(2001))
+@pytest.mark.parametrize("cos_theta, scale, message", [
+    (0.3, 1e150, "measured q is not finite: got inf"),
+    (1.0, 1e160, "measured speed_deviation is not finite: got inf"),  # a Reeb-direction flow
+], ids=["fit", "speed"])
+def test_classify_traj_refuses_measurements_that_overflow(tmp_path, capsys, suffix, cos_theta,
+                                                          scale, message):
+    # a finite file whose velocities overflow the Lorentz terms or the speed:
+    # classify exits 2 before it prints, where it printed Infinity or NaN
+    # (Tier-1 turns a leaked RuntimeWarning into an error)
+    flow = exact_flow(slant_setup(1, 1, 2.0, cos_theta), 1e-3 * np.arange(2001))
     path = tmp_path / f"huge.{suffix}"
-    write_trajectory(Trajectory(flow.sig, flow.times, flow.points, 1e150 * flow.velocities,
-                                q=flow.q), path)
+    with warnings.catch_warnings():  # the writer's speed column overflows at 1e160
+        warnings.simplefilter("ignore", RuntimeWarning)
+        write_trajectory(Trajectory(flow.sig, flow.times, flow.points, scale * flow.velocities,
+                                    q=flow.q), path)
     code, stdout, stderr = run_cli(capsys, "classify", "--traj", str(path))
     assert (code, stdout) == (2, "")
-    assert stderr == "invalid configuration: measured q is not finite: got inf\n"
+    assert stderr == f"invalid configuration: {message}\n"
 
 
 # finite configs whose curvature formula overflows: kappa1 = sqrt(q^2 - s)
